@@ -6,8 +6,7 @@ use cmpleak_mem::BankArena;
 use cmpleak_power::{evaluate_energy, PowerParams, PowerReport};
 use cmpleak_store::{CellKey, KeyHasher, StoredCell};
 use cmpleak_system::{
-    run_feeds_with_scratch, run_lane_group, CmpConfig, CycleEngine, LaneScratch, SimKernel,
-    SimScratch, SimStats,
+    run_feeds_with_scratch, CmpConfig, CycleEngine, SimKernel, SimScratch, SimStats,
 };
 use cmpleak_workloads::WorkloadSpec;
 
@@ -162,7 +161,6 @@ pub struct ExperimentResult {
 pub struct ExperimentScratch {
     sim: SimScratch,
     streams: BankArena,
-    lanes: LaneScratch,
 }
 
 impl ExperimentScratch {
@@ -212,54 +210,6 @@ pub fn run_experiment_with_scratch(
         stats,
         power,
     }
-}
-
-/// Run several experiments over **one op stream** as lockstep lanes
-/// (the lane engine, [`cmpleak_system::lanes`]): the group's sources
-/// are built once, decoded once into a shared op window, and every
-/// configuration steps through it with its own simulator state. Results
-/// come back in `cfgs` order, each bit-identical to
-/// [`run_experiment_with_scratch`] on the same configuration (pinned by
-/// `tests/lane_differential.rs`).
-///
-/// # Panics
-/// Panics if `cfgs` is empty or its entries disagree on the scenario,
-/// seed, instruction budget or core count — lanes share one stream by
-/// construction.
-pub fn run_experiment_lanes(
-    cfgs: &[ExperimentConfig],
-    scratch: &mut ExperimentScratch,
-) -> Vec<ExperimentResult> {
-    // audit:allow(unwrap-in-lib, caller contract: lane groups are built non-empty by the planner)
-    let first = cfgs.first().expect("a lane group needs at least one experiment");
-    for c in cfgs {
-        assert_eq!(c.scenario.label(), first.scenario.label(), "lanes share one scenario");
-        assert_eq!(c.seed, first.seed, "lanes share one seed");
-        assert_eq!(
-            c.instructions_per_core, first.instructions_per_core,
-            "lanes share one instruction budget"
-        );
-        assert_eq!(c.n_cores, first.n_cores, "lanes share one core count");
-    }
-    let sources =
-        first.scenario.build_sources(first.n_cores, first.seed, first.instructions_per_core);
-    let cmps: Vec<CmpConfig> = cfgs.iter().map(ExperimentConfig::cmp_config).collect();
-    let all_stats = run_lane_group(&cmps, sources, &mut scratch.lanes);
-    cfgs.iter()
-        .zip(&cmps)
-        .zip(all_stats)
-        .map(|((cfg, cmp), stats)| {
-            let power =
-                evaluate_energy(cfg.power, cfg.technique, cfg.n_cores, cmp.l2.size_bytes, &stats);
-            ExperimentResult {
-                benchmark: cfg.scenario.label(),
-                technique: cfg.technique.name(),
-                total_l2_mb: cfg.total_l2_mb,
-                stats,
-                power,
-            }
-        })
-        .collect()
 }
 
 /// Rehydrate a store-loaded cell into the [`ExperimentResult`] a fresh
@@ -372,25 +322,6 @@ mod tests {
         assert_eq!(derived.stats, simulated.stats, "whole-SimStats bit-identity");
         assert_eq!(derived.power, simulated.power);
         assert_eq!(derived.technique, "baseline");
-    }
-
-    #[test]
-    fn lane_group_experiments_match_solo_runs() {
-        let cfgs: Vec<ExperimentConfig> = [
-            Technique::Protocol,
-            Technique::Decay { decay_cycles: 64 * 1024 },
-            Technique::SelectiveDecay { decay_cycles: 64 * 1024 },
-        ]
-        .into_iter()
-        .map(quick)
-        .collect();
-        let mut scratch = ExperimentScratch::default();
-        let laned = run_experiment_lanes(&cfgs, &mut scratch);
-        for (cfg, lane) in cfgs.iter().zip(&laned) {
-            let solo = run_experiment(cfg);
-            assert_eq!(lane.stats, solo.stats, "{}: whole-SimStats bit-identity", lane.technique);
-            assert_eq!(lane.power, solo.power);
-        }
     }
 
     #[test]

@@ -40,14 +40,13 @@ pub use adaptive::{oracle_advantage, oracle_pick, relative_edp, OracleChoice};
 pub use cmpleak_coherence::Technique;
 pub use cmpleak_workloads::{BenchClass, ScenarioSpec, WorkloadSpec};
 pub use experiment::{
-    result_from_stored, run_experiment, run_experiment_lanes, run_experiment_with_scratch,
-    ExperimentConfig, ExperimentResult, ExperimentScratch,
+    result_from_stored, run_experiment, run_experiment_with_scratch, ExperimentConfig,
+    ExperimentResult, ExperimentScratch,
 };
 pub use figures::{Figure, FigureSet};
 pub use metrics::TechniqueMetrics;
 pub use scenario::Scenario;
 pub use sweep::{
-    run_sweep, run_sweep_reference, run_sweep_sequential, run_sweep_uncached, run_sweep_unshared,
-    run_sweep_with_scratch, run_sweep_with_telemetry, SweepCell, SweepConfig, SweepResults,
-    SweepTelemetry,
+    run_sweep, run_sweep_reference, run_sweep_uncached, run_sweep_unshared, run_sweep_with_scratch,
+    run_sweep_with_telemetry, SweepCell, SweepConfig, SweepResults, SweepTelemetry,
 };

@@ -14,17 +14,17 @@
 //! simulated; each (scenario, seed, budget) group's op stream is
 //! *recorded once* into a shared in-memory trace that every cell of the
 //! group replays instead of regenerating live (the grid runs 1 + sizes
-//! × techniques cells per scenario off one recording); and within each
-//! (scenario, size) group the technique cells run as **lockstep lanes**
-//! ([`run_experiment_lanes`]) — the stream is decoded once into a
-//! shared op window and every technique steps through it with plain
-//! slice reads. See `tests/sweep_memoization.rs`,
-//! `tests/stream_sharing.rs` and `tests/lane_differential.rs` for the
-//! differentials that pin all three.
+//! × techniques cells per scenario off one recording); and cells found
+//! in the persistent result store ([`SweepConfig::store`]) are *loaded*
+//! instead of simulated. The worker pool's unit of work is one cell, so
+//! even a single (scenario, size) group spreads over every thread. See
+//! `tests/sweep_memoization.rs`, `tests/stream_sharing.rs` and
+//! `tests/store_differential.rs` for the differentials that pin all
+//! three.
 
 use crate::experiment::{
-    derive_baseline_cell, result_from_stored, run_experiment_lanes, run_experiment_with_scratch,
-    ExperimentConfig, ExperimentResult, ExperimentScratch,
+    derive_baseline_cell, result_from_stored, run_experiment_with_scratch, ExperimentConfig,
+    ExperimentResult, ExperimentScratch,
 };
 use crate::metrics::TechniqueMetrics;
 use crate::scenario::Scenario;
@@ -178,9 +178,9 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
     }
 }
 
-/// Run the sweep with both sweep-level optimizations on: baseline
-/// memoization against the timing-identical technique twin, and shared
-/// op streams.
+/// Run the sweep with all three sweep-level optimizations on: baseline
+/// memoization against the timing-identical technique twin, shared op
+/// streams, and the persistent store (when configured).
 ///
 /// **Memoization** — within every (scenario, size) group, the baseline
 /// and a [`Technique::timing_identical_to_baseline`] technique
@@ -208,15 +208,9 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// `tests/store_differential.rs`), misses are simulated as usual and
 /// published back. A fully warm grid simulates — and records — nothing.
 ///
-/// **Lanes** — within each (scenario, size) group, the simulated cells
-/// all consume the same op sequence; the lane engine
-/// ([`run_experiment_lanes`]) decodes it once into a shared op window
-/// and steps every technique through it side by side, so per-cell op
-/// delivery collapses to bounds-checked slice reads.
-///
 /// The output is byte-identical to [`run_sweep_reference`] (pinned
 /// cell-for-cell by `tests/sweep_memoization.rs`,
-/// `tests/stream_sharing.rs` and `tests/lane_differential.rs`, and by
+/// `tests/stream_sharing.rs` and `tests/store_differential.rs`, and by
 /// the golden snapshot, which passes unchanged with all three
 /// optimizations on).
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
@@ -258,28 +252,14 @@ pub fn run_sweep_reference(cfg: &SweepConfig) -> SweepResults {
     run_sweep_inner(cfg, PlannerArms::REFERENCE, &mut ExperimentScratch::default()).0
 }
 
-/// [`run_sweep`] with stream sharing and lanes disabled (baseline
-/// memoization stays on): every simulated cell regenerates its streams
-/// live. The comparison arm the `sweep` bench uses to isolate what
-/// sharing buys.
+/// [`run_sweep`] with stream sharing disabled (baseline memoization
+/// stays on, the store is ignored): every simulated cell regenerates
+/// its streams live. The comparison arm the `sweep` bench uses to
+/// isolate what sharing buys.
 pub fn run_sweep_unshared(cfg: &SweepConfig) -> SweepResults {
     run_sweep_inner(
         cfg,
         PlannerArms { memoize: true, ..PlannerArms::REFERENCE },
-        &mut ExperimentScratch::default(),
-    )
-    .0
-}
-
-/// [`run_sweep`] with the lane engine disabled (memoization and stream
-/// sharing stay on): cells run one at a time off the shared recordings
-/// — the planner exactly as it stood before lanes. The escape hatch if
-/// a lane-engine defect is suspected, and the comparison arm of the
-/// `lanes` bench and `tests/lane_differential.rs`.
-pub fn run_sweep_sequential(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_inner(
-        cfg,
-        PlannerArms { memoize: true, share_streams: true, ..PlannerArms::REFERENCE },
         &mut ExperimentScratch::default(),
     )
     .0
@@ -412,16 +392,14 @@ fn resolve_stream(
 struct PlannerArms {
     memoize: bool,
     share_streams: bool,
-    lanes: bool,
     use_store: bool,
 }
 
 impl PlannerArms {
     /// Everything on — the production path.
-    const FULL: Self = Self { memoize: true, share_streams: true, lanes: true, use_store: true };
+    const FULL: Self = Self { memoize: true, share_streams: true, use_store: true };
     /// Everything off — the differential reference.
-    const REFERENCE: Self =
-        Self { memoize: false, share_streams: false, lanes: false, use_store: false };
+    const REFERENCE: Self = Self { memoize: false, share_streams: false, use_store: false };
 
     const fn without_store(mut self) -> Self {
         self.use_store = false;
@@ -435,7 +413,7 @@ fn run_sweep_inner(
     arms: PlannerArms,
     scratch: &mut ExperimentScratch,
 ) -> (SweepResults, SweepTelemetry) {
-    let PlannerArms { memoize, share_streams, lanes, use_store } = arms;
+    let PlannerArms { memoize, share_streams, use_store } = arms;
     // The technique whose run can stand in for the baseline simulation,
     // if any: the first timing-identical one in the configured list.
     let donor_offset = cfg
@@ -538,31 +516,26 @@ fn run_sweep_inner(
     // the duration of the sweep and restored to `scratch` after.
     let rec_pool = Mutex::new(std::mem::take(scratch.stream_arena()));
 
-    // The pool's work unit: one cell when running sequentially, one
-    // whole (scenario, size) group when the lane engine is on — a
-    // group's lanes share a decoded op window and must live on one
-    // worker.
-    let group_len = 1 + cfg.techniques.len();
-    let work_units = if lanes { jobs.len() / group_len } else { jobs.len() };
-
+    // The pool's work unit is one cell, so even a single (scenario,
+    // size) group — a serve-mode miss — spreads over every thread.
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
     } else {
         cfg.threads
     }
-    .min(work_units.max(1));
+    .min(jobs.len().max(1));
 
     let mut results: Vec<Option<ExperimentResult>> = (0..jobs.len()).map(|_| None).collect();
     {
         // Share-nothing worker pool on std primitives: an atomic cursor
-        // hands out work-unit indices, an mpsc channel collects results,
-        // and reassembly by index keeps the output identical for any
-        // thread count.
-        let next_unit = AtomicUsize::new(0);
+        // hands out job indices, an mpsc channel collects results, and
+        // reassembly by index keeps the output identical for any thread
+        // count.
+        let next_job = AtomicUsize::new(0);
         let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, ExperimentResult)>();
         std::thread::scope(|s| {
             for _ in 0..threads {
-                let next_unit = &next_unit;
+                let next_job = &next_job;
                 let jobs = &jobs;
                 let keys = &keys;
                 let slots = &slots;
@@ -577,95 +550,39 @@ fn run_sweep_inner(
                     // allocations are recycled across this worker's jobs.
                     let mut scratch = ExperimentScratch::default();
                     loop {
-                        let u = next_unit.fetch_add(1, Ordering::Relaxed);
-                        if u >= work_units {
+                        let u = next_job.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(u) else {
                             return;
+                        };
+                        if !job.simulate {
+                            continue; // derived after the pool finishes
                         }
-                        if lanes {
-                            // One lane group: the group's simulated
-                            // cells (the baseline slot is absent when it
-                            // will be derived) stepped through one
-                            // shared op window. Store hits leave the
-                            // group first; only the remainder touches
-                            // the stream slot and the simulator.
-                            let base = u * group_len;
-                            let mut miss_idx: Vec<usize> = Vec::new();
-                            for i in (base..base + group_len).filter(|&i| jobs[i].simulate) {
-                                let hit = match (store.as_deref(), &keys[i]) {
-                                    (Some(st), Some(key)) => st.load(key),
-                                    _ => None,
-                                };
-                                match hit {
-                                    Some(cell) => {
-                                        store_hits.fetch_add(1, Ordering::Relaxed);
-                                        let r = result_from_stored(&jobs[i].cfg, cell);
-                                        if res_tx.send((i, r)).is_err() {
-                                            return;
-                                        }
-                                    }
-                                    None => miss_idx.push(i),
-                                }
-                            }
-                            if miss_idx.is_empty() {
-                                continue;
-                            }
-                            let scenario = resolve_stream(
-                                &slots[jobs[base].scenario_idx],
-                                &jobs[base].cfg.scenario,
-                                cfg,
-                                rec_pool,
-                                recorded,
-                            );
-                            let cfgs: Vec<ExperimentConfig> = miss_idx
-                                .iter()
-                                .map(|&i| {
-                                    let mut c = jobs[i].cfg.clone();
-                                    c.scenario = scenario.clone();
-                                    c
-                                })
-                                .collect();
-                            let rs = run_experiment_lanes(&cfgs, &mut scratch);
-                            for (i, r) in miss_idx.into_iter().zip(rs) {
-                                if let (Some(st), Some(key)) = (store.as_deref(), &keys[i]) {
-                                    store_misses.fetch_add(1, Ordering::Relaxed);
-                                    st.publish(key, &r.stats, &r.power).ok();
-                                }
-                                if res_tx.send((i, r)).is_err() {
+                        if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
+                            if let Some(cell) = st.load(key) {
+                                store_hits.fetch_add(1, Ordering::Relaxed);
+                                let r = result_from_stored(&job.cfg, cell);
+                                if res_tx.send((u, r)).is_err() {
                                     return;
                                 }
+                                continue;
                             }
-                        } else {
-                            let job = &jobs[u];
-                            if !job.simulate {
-                                continue; // derived after the pool finishes
-                            }
-                            if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
-                                if let Some(cell) = st.load(key) {
-                                    store_hits.fetch_add(1, Ordering::Relaxed);
-                                    let r = result_from_stored(&job.cfg, cell);
-                                    if res_tx.send((u, r)).is_err() {
-                                        return;
-                                    }
-                                    continue;
-                                }
-                            }
-                            let scenario = resolve_stream(
-                                &slots[job.scenario_idx],
-                                &job.cfg.scenario,
-                                cfg,
-                                rec_pool,
-                                recorded,
-                            );
-                            let mut run_cfg = job.cfg.clone();
-                            run_cfg.scenario = scenario;
-                            let r = run_experiment_with_scratch(&run_cfg, &mut scratch);
-                            if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
-                                store_misses.fetch_add(1, Ordering::Relaxed);
-                                st.publish(key, &r.stats, &r.power).ok();
-                            }
-                            if res_tx.send((u, r)).is_err() {
-                                return;
-                            }
+                        }
+                        let scenario = resolve_stream(
+                            &slots[job.scenario_idx],
+                            &job.cfg.scenario,
+                            cfg,
+                            rec_pool,
+                            recorded,
+                        );
+                        let mut run_cfg = job.cfg.clone();
+                        run_cfg.scenario = scenario;
+                        let r = run_experiment_with_scratch(&run_cfg, &mut scratch);
+                        if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
+                            store_misses.fetch_add(1, Ordering::Relaxed);
+                            st.publish(key, &r.stats, &r.power).ok();
+                        }
+                        if res_tx.send((u, r)).is_err() {
+                            return;
                         }
                     }
                 });
@@ -685,6 +602,7 @@ fn run_sweep_inner(
     // cells are published too — if-absent, so warm sweeps stay
     // write-free — letting later serve-mode batches answer baseline
     // requests straight from the store.
+    let group_len = 1 + cfg.techniques.len();
     let mut derived = 0usize;
     if let Some(offset) = donor_offset {
         for base_idx in (0..jobs.len()).step_by(group_len) {

@@ -21,12 +21,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod lane;
 pub mod model;
 pub mod source;
 pub mod trace;
 
-pub use lane::{fetch_margin, OpWindow, WindowCursor};
 pub use model::{CoreConfig, CoreModel, CorePort, CoreStats, ProgressState, StallKind};
 pub use source::{LiveGen, OpSource};
 pub use trace::{ReplayWorkload, TraceOp, Workload};

@@ -163,17 +163,6 @@ impl CoreModel {
         self.budget
     }
 
-    /// Whether a future tick may still fetch from this core's op source.
-    /// Dispatch is strictly in order, so a pending retry implies the
-    /// instruction count is below the budget; once the budget is reached
-    /// the core never calls `next_op` again (the budget-cursor
-    /// contract). The lane engine uses this to decide which cores still
-    /// constrain the shared op window.
-    #[inline]
-    pub fn may_fetch(&self) -> bool {
-        self.stats.instructions < self.budget
-    }
-
     /// All budgeted instructions dispatched and no load in flight.
     pub fn drained(&self) -> bool {
         self.stats.instructions >= self.budget
@@ -256,9 +245,9 @@ impl CoreModel {
     /// Returns the number of instructions dispatched this cycle (0 when
     /// stalled or finished).
     ///
-    /// Generic over the source so the lane engine's window cursors
-    /// monomorphize the fetch path; `&mut dyn OpSource` callers resolve
-    /// to the dynamic instantiation unchanged.
+    /// Generic over the source so the simulator's enum-dispatched
+    /// per-core feeds monomorphize the fetch path; `&mut dyn OpSource`
+    /// callers resolve to the dynamic instantiation unchanged.
     pub fn tick<S: OpSource + ?Sized>(&mut self, src: &mut S, port: &mut dyn CorePort) -> u32 {
         if self.stats.instructions >= self.budget && self.retry.is_none() {
             return 0;

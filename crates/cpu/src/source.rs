@@ -45,31 +45,6 @@ pub trait OpSource {
     fn name(&self) -> &str {
         "ops"
     }
-
-    /// How many ops this source can still produce, `None` if unbounded.
-    /// See [`Workload::ops_remaining`]; the lane engine's op windows use
-    /// it to prefetch ahead of core demand without driving a finite
-    /// backend past its recording.
-    fn ops_remaining(&self) -> Option<u64> {
-        None
-    }
-
-    /// Append up to `max` ops to `out`, returning how many were appended
-    /// (short only when a finite source ran dry). Batch consumers refill
-    /// through this so replay backends can decode whole batches in one
-    /// call; op-for-op it is identical to repeated
-    /// [`OpSource::next_op`].
-    fn fill_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        let n = match self.ops_remaining() {
-            Some(left) => max.min(usize::try_from(left).unwrap_or(max)),
-            None => max,
-        };
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.next_op());
-        }
-        n
-    }
 }
 
 /// Every workload generator is an op source (live generation).
@@ -81,14 +56,6 @@ impl<W: Workload> OpSource for W {
 
     fn name(&self) -> &str {
         Workload::name(self)
-    }
-
-    fn ops_remaining(&self) -> Option<u64> {
-        Workload::ops_remaining(self)
-    }
-
-    fn fill_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        Workload::fill_ops(self, out, max)
     }
 }
 
@@ -150,18 +117,6 @@ impl OpSource for LiveGen {
 
     fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    fn ops_remaining(&self) -> Option<u64> {
-        self.inner.ops_remaining()
-    }
-
-    fn fill_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        let before = out.len();
-        let n = self.inner.fill_ops(out, max);
-        self.ops_served += n as u64;
-        self.instructions_served += out[before..].iter().map(|op| op.instructions()).sum::<u64>();
-        n
     }
 }
 

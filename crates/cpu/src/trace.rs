@@ -43,33 +43,6 @@ pub trait Workload {
     fn name(&self) -> &str {
         "workload"
     }
-
-    /// How many ops this stream can still produce — `None` for the
-    /// common case of a generator (unbounded). Finite replay backends
-    /// report their remaining recorded ops so batch consumers (the lane
-    /// engine's shared op windows) can stop prefetching at end of stream
-    /// instead of tripping the past-the-recording panic that guards
-    /// demand-driven replay.
-    fn ops_remaining(&self) -> Option<u64> {
-        None
-    }
-
-    /// Append up to `max` ops to `out`, returning how many were appended
-    /// — short only when a finite stream ran dry. The default loops
-    /// [`Workload::next_op`] (clamped to [`Workload::ops_remaining`]);
-    /// replay backends override it to decode whole batches straight into
-    /// `out`.
-    fn fill_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        let n = match self.ops_remaining() {
-            Some(left) => max.min(usize::try_from(left).unwrap_or(max)),
-            None => max,
-        };
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.next_op());
-        }
-        n
-    }
 }
 
 /// Replays a fixed op sequence in a loop — the workhorse of unit and

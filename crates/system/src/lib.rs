@@ -26,7 +26,6 @@ pub mod bus;
 pub mod config;
 pub mod l1;
 pub mod l2;
-pub mod lanes;
 pub mod stats;
 pub mod system;
 
@@ -34,7 +33,6 @@ pub use bus::{BusReq, BusReqKind, SharedBus};
 pub use config::{BusConfig, CmpConfig, CycleEngine, L1Config, L2Config, MemConfig, SimKernel};
 pub use l1::{L1Cache, L1LoadOutcome};
 pub use l2::{L2Cache, L2ReadOutcome, L2Target, L2WriteOutcome};
-pub use lanes::{run_lane_group, LaneScratch};
 pub use stats::{IntervalActivity, L1Stats, L2Stats, SimStats};
 pub use system::{
     run_feeds_with_scratch, run_simulation, run_simulation_with_scratch, run_sources_with_scratch,

@@ -128,8 +128,7 @@ use crate::l2::{L2Cache, L2ReadOutcome, L2WriteOutcome, SideEffects, UpgradeResu
 use crate::stats::{IntervalActivity, SimStats};
 use cmpleak_coherence::bus::SnoopKind;
 use cmpleak_cpu::{
-    fetch_margin, CoreModel, CorePort, LiveGen, OpSource, OpWindow, ProgressState, StallKind,
-    TraceOp, Workload,
+    CoreModel, CorePort, LiveGen, OpSource, ProgressState, StallKind, TraceOp, Workload,
 };
 use cmpleak_mem::{ArenaStats, BankArena, Geometry, LineAddr, WriteBuffer};
 use cmpleak_trace::MemTraceCursor;
@@ -210,22 +209,6 @@ impl OpSource for CoreSource {
             CoreSource::Live(s) => s.name(),
             CoreSource::Trace(s) => cmpleak_cpu::Workload::name(s),
             CoreSource::Dyn(s) => s.name(),
-        }
-    }
-
-    fn ops_remaining(&self) -> Option<u64> {
-        match self {
-            CoreSource::Live(s) => s.ops_remaining(),
-            CoreSource::Trace(s) => cmpleak_cpu::Workload::ops_remaining(s),
-            CoreSource::Dyn(s) => s.ops_remaining(),
-        }
-    }
-
-    fn fill_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        match self {
-            CoreSource::Live(s) => s.fill_ops(out, max),
-            CoreSource::Trace(s) => cmpleak_cpu::Workload::fill_ops(s, out, max),
-            CoreSource::Dyn(s) => s.fill_ops(out, max),
         }
     }
 }
@@ -692,16 +675,6 @@ enum WbRoute {
     Queued,
 }
 
-/// Where a cycle's core ticks fetch their ops from: the system's own
-/// per-core sources (the sequential path) or a shared [`OpWindow`] with
-/// external per-core read positions (the lane engine). Carrying the
-/// window by reference keeps the borrow disjoint from the system's own
-/// fields, so the tick's [`PortAdapter`] splits off cleanly.
-enum Feed<'w> {
-    Own,
-    Window { window: &'w OpWindow, pos: &'w mut [u64] },
-}
-
 /// Adapter giving one core a view of its L1 and write buffer for a cycle.
 struct PortAdapter<'a> {
     now: u64,
@@ -810,14 +783,8 @@ pub struct CmpSystem {
     /// Per-core op delivery channels: live generators (wrapped in
     /// [`LiveGen`]), shared in-memory trace cursors, or any other
     /// [`OpSource`] backend boxed — enum-dispatched ([`CoreSource`]) so
-    /// the hot fetch inlines. Empty for window-fed systems
-    /// ([`CmpSystem::for_window`]), whose ops arrive through a shared
-    /// [`OpWindow`] instead.
+    /// the hot fetch inlines.
     sources: Vec<CoreSource>,
-    /// Per-core workload names for the final statistics — captured at
-    /// construction so window-fed systems (no owned sources) report the
-    /// same `core_workloads` as the sequential path.
-    core_names: Vec<String>,
     l1s: Vec<L1Cache>,
     wbs: Vec<WriteBuffer>,
     l2s: Vec<L2Cache>,
@@ -958,29 +925,6 @@ impl CmpSystem {
     /// the configuration is invalid.
     pub fn with_feeds(cfg: CmpConfig, sources: Vec<CoreSource>, scratch: &mut SimScratch) -> Self {
         assert_eq!(sources.len(), cfg.n_cores, "one op source per core");
-        let core_names = sources.iter().map(|s| s.name().to_string()).collect();
-        Self::build(cfg, sources, core_names, scratch)
-    }
-
-    /// Build a system whose cores are fed from a shared [`OpWindow`]
-    /// through [`CmpSystem::run_segment`] instead of owned sources (the
-    /// lane engine, see [`crate::lanes`]). `core_names` label the
-    /// per-core statistics exactly as the window's sources would.
-    ///
-    /// # Panics
-    /// Panics unless exactly `cfg.n_cores` names are supplied, or if the
-    /// configuration is invalid.
-    pub fn for_window(cfg: CmpConfig, core_names: Vec<String>, scratch: &mut SimScratch) -> Self {
-        assert_eq!(core_names.len(), cfg.n_cores, "one workload name per core");
-        Self::build(cfg, Vec::new(), core_names, scratch)
-    }
-
-    fn build(
-        cfg: CmpConfig,
-        sources: Vec<CoreSource>,
-        core_names: Vec<String>,
-        scratch: &mut SimScratch,
-    ) -> Self {
         cfg.validate();
         let cores =
             (0..cfg.n_cores).map(|_| CoreModel::new(cfg.core, cfg.instructions_per_core)).collect();
@@ -1015,7 +959,6 @@ impl CmpSystem {
             now: 0,
             cores,
             sources,
-            core_names,
             l1s,
             wbs,
             l2s,
@@ -1114,83 +1057,6 @@ impl CmpSystem {
         }
     }
 
-    /// Cycles this lane can provably run without any core tick reading
-    /// past the window. A fetching core consumes at most
-    /// [`fetch_margin`] ops per tick, so `available / margin` ticks are
-    /// safe on its stream; the lane-wide bound is the minimum over every
-    /// core that still constrains the window. Cores past their
-    /// instruction budget never fetch again ([`CoreModel::may_fetch`] is
-    /// monotone — instruction counts only grow), and finished streams
-    /// are exempt: their remaining buffered ops are all there will ever
-    /// be, and the budget completes within them (or the cursor's overrun
-    /// panic reports the contract violation). Zero means the very next
-    /// cycle could overrun: pause and refill. Computing a whole budget
-    /// instead of a per-cycle yes/no keeps the starvation guard out of
-    /// the hot loop — one core scan buys thousands of unchecked cycles.
-    fn starvation_free_cycles(&self, window: &OpWindow, pos: &[u64]) -> u64 {
-        let margin = fetch_margin(self.cfg.core.width);
-        let mut safe = u64::MAX;
-        for (c, &p) in pos.iter().enumerate().take(self.cfg.n_cores) {
-            if self.cores[c].may_fetch() && !window.finished(c) {
-                safe = safe.min(window.available(c, p) / margin);
-            }
-        }
-        safe
-    }
-
-    /// Run until completion (`true`) or until the lane needs more ops
-    /// buffered in the shared window (`false`; re-call after
-    /// [`OpWindow::advance`]). `pos` holds the lane's per-core absolute
-    /// read positions and persists across segments; time, pipeline and
-    /// cache state live in `self`, so the cycle sequence is exactly the
-    /// one [`CmpSystem::run_loop`] would produce — pauses land *between*
-    /// cycles and consume nothing.
-    pub(crate) fn run_segment(&mut self, window: &OpWindow, pos: &mut [u64]) -> bool {
-        match self.cfg.kernel {
-            SimKernel::PerCycle => loop {
-                if self.done() || self.now >= self.cfg.max_cycles {
-                    break;
-                }
-                let mut safe = self.starvation_free_cycles(window, pos);
-                if safe == 0 {
-                    return false;
-                }
-                while safe > 0 && !self.done() && self.now < self.cfg.max_cycles {
-                    self.step_cycle_with(&mut Feed::Window { window, pos: &mut *pos });
-                    safe -= 1;
-                }
-            },
-            SimKernel::QuiescenceSkip => {
-                // Mirrors `run_loop`'s skip kernel: quiet spans advance
-                // in bulk. A quiet cycle ticks no core, so skipping
-                // never touches the window and is not charged against
-                // the starvation budget (it consumes no ops).
-                let mut try_skip = false;
-                loop {
-                    if self.done() || self.now >= self.cfg.max_cycles {
-                        break;
-                    }
-                    let mut safe = self.starvation_free_cycles(window, pos);
-                    if safe == 0 {
-                        return false;
-                    }
-                    while safe > 0 && !self.done() && self.now < self.cfg.max_cycles {
-                        if try_skip {
-                            if let Some(target) = self.quiescent_wakeup() {
-                                self.advance_quiet(target);
-                                continue;
-                            }
-                        }
-                        try_skip =
-                            !self.step_cycle_with(&mut Feed::Window { window, pos: &mut *pos });
-                        safe -= 1;
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Drain check. The structural half (queues, cores, events) only
     /// changes on cycles that did work, so it is cached behind
     /// `struct_dirty`; the bus/memory busy horizons are pure time
@@ -1211,14 +1077,10 @@ impl CmpSystem {
     }
 
     fn step_cycle(&mut self) -> bool {
-        self.step_cycle_with(&mut Feed::Own)
-    }
-
-    fn step_cycle_with(&mut self, feed: &mut Feed) -> bool {
         if self.worklist {
-            self.step_cycle_worklist(feed)
+            self.step_cycle_worklist()
         } else {
-            self.step_cycle_scan(feed)
+            self.step_cycle_scan()
         }
     }
 
@@ -1226,7 +1088,7 @@ impl CmpSystem {
     /// ("Reference" for the worklist's active set, not for spine gating:
     /// the grant-horizon and ports-idle gates skip provable no-ops and
     /// apply to both engines alike.)
-    fn step_cycle_scan(&mut self, feed: &mut Feed) -> bool {
+    fn step_cycle_scan(&mut self) -> bool {
         let mut work = false;
         while let Some(ev) = self.events.pop_due(self.now) {
             self.profile.on_event();
@@ -1245,7 +1107,7 @@ impl CmpSystem {
             work |= self.l2_phase(core);
         }
         for core in 0..self.cfg.n_cores {
-            work |= self.tick_core(core, feed);
+            work |= self.tick_core(core);
         }
         self.profile.on_step(self.cfg.n_cores as u64, 0);
         self.sample_cycle();
@@ -1259,21 +1121,18 @@ impl CmpSystem {
     /// the set would have contributed nothing but its per-cycle stall
     /// and retry charges, which are settled in bulk when it wakes. See
     /// the module docs ("Engines") for the invariants.
-    fn step_cycle_worklist(&mut self, feed: &mut Feed) -> bool {
+    fn step_cycle_worklist(&mut self) -> bool {
         // Working span: when every awake core's L2 ports are provably
         // idle and every spine horizon is strictly ahead, their ticks
         // cannot interact (bus requests are only pushed when a port
         // queue drains, and those queues are empty), so the whole awake
         // set runs in lockstep in a tight inner loop instead of
-        // re-consulting the spine each cycle. Own-source feeds only —
-        // the lane engine's starvation budget is debited per
-        // `run_segment` step, which a multi-cycle batch would bypass.
-        // A core already drained at entry is excluded (it must reach
-        // `try_sleep` on a normal cycle, or it would re-trigger the
-        // batch's drain exit every span).
+        // re-consulting the spine each cycle. A core already drained at
+        // entry is excluded (it must reach `try_sleep` on a normal
+        // cycle, or it would re-trigger the batch's drain exit every
+        // span).
         if self.awake != 0
             && self.awake & self.ports_idle == self.awake
-            && matches!(feed, Feed::Own)
             && !self.any_drained(self.awake)
         {
             let horizon = self.batch_horizon(self.awake);
@@ -1321,7 +1180,7 @@ impl CmpSystem {
         while pending != 0 {
             let core = pending.trailing_zeros() as usize;
             pending &= pending - 1;
-            work |= self.tick_core(core, feed);
+            work |= self.tick_core(core);
         }
         let run = self.awake.count_ones() as u64;
         self.profile.on_step(run, self.cfg.n_cores as u64 - run);
@@ -1626,7 +1485,7 @@ impl CmpSystem {
             while pending != 0 {
                 let core = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
-                work |= self.tick_core(core, &mut Feed::Own);
+                work |= self.tick_core(core);
             }
             if self.events.push_seq() != seq {
                 next_ev = next_ev.min(self.events.next_at().unwrap_or(u64::MAX));
@@ -2065,11 +1924,10 @@ impl CmpSystem {
 
     // ---- cores ------------------------------------------------------------
 
-    /// One core's tick phase: fetch through the feed (own enum-dispatch
-    /// sources or the shared window cursor — both monomorphized) into a
-    /// fresh [`PortAdapter`].
+    /// One core's tick phase: fetch through the core's enum-dispatched
+    /// [`CoreSource`] (monomorphized) into a fresh [`PortAdapter`].
     #[inline]
-    fn tick_core(&mut self, core: usize, feed: &mut Feed) -> bool {
+    fn tick_core(&mut self, core: usize) -> bool {
         let mut port = PortAdapter {
             now: self.now,
             core,
@@ -2081,13 +1939,7 @@ impl CmpSystem {
             events: &mut self.events,
             ports_idle: &mut self.ports_idle,
         };
-        (match feed {
-            Feed::Own => self.cores[core].tick(&mut self.sources[core], &mut port),
-            Feed::Window { window, pos } => {
-                let mut cur = window.cursor(core, &mut pos[core]);
-                self.cores[core].tick(&mut cur, &mut port)
-            }
-        }) > 0
+        self.cores[core].tick(&mut self.sources[core], &mut port) > 0
     }
 
     // ---- sampling -----------------------------------------------------------
@@ -2201,7 +2053,7 @@ impl CmpSystem {
     /// Close the books and assemble the statistics. The caches' storage
     /// stays attached (so this can run before the scratch reclaim that
     /// strips it); the trace is moved out.
-    pub(crate) fn finalize(&mut self) -> SimStats {
+    fn finalize(&mut self) -> SimStats {
         if self.worklist {
             // Settle every sleeping core's deferred stall/retry charges
             // before the books close.
@@ -2218,7 +2070,7 @@ impl CmpSystem {
             cycles: now,
             instructions: self.cores.iter().map(|c| c.stats().instructions).sum(),
             cores: self.cores.iter().map(|c| c.stats()).collect(),
-            core_workloads: self.core_names.clone(),
+            core_workloads: self.sources.iter().map(|s| s.name().to_string()).collect(),
             l1: self.l1s.iter().map(|l| l.stats()).collect(),
             l2: self.l2s.iter().map(|l| l.stats()).collect(),
             l2_on_line_cycles: on,
@@ -2243,7 +2095,7 @@ impl CmpSystem {
     /// and queues return for the next run. Must run after
     /// [`CmpSystem::finalize`] (the final accounting pass reads the
     /// line-state banks).
-    pub(crate) fn reclaim_scratch(&mut self, scratch: &mut SimScratch) {
+    fn reclaim_scratch(&mut self, scratch: &mut SimScratch) {
         for l2 in &mut self.l2s {
             l2.release_storage(&mut self.arena);
         }

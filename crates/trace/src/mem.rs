@@ -317,41 +317,6 @@ impl Workload for MemTraceCursor {
     fn name(&self) -> &str {
         &self.trace.cores[self.core].name
     }
-
-    fn ops_remaining(&self) -> Option<u64> {
-        Some(self.total_ops - self.served)
-    }
-
-    /// Batch refill for the lane engine's shared op windows: drain the
-    /// local batch (a cursor may interleave `next_op` and `fill_ops`),
-    /// then decode whole batches from the shared stream **straight into
-    /// `out`**, skipping the local-buffer copy entirely — the decode is
-    /// paid once per lane group instead of once per cell.
-    fn fill_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        let take_total = (self.total_ops - self.served).min(max as u64) as usize;
-        out.reserve(take_total);
-        let mut produced = 0;
-        while produced < take_total && self.head < self.len {
-            out.push(self.batch[self.head]);
-            self.head += 1;
-            self.served += 1;
-            produced += 1;
-        }
-        if produced < take_total {
-            // Local batch drained: every decoded op has been handed out
-            // (`served == decoded`), so the stream position is exactly
-            // at the next undecoded op.
-            let stream = &self.trace.streams[self.core];
-            let take = take_total - produced;
-            let before = out.len();
-            out.resize(before + take, TraceOp::Exec(0));
-            let got = self.dec.decode_batch(stream, &mut self.pos, &mut out[before..]);
-            assert_eq!(got, take, "stream shorter than its recorded op count");
-            self.decoded += take as u64;
-            self.served += take as u64;
-        }
-        take_total
-    }
 }
 
 #[cfg(test)]
@@ -438,33 +403,6 @@ mod tests {
         let fresh_before = arena.stats().fresh_allocations;
         let _again = MemTrace::record("pair", 3, &mut wls2, 1000, &mut arena);
         assert_eq!(arena.stats().fresh_allocations, fresh_before, "streams served from the pool");
-    }
-
-    #[test]
-    fn fill_ops_matches_next_op_with_interleaving() {
-        let (mut wls, _) = pair();
-        let mut arena = BankArena::default();
-        let trace = Arc::new(MemTrace::record("pair", 3, &mut wls, 4000, &mut arena));
-        let mut a = trace.cursor(0);
-        let mut b = trace.cursor(0);
-        let mut got = Vec::new();
-        // Interleave odd-sized batch fills with single fetches so the
-        // local batch is drained and bypassed in every combination.
-        loop {
-            if got.len() % 3 == 0 {
-                if a.fill_ops(&mut got, 7) == 0 {
-                    break;
-                }
-            } else {
-                match a.try_next_op() {
-                    Some(op) => got.push(op),
-                    None => break,
-                }
-            }
-        }
-        let want: Vec<TraceOp> = (0..b.total_ops()).map(|_| b.next_op()).collect();
-        assert_eq!(got, want, "fill_ops must hand out the identical stream");
-        assert_eq!(a.ops_remaining(), Some(0));
     }
 
     #[test]

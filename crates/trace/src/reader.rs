@@ -217,22 +217,6 @@ impl Workload for TraceWorkload {
     fn name(&self) -> &str {
         &self.name
     }
-
-    fn ops_remaining(&self) -> Option<u64> {
-        Some(self.total_ops - self.ops_read)
-    }
-
-    /// Batch refill (see [`Workload::fill_ops`]): decode straight into
-    /// `out` through the batch decoder instead of one op at a time.
-    fn fill_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        let take = (self.total_ops - self.ops_read).min(max as u64) as usize;
-        let before = out.len();
-        out.resize(before + take, TraceOp::Exec(0));
-        let got = self.dec.decode_batch(&self.buf, &mut self.pos, &mut out[before..]);
-        assert_eq!(got, take, "stream shorter than its recorded op count");
-        self.ops_read += take as u64;
-        take
-    }
 }
 
 #[cfg(test)]
@@ -311,20 +295,6 @@ mod tests {
             tf.min_core_instructions(),
             tf.header().cores.iter().map(|c| c.instructions).min().unwrap()
         );
-    }
-
-    #[test]
-    fn fill_ops_decodes_batches_identically_to_next_op() {
-        let rec = two_core_trace();
-        let tf = TraceFile::from_bytes(rec.to_bytes()).unwrap();
-        let mut a = tf.core_workload(0).unwrap();
-        let mut b = tf.core_workload(0).unwrap();
-        let mut got = Vec::new();
-        assert_eq!(a.fill_ops(&mut got, 3), 3);
-        while a.fill_ops(&mut got, 5) == 5 {}
-        let want: Vec<TraceOp> = (0..b.total_ops()).map(|_| b.next_op()).collect();
-        assert_eq!(got, want);
-        assert_eq!(a.ops_remaining(), Some(0));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   repeated sequential decode stops.
 //!
 //! Every property pins both the decoded ops *and* the cursor position —
-//! not just at the end of the stream but after every refill, because the
-//! lane engine's shared op windows are refilled incrementally and any
+//! not just at the end of the stream but after every refill, because
+//! `MemTraceCursor` refills its local batch incrementally and any
 //! intermediate cursor drift would corrupt every later delta-decoded
 //! address.
 

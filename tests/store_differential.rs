@@ -75,26 +75,49 @@ fn cold_and_warm_store_sweeps_match_uncached_byte_for_byte() {
     std::fs::remove_dir_all(root).ok();
 }
 
+/// The shape of one `sweep serve` miss: a single (scenario, size) group
+/// over the paper set. Its cells are separate pool jobs off one stream
+/// slot, so at two or more threads a second worker blocks on the slot
+/// while the first records the shared stream.
+fn serve_miss(threads: usize, store: Option<Arc<ResultStore>>) -> SweepConfig {
+    let mut cfg = grid(threads, store);
+    cfg.scenarios.truncate(1);
+    cfg.sizes_mb.truncate(1);
+    cfg
+}
+
 /// The cache is thread-count-blind: cold at T threads == warm at T'
 /// threads == uncached, for every combination of 1/2/8 — the in-pool
-/// recording and the hit/miss partition must not perturb results.
+/// recording and the hit/miss partition must not perturb results — and
+/// every cold pass publishes every cell, derived baselines included.
 #[test]
 fn store_sweeps_identical_across_thread_counts() {
-    let fresh = json(&run_sweep_uncached(&grid(1, None)));
-    for cold_threads in [1usize, 2, 8] {
-        let (root, store) = temp_store(&format!("threads{cold_threads}"));
-        let (cold, _) = run(&grid(cold_threads, Some(Arc::clone(&store))));
-        assert_eq!(cold, fresh, "cold store sweep diverged at {cold_threads} thread(s)");
-        for warm_threads in [1usize, 2, 8] {
-            let (warm, t) = run(&grid(warm_threads, Some(Arc::clone(&store))));
+    type Shape = fn(usize, Option<Arc<ResultStore>>) -> SweepConfig;
+    let shapes: [(&str, Shape); 2] = [("grid", grid), ("serve", serve_miss)];
+    for (tag, shape) in shapes {
+        let cfg = shape(1, None);
+        let fresh = json(&run_sweep_uncached(&cfg));
+        let cells = cfg.scenarios.len() * cfg.sizes_mb.len() * (1 + cfg.techniques.len());
+        for cold_threads in [1usize, 2, 8] {
+            let (root, store) = temp_store(&format!("{tag}-threads{cold_threads}"));
+            let (cold, _) = run(&shape(cold_threads, Some(Arc::clone(&store))));
+            assert_eq!(cold, fresh, "{tag}: cold store sweep diverged at {cold_threads} thread(s)");
             assert_eq!(
-                warm, fresh,
-                "warm sweep at {warm_threads} thread(s) over a store written at \
-                 {cold_threads} diverged"
+                store.record_count(),
+                cells,
+                "{tag}: cold pass at {cold_threads} thread(s) left cells unpublished"
             );
-            assert_eq!(t.store_misses, 0, "cross-thread warm pass missed");
+            for warm_threads in [1usize, 2, 8] {
+                let (warm, t) = run(&shape(warm_threads, Some(Arc::clone(&store))));
+                assert_eq!(
+                    warm, fresh,
+                    "{tag}: warm sweep at {warm_threads} thread(s) over a store written at \
+                     {cold_threads} diverged"
+                );
+                assert_eq!(t.store_misses, 0, "{tag}: cross-thread warm pass missed");
+            }
+            std::fs::remove_dir_all(root).ok();
         }
-        std::fs::remove_dir_all(root).ok();
     }
 }
 
