@@ -325,6 +325,37 @@ mod tests {
     }
 
     #[test]
+    fn lane_group_experiments_match_solo_runs() {
+        // One (scenario, size) group's technique lanes, run the way a
+        // sweep worker runs them: one recording of the group's stream,
+        // replayed cell after cell through one scratch.
+        let cfgs: Vec<ExperimentConfig> = [
+            Technique::Protocol,
+            Technique::Decay { decay_cycles: 64 * 1024 },
+            Technique::SelectiveDecay { decay_cycles: 64 * 1024 },
+        ]
+        .into_iter()
+        .map(quick)
+        .collect();
+        let first = &cfgs[0];
+        let shared = first.scenario.record_shared(
+            first.n_cores,
+            first.seed,
+            first.instructions_per_core,
+            &mut BankArena::default(),
+        );
+        let mut scratch = ExperimentScratch::default();
+        for cfg in &cfgs {
+            let lane_cfg = ExperimentConfig { scenario: shared.clone(), ..cfg.clone() };
+            let lane = run_experiment_with_scratch(&lane_cfg, &mut scratch);
+            let solo = run_experiment(cfg);
+            assert_eq!(lane.benchmark, solo.benchmark);
+            assert_eq!(lane.stats, solo.stats, "{}: whole-SimStats bit-identity", lane.technique);
+            assert_eq!(lane.power, solo.power);
+        }
+    }
+
+    #[test]
     fn heterogeneous_mix_runs_with_per_core_breakdown() {
         let mut cfg = ExperimentConfig::paper_scenario(
             Scenario::Mix(ScenarioSpec::bursty_idle()),

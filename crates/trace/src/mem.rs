@@ -406,6 +406,32 @@ mod tests {
     }
 
     #[test]
+    fn fill_ops_matches_next_op_with_interleaving() {
+        // A cursor fills its local op batch through the batch decoder.
+        // Two cursors over one shared stream, stepped in interleaved
+        // odd-sized runs so their refills land at different points, must
+        // each hand out exactly what op-at-a-time decode yields.
+        let (mut wls, _) = pair();
+        let mut arena = BankArena::default();
+        let trace = Arc::new(MemTrace::record("pair", 3, &mut wls, 4000, &mut arena));
+        let tf = TraceFile::from_bytes(trace.to_file_bytes()).unwrap();
+        let mut one_by_one = tf.core_workload(0).unwrap();
+        let want: Vec<TraceOp> =
+            (0..one_by_one.total_ops()).map(|_| one_by_one.next_op()).collect();
+        assert!(want.len() > 2 * BATCH, "the stream must span several refills");
+        let (mut a, mut b) = (trace.cursor(0), trace.cursor(0));
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        while got_b.len() < want.len() {
+            got_a.extend((0..7).map_while(|_| a.try_next_op()));
+            got_b.push(b.next_op());
+        }
+        assert_eq!(got_a, want, "the 7-op cursor diverged");
+        assert_eq!(got_b, want, "the single-op cursor diverged");
+        assert!(a.try_next_op().is_none() && b.try_next_op().is_none());
+        assert_eq!((a.ops_read(), b.ops_read()), (a.total_ops(), b.total_ops()));
+    }
+
+    #[test]
     #[should_panic(expected = "exhausted")]
     fn exhaustion_panics_with_diagnostic() {
         let (mut wls, _) = pair();

@@ -1,21 +1,24 @@
-//! The lane-engine differential oracle.
+//! The technique-lane differential oracle.
 //!
-//! The lane engine claims that stepping N technique configurations
-//! through **one** decoded op window is bit-identical to running each
-//! configuration alone over its own sources: same `SimStats` (every
-//! counter, every per-core breakdown, every sampled interval) and
-//! therefore the same `PowerReport`. The claim rests on two facts the
-//! suite pins end to end: segment pauses land between cycles and
-//! consume nothing, and the window's `Exec(0)` filtering is
-//! timing- and statistics-neutral. Coverage: baseline + all seven
-//! paper techniques × homogeneous / heterogeneous-mix / trace-replay
-//! scenarios, plus the sweep surface (`run_sweep` with lanes on by
-//! default against `run_sweep_sequential`, serialized cell-for-cell).
+//! Every (scenario, size) group of the grid runs one op stream under
+//! the baseline and the seven paper techniques; each technique's cell
+//! is a *lane* of the group. The sweep records the group's stream once
+//! and hands every lane to the worker pool as its own unit, so a lane
+//! may run on any worker, and a worker that draws several lanes of one
+//! group runs them back to back through one `ExperimentScratch`. The
+//! claim pinned here is that neither choice shows in the results: a
+//! lane run that way is bit-identical to the solo run of its
+//! configuration — same `SimStats` (every counter, every per-core
+//! breakdown, every sampled interval) and the same `PowerReport`.
+//! Coverage: baseline + all seven paper techniques × homogeneous /
+//! heterogeneous-mix / trace-replay scenarios, plus the sweep surface
+//! (lanes spread over four workers against one worker running every
+//! lane in order, serialized cell-for-cell).
 
 use cmp_leakage::core::experiment::{
-    run_experiment, run_experiment_lanes, ExperimentConfig, ExperimentScratch,
+    run_experiment, run_experiment_with_scratch, ExperimentConfig, ExperimentScratch,
 };
-use cmp_leakage::core::sweep::{run_sweep, run_sweep_sequential, SweepConfig};
+use cmp_leakage::core::sweep::{run_sweep, SweepConfig};
 use cmp_leakage::core::{Scenario, Technique, WorkloadSpec};
 use cmp_leakage::workloads::ScenarioSpec;
 
@@ -28,22 +31,24 @@ fn all_techniques() -> Vec<Technique> {
     v
 }
 
-/// One lane group over baseline + the full paper set must match the
-/// solo run of every member in whole-struct equality.
+/// Run baseline + the full paper set as the lanes of one group — one
+/// stream (recorded once unless the scenario already replays a shared
+/// buffer), one scratch, lane after lane — and match every lane against
+/// the solo run of its configuration in whole-struct equality.
 fn differential_over_techniques(scenario: Scenario, tag: &str) {
-    let cfgs: Vec<ExperimentConfig> = all_techniques()
-        .into_iter()
-        .map(|technique| {
-            let mut cfg = ExperimentConfig::paper_scenario(scenario.clone(), technique, 1);
-            cfg.instructions_per_core = INSTR;
-            cfg.seed = SEED;
-            cfg
-        })
-        .collect();
-    let laned = run_experiment_lanes(&cfgs, &mut ExperimentScratch::default());
-    assert_eq!(laned.len(), cfgs.len());
-    for (cfg, lane) in cfgs.iter().zip(&laned) {
-        let solo = run_experiment(cfg);
+    let mut scratch = ExperimentScratch::default();
+    let stream = if scenario.generates_live() {
+        scenario.record_shared(4, SEED, INSTR, scratch.stream_arena())
+    } else {
+        scenario.clone()
+    };
+    for technique in all_techniques() {
+        let mut cfg = ExperimentConfig::paper_scenario(scenario.clone(), technique, 1);
+        cfg.instructions_per_core = INSTR;
+        cfg.seed = SEED;
+        let lane_cfg = ExperimentConfig { scenario: stream.clone(), ..cfg.clone() };
+        let lane = run_experiment_with_scratch(&lane_cfg, &mut scratch);
+        let solo = run_experiment(&cfg);
         assert_eq!(lane.benchmark, solo.benchmark, "{tag}: lanes keep the scenario label");
         assert_eq!(
             lane.stats, solo.stats,
@@ -81,9 +86,9 @@ fn lanes_agree_for_every_technique_trace_replay() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The sweep surface: `run_sweep` (lanes on, default) against
-/// `run_sweep_sequential` (the pre-lane planner: memoization and
-/// stream sharing only), serialized cell-for-cell.
+/// The sweep surface: the lanes of every group spread over four
+/// workers against a single worker running every lane in grid order,
+/// serialized cell-for-cell.
 #[test]
 fn laned_sweep_is_byte_identical_to_sequential_sweep() {
     let cfg = SweepConfig {
@@ -100,8 +105,8 @@ fn laned_sweep_is_byte_identical_to_sequential_sweep() {
         store: None,
     };
     let laned = run_sweep(&cfg);
-    let sequential = run_sweep_sequential(&cfg);
+    let sequential = run_sweep(&SweepConfig { threads: 1, ..cfg.clone() });
     let a = serde_json::to_string(&laned).expect("serializable");
     let b = serde_json::to_string(&sequential).expect("serializable");
-    assert_eq!(a, b, "laned sweep diverged from the sequential planner");
+    assert_eq!(a, b, "spreading a group's lanes over workers changed the sweep");
 }
