@@ -3,10 +3,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod json_scan;
-
-pub use json_scan::{array_lines, json_field, json_str_field};
-
 use cmpleak_core::sweep::{run_sweep, SweepConfig, SweepResults};
 
 /// The paper's full evaluation grid (6 benchmarks × 4 sizes × 7

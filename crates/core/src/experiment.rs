@@ -356,6 +356,35 @@ mod tests {
     }
 
     #[test]
+    fn warmed_scratch_runs_later_8mb_cells_without_fresh_allocations() {
+        // Back-to-back cells at the paper's largest size on one scratch,
+        // the way a sweep worker runs them: once the first cell has
+        // filled the arena, every later cell checks its per-line columns
+        // out of the pool.
+        let mut scratch = ExperimentScratch::default();
+        let mut warmed = None;
+        for technique in
+            [Technique::Baseline, Technique::Protocol, Technique::Decay { decay_cycles: 64 * 1024 }]
+        {
+            for spec in [WorkloadSpec::water_ns(), WorkloadSpec::mpeg2dec()] {
+                let mut cfg = ExperimentConfig::paper(spec, technique, 8);
+                cfg.instructions_per_core = 3_000;
+                run_experiment_with_scratch(&cfg, &mut scratch);
+                let fresh = scratch.arena_stats().fresh_allocations;
+                let first = *warmed.get_or_insert(fresh);
+                assert_eq!(
+                    fresh,
+                    first,
+                    "{}/{}: a warmed arena allocated fresh columns",
+                    spec.name,
+                    technique.name()
+                );
+            }
+        }
+        assert!(warmed.is_some_and(|f| f > 0), "the first cell allocates its columns");
+    }
+
+    #[test]
     fn heterogeneous_mix_runs_with_per_core_breakdown() {
         let mut cfg = ExperimentConfig::paper_scenario(
             Scenario::Mix(ScenarioSpec::bursty_idle()),

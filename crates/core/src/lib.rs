@@ -47,6 +47,6 @@ pub use figures::{Figure, FigureSet};
 pub use metrics::TechniqueMetrics;
 pub use scenario::Scenario;
 pub use sweep::{
-    run_sweep, run_sweep_reference, run_sweep_uncached, run_sweep_unshared, run_sweep_with_scratch,
-    run_sweep_with_telemetry, SweepCell, SweepConfig, SweepResults, SweepTelemetry,
+    run_sweep, run_sweep_reference, run_sweep_with_telemetry, SweepCell, SweepConfig, SweepResults,
+    SweepTelemetry,
 };

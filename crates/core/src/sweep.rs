@@ -8,19 +8,23 @@
 //! results by index, so the output is identical for any thread count
 //! (pinned by the golden regression test in `tests/golden_sweep.rs`).
 //!
-//! Three sweep-level optimizations are on by default in [`run_sweep`],
-//! all bit-identity-preserving: the baseline of each (scenario, size)
-//! group is *derived* from its timing-identical Protocol twin instead of
+//! Two entry points run the production path — [`run_sweep`] and
+//! [`run_sweep_with_telemetry`], which also returns the planner's work
+//! counters — and [`run_sweep_reference`] is the one differential arm.
+//! The production path applies three bit-identity-preserving
+//! optimizations: the baseline of each (scenario, size) group is
+//! *derived* from its timing-identical Protocol twin instead of
 //! simulated; each (scenario, seed, budget) group's op stream is
 //! *recorded once* into a shared in-memory trace that every cell of the
 //! group replays instead of regenerating live (the grid runs 1 + sizes
 //! × techniques cells per scenario off one recording); and cells found
 //! in the persistent result store ([`SweepConfig::store`]) are *loaded*
-//! instead of simulated. The worker pool's unit of work is one cell, so
-//! even a single (scenario, size) group spreads over every thread. See
-//! `tests/sweep_memoization.rs`, `tests/stream_sharing.rs` and
-//! `tests/store_differential.rs` for the differentials that pin all
-//! three.
+//! instead of simulated. The reference arm applies none of them. The
+//! worker pool's unit of work is one cell, so even a single (scenario,
+//! size) group spreads over every thread. `tests/sweep_memoization.rs`,
+//! `tests/stream_sharing.rs` and `tests/store_differential.rs` pin the
+//! three optimizations against the reference arm and against each
+//! other; timing them is `perfbench/`'s job.
 
 use crate::experiment::{
     derive_baseline_cell, result_from_stored, run_experiment_with_scratch, ExperimentConfig,
@@ -63,7 +67,7 @@ pub struct SweepConfig {
     /// constructor) simulates everything. The store may only ever
     /// change latency, never results — pinned by
     /// `tests/store_differential.rs`. Ignored by
-    /// [`run_sweep_uncached`] and the differential arms.
+    /// [`run_sweep_reference`].
     pub store: Option<Arc<ResultStore>>,
 }
 
@@ -214,55 +218,28 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// the golden snapshot, which passes unchanged with all three
 /// optimizations on).
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_with_scratch(cfg, &mut ExperimentScratch::default())
-}
-
-/// [`run_sweep`] reusing `scratch`'s pools across calls — in particular
-/// the shared-stream buffer arena, so repeated sweeps (benchmark reps,
-/// parameter studies) re-record their streams into the same
-/// allocations. The result is identical.
-pub fn run_sweep_with_scratch(cfg: &SweepConfig, scratch: &mut ExperimentScratch) -> SweepResults {
-    run_sweep_inner(cfg, PlannerArms::FULL, scratch).0
+    run_sweep_with_telemetry(cfg, &mut ExperimentScratch::default()).0
 }
 
 /// [`run_sweep`] returning the planner's work counters alongside the
-/// results: how many cells were derived, how many stream groups were
+/// results — how many cells were derived, how many stream groups were
 /// recorded in-pool, and how the persistent store split the grid into
-/// hits and misses. The results are identical to [`run_sweep`]'s.
+/// hits and misses — and reusing `scratch`'s pools across calls, in
+/// particular the shared-stream buffer arena, so repeated sweeps
+/// re-record their streams into the same allocations. The results are
+/// identical to [`run_sweep`]'s.
 pub fn run_sweep_with_telemetry(
     cfg: &SweepConfig,
     scratch: &mut ExperimentScratch,
 ) -> (SweepResults, SweepTelemetry) {
-    run_sweep_inner(cfg, PlannerArms::FULL, scratch)
-}
-
-/// [`run_sweep`] ignoring [`SweepConfig::store`]: every cell is
-/// simulated (under the full optimization stack) regardless of what the
-/// store holds, and nothing is published. The arm that keeps benches
-/// and differentials meaningful when a store is configured.
-pub fn run_sweep_uncached(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_inner(cfg, PlannerArms::FULL.without_store(), &mut ExperimentScratch::default()).0
+    run_sweep_inner(cfg, false, scratch)
 }
 
 /// [`run_sweep`] with every optimization disabled: every cell, baseline
-/// included, is fully simulated from live generators, one at a time,
-/// with no store involvement. The differential reference for the
-/// optimized paths.
+/// included, is fully simulated from live generators, with no store
+/// involvement. The differential reference for the production path.
 pub fn run_sweep_reference(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_inner(cfg, PlannerArms::REFERENCE, &mut ExperimentScratch::default()).0
-}
-
-/// [`run_sweep`] with stream sharing disabled (baseline memoization
-/// stays on, the store is ignored): every simulated cell regenerates
-/// its streams live. The comparison arm the `sweep` bench uses to
-/// isolate what sharing buys.
-pub fn run_sweep_unshared(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_inner(
-        cfg,
-        PlannerArms { memoize: true, ..PlannerArms::REFERENCE },
-        &mut ExperimentScratch::default(),
-    )
-    .0
+    run_sweep_inner(cfg, true, &mut ExperimentScratch::default()).0
 }
 
 /// How a sweep's work actually broke down — all counters deterministic
@@ -385,42 +362,20 @@ fn resolve_stream(
     }
 }
 
-/// Which planner optimizations a sweep arm runs with. Each public
-/// `run_sweep*` entry point is one named combination; the differential
-/// suites compare them pairwise.
-#[derive(Clone, Copy)]
-struct PlannerArms {
-    memoize: bool,
-    share_streams: bool,
-    use_store: bool,
-}
-
-impl PlannerArms {
-    /// Everything on — the production path.
-    const FULL: Self = Self { memoize: true, share_streams: true, use_store: true };
-    /// Everything off — the differential reference.
-    const REFERENCE: Self = Self { memoize: false, share_streams: false, use_store: false };
-
-    const fn without_store(mut self) -> Self {
-        self.use_store = false;
-        self
-    }
-}
-
-/// Returns the results plus the sweep's work telemetry.
+/// Returns the results plus the sweep's work telemetry. `reference`
+/// turns off baseline memoization, stream sharing and the store.
 fn run_sweep_inner(
     cfg: &SweepConfig,
-    arms: PlannerArms,
+    reference: bool,
     scratch: &mut ExperimentScratch,
 ) -> (SweepResults, SweepTelemetry) {
-    let PlannerArms { memoize, share_streams, use_store } = arms;
     // The technique whose run can stand in for the baseline simulation,
     // if any: the first timing-identical one in the configured list.
     let donor_offset = cfg
         .techniques
         .iter()
         .position(|t| t.timing_identical_to_baseline())
-        .filter(|_| memoize)
+        .filter(|_| !reference)
         .map(|i| i + 1); // +1: the baseline occupies slot 0 of each group
 
     // Stream sharing: each (scenario, seed, budget) group — one per
@@ -438,7 +393,7 @@ fn run_sweep_inner(
     // nothing at all.
     let simulated_per_group = cfg.sizes_mb.len() * (1 + cfg.techniques.len())
         - if donor_offset.is_some() { cfg.sizes_mb.len() } else { 0 };
-    let share_streams = share_streams && simulated_per_group > 1;
+    let share_streams = !reference && simulated_per_group > 1;
 
     // Job list: for each (scenario, size): baseline + each technique,
     // each carrying the original scenario. `simulate` is false for
@@ -475,7 +430,7 @@ fn run_sweep_inner(
     // Keys are derived from the *original* scenarios, so a warm store
     // hits across processes (a shared recording would encode
     // identically anyway, but the original needs no recording first).
-    let store = if use_store { cfg.store.clone() } else { None };
+    let store = if reference { None } else { cfg.store.clone() };
     let keys: Vec<Option<CellKey>> = if store.is_some() {
         let scenario_bytes: Vec<Vec<u8>> = cfg
             .scenarios
@@ -688,9 +643,8 @@ mod tests {
     fn memoized_sweep_equals_reference_and_actually_derives() {
         let cfg = tiny(); // includes Protocol: one derived baseline per group
         let mut scratch = ExperimentScratch::default();
-        let (memo, t) = run_sweep_inner(&cfg, PlannerArms::FULL, &mut scratch);
-        let (full, t_ref) =
-            run_sweep_inner(&cfg, PlannerArms::REFERENCE, &mut ExperimentScratch::default());
+        let (memo, t) = run_sweep_with_telemetry(&cfg, &mut scratch);
+        let (full, t_ref) = run_sweep_inner(&cfg, true, &mut ExperimentScratch::default());
         assert_eq!(t.derived, 2, "one baseline derived per (scenario, size) group");
         assert_eq!(t.recorded, 2, "one shared stream recorded per scenario");
         assert_eq!((t_ref.derived, t_ref.recorded), (0, 0));
@@ -708,11 +662,7 @@ mod tests {
     fn sweep_without_a_timing_twin_simulates_every_cell() {
         let mut cfg = tiny();
         cfg.techniques = vec![Technique::Decay { decay_cycles: 16 * 1024 }];
-        let (res, t) = run_sweep_inner(
-            &cfg,
-            PlannerArms::FULL.without_store(),
-            &mut ExperimentScratch::default(),
-        );
+        let (res, t) = run_sweep_with_telemetry(&cfg, &mut ExperimentScratch::default());
         assert_eq!(t.derived, 0, "no timing-identical technique, nothing to derive");
         assert_eq!(res.cells.len(), 4);
     }
@@ -721,31 +671,16 @@ mod tests {
     fn shared_streams_release_their_buffers_and_repool_across_sweeps() {
         let cfg = tiny();
         let mut scratch = ExperimentScratch::default();
-        run_sweep_with_scratch(&cfg, &mut scratch);
+        run_sweep_with_telemetry(&cfg, &mut scratch);
         let first = scratch.stream_arena_stats();
         assert_eq!(first.checkouts, 4, "one stream buffer per core per recorded scenario");
         assert_eq!(first.returns, first.checkouts, "retired recordings repool their buffers");
-        run_sweep_with_scratch(&cfg, &mut scratch);
+        run_sweep_with_telemetry(&cfg, &mut scratch);
         let second = scratch.stream_arena_stats();
         assert_eq!(
             second.fresh_allocations, first.fresh_allocations,
             "the second sweep records into the pooled buffers"
         );
-    }
-
-    #[test]
-    fn unshared_sweep_matches_shared_byte_for_byte() {
-        // The full differential (SimStats + PowerReport over every
-        // technique) lives in tests/stream_sharing.rs; this pins the
-        // sweep-level surface cheaply.
-        let cfg = tiny();
-        let shared = run_sweep(&cfg);
-        let live = run_sweep_unshared(&cfg);
-        for (a, b) in shared.cells.iter().zip(&live.cells) {
-            assert_eq!(a.cycles, b.cycles, "{}:{}", a.benchmark, a.technique);
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.energy_pj, b.energy_pj);
-        }
     }
 
     #[test]

@@ -381,7 +381,8 @@ impl LineStateBank {
 }
 
 /// Allocation counters of a [`BankArena`] — the evidence that per-cell
-/// reallocation is gone (`BENCH_bank.json` reports the deltas).
+/// reallocation is gone (perfbench reports `fresh_allocations` as
+/// `mem.arena.fresh_allocs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Buffers requested from the arena.

@@ -5,9 +5,11 @@
 //! popcount, set-bit iteration, and the derived power/decay state
 //! transitions — are observationally identical to three plain boolean
 //! vectors. Every simulation result in the workspace now rests on that
-//! claim, so it is pinned here under random operation sequences.
+//! claim, so it is pinned here under random operation sequences. The
+//! word-chunked decay tick is pinned the same way against a per-line
+//! counter scan.
 
-use cmpleak_mem::{BitSet, LineStateBank};
+use cmpleak_mem::{BitSet, DecayBank, DecayConfig, LineStateBank};
 use proptest::prelude::*;
 
 /// Naive model of the three bit columns plus power accounting.
@@ -53,6 +55,46 @@ impl NaiveBank {
         }
         self.on_cycles.iter().sum()
     }
+}
+
+/// The per-line decay scan the word-chunked tick replaces: every line
+/// tested one at a time on every tick, in index order.
+struct NaiveDecay {
+    counters: Vec<u8>,
+    live: Vec<bool>,
+    sat: u8,
+}
+
+impl NaiveDecay {
+    fn new(lines: usize, sat: u8) -> Self {
+        Self { counters: vec![0; lines], live: vec![false; lines], sat }
+    }
+
+    fn on_access(&mut self, slot: usize) {
+        self.counters[slot] = 0;
+        self.live[slot] = true;
+    }
+
+    fn tick(&mut self, decayed: &mut Vec<usize>) {
+        for slot in 0..self.counters.len() {
+            if !self.live[slot] {
+                continue;
+            }
+            self.counters[slot] += 1;
+            if self.counters[slot] == self.sat {
+                self.live[slot] = false;
+                decayed.push(slot);
+            }
+        }
+    }
+}
+
+/// Deterministic scattered slot selection at `permille` density.
+fn selected(slot: usize, salt: u64, permille: u64) -> bool {
+    let mut x = (slot as u64 ^ salt).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (x ^ (x >> 31)) % 1000 < permille
 }
 
 /// One step of the random op sequence.
@@ -174,5 +216,54 @@ proptest! {
         let expected: Vec<usize> =
             (0..lines).filter(|&i| naive.live[i] && naive.armed[i]).collect();
         prop_assert_eq!(from_words, expected);
+    }
+
+    /// The word-chunked `DecayBank::advance` emits the same decayed
+    /// slots, in the same order, as the per-line scan over a full decay
+    /// sequence: lines touched at the start, a second set re-touched
+    /// after the first tick, then ticks until every line has decayed.
+    /// Line counts land on and around word (64-line) and chunk
+    /// (256-line) edges up to one 8 MB private cache (32 K lines); the
+    /// live fraction ranges from empty through sparse to fully dense
+    /// words.
+    #[test]
+    fn chunked_decay_tick_matches_per_line_scan(
+        lines in prop_oneof![
+            1usize..32 * 1024 + 1,
+            (1usize..32 * 1024 / 64 + 1, 0usize..3)
+                .prop_map(|(words, d)| (words * 64 + d - 1).min(32 * 1024)),
+        ],
+        live_permille in prop_oneof![Just(1000u64), Just(0u64), 0u64..1001],
+        retouch_permille in 0u64..1001,
+        salt in any::<u64>(),
+    ) {
+        let cfg = DecayConfig::fixed(4 << 10);
+        let sat = cfg.saturation();
+        let mut naive = NaiveDecay::new(lines, sat);
+        let mut bank = DecayBank::new(cfg);
+        let mut st = LineStateBank::new(lines);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let mut now = 0u64;
+        for tick in 0..=u64::from(sat) {
+            let touch = match tick {
+                0 => Some((salt, live_permille)),
+                1 => Some((!salt, retouch_permille)),
+                _ => None,
+            };
+            if let Some((salt, permille)) = touch {
+                for slot in (0..lines).filter(|&s| selected(s, salt, permille)) {
+                    naive.on_access(slot);
+                    bank.on_access(&mut st, slot);
+                }
+            }
+            now += cfg.tick_period();
+            a.clear();
+            naive.tick(&mut a);
+            b.clear();
+            bank.advance(&mut st, now, &mut b);
+            prop_assert_eq!(&b, &a, "tick {} diverged from the per-line scan", tick);
+        }
+        prop_assert_eq!(st.live_count(), 0, "a full decay sequence leaves nothing live");
+        prop_assert!(naive.live.iter().all(|&l| !l));
     }
 }

@@ -3,15 +3,13 @@
 //! The store's contract is that it may only ever change **latency**,
 //! never results: a sweep through a cold store (simulate + publish), a
 //! sweep through a warm store (load every cell from disk), and an
-//! uncached sweep must be byte-identical — at every thread count, with
-//! the in-pool stream recording active. This suite pins that end to
-//! end, plus the telemetry invariants that make the cache honest
-//! (a cold pass hits nothing; a fully-warm pass neither simulates nor
-//! records anything).
+//! uncached sweep (`store: None`) must be byte-identical — at every
+//! thread count, with the in-pool stream recording active. This suite
+//! pins that end to end, plus the telemetry invariants that make the
+//! cache honest (a cold pass hits nothing; a fully-warm pass neither
+//! simulates nor records anything).
 
-use cmp_leakage::core::sweep::{
-    run_sweep_uncached, run_sweep_with_telemetry, SweepConfig, SweepTelemetry,
-};
+use cmp_leakage::core::sweep::{run_sweep, run_sweep_with_telemetry, SweepConfig, SweepTelemetry};
 use cmp_leakage::core::{ExperimentScratch, Scenario, Technique, WorkloadSpec};
 use cmp_leakage::store::ResultStore;
 use cmp_leakage::workloads::ScenarioSpec;
@@ -57,7 +55,7 @@ fn run(cfg: &SweepConfig) -> (String, SweepTelemetry) {
 /// warm pass did no simulation work.
 #[test]
 fn cold_and_warm_store_sweeps_match_uncached_byte_for_byte() {
-    let fresh = json(&run_sweep_uncached(&grid(4, None)));
+    let fresh = json(&run_sweep(&grid(4, None)));
     let (root, store) = temp_store("coldwarm");
 
     let (cold, t_cold) = run(&grid(4, Some(Arc::clone(&store))));
@@ -96,7 +94,7 @@ fn store_sweeps_identical_across_thread_counts() {
     let shapes: [(&str, Shape); 2] = [("grid", grid), ("serve", serve_miss)];
     for (tag, shape) in shapes {
         let cfg = shape(1, None);
-        let fresh = json(&run_sweep_uncached(&cfg));
+        let fresh = json(&run_sweep(&cfg));
         let cells = cfg.scenarios.len() * cfg.sizes_mb.len() * (1 + cfg.techniques.len());
         for cold_threads in [1usize, 2, 8] {
             let (root, store) = temp_store(&format!("{tag}-threads{cold_threads}"));
@@ -126,9 +124,9 @@ fn store_sweeps_identical_across_thread_counts() {
 /// deterministic for any pool size.
 #[test]
 fn in_pool_recording_is_deterministic_across_thread_counts() {
-    let serial = json(&run_sweep_uncached(&grid(1, None)));
+    let serial = json(&run_sweep(&grid(1, None)));
     for threads in [2usize, 8] {
-        let parallel = json(&run_sweep_uncached(&grid(threads, None)));
+        let parallel = json(&run_sweep(&grid(threads, None)));
         assert_eq!(serial, parallel, "in-pool recording diverged at {threads} thread(s)");
     }
 }

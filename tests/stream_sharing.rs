@@ -13,7 +13,7 @@
 //! surface.
 
 use cmp_leakage::core::experiment::{run_experiment, ExperimentConfig};
-use cmp_leakage::core::sweep::{run_sweep, run_sweep_unshared, SweepConfig};
+use cmp_leakage::core::sweep::{run_sweep, run_sweep_reference, SweepConfig};
 use cmp_leakage::core::{Scenario, Technique, WorkloadSpec};
 use cmp_leakage::mem::BankArena;
 use cmp_leakage::workloads::ScenarioSpec;
@@ -65,7 +65,8 @@ fn shared_streams_agree_for_every_technique_mix() {
 }
 
 /// The sweep surface: `run_sweep` (stream sharing on, default) against
-/// `run_sweep_unshared` (live generation), serialized cell-for-cell.
+/// `run_sweep_reference` (every cell generated live and simulated),
+/// serialized cell-for-cell.
 #[test]
 fn shared_sweep_is_byte_identical_to_live_generation_sweep() {
     let cfg = SweepConfig {
@@ -82,7 +83,7 @@ fn shared_sweep_is_byte_identical_to_live_generation_sweep() {
         store: None,
     };
     let shared = run_sweep(&cfg);
-    let live = run_sweep_unshared(&cfg);
+    let live = run_sweep_reference(&cfg);
     let a = serde_json::to_string(&shared).expect("serializable");
     let b = serde_json::to_string(&live).expect("serializable");
     assert_eq!(a, b, "shared-stream sweep diverged from the live-generation sweep");
