@@ -151,8 +151,8 @@ pub struct ExperimentResult {
 }
 
 /// Reusable allocation pools for back-to-back experiments (one per
-/// sweep worker thread): wraps the simulator's [`SimScratch`] so queue
-/// and event-ring capacities — and, via the bank arena, the multi-MB
+/// sweep worker thread): wraps the simulator's [`SimScratch`] so event
+/// and port queue capacities — and, via the bank arena, the multi-MB
 /// per-line columns of every cache — stay warm across grid cells. The
 /// separate `streams` arena pools the encoded op-stream buffers of
 /// shared-stream recordings ([`Scenario::record_shared`]), so repeated
@@ -180,7 +180,7 @@ impl ExperimentScratch {
         &mut self.streams
     }
 
-    /// Event-queue occupancy counters from the most recent run.
+    /// Event-queue push counters from the most recent run.
     pub fn event_queue_stats(&self) -> cmpleak_system::EventQueueStats {
         self.sim.event_queue_stats()
     }

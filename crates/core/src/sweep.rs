@@ -501,7 +501,7 @@ fn run_sweep_inner(
                 let store_misses = &store_misses;
                 let res_tx = res_tx.clone();
                 s.spawn(move || {
-                    // Per-worker scratch: queue/event-ring/per-line-bank
+                    // Per-worker scratch: queue and per-line-bank
                     // allocations are recycled across this worker's jobs.
                     let mut scratch = ExperimentScratch::default();
                     loop {

@@ -133,6 +133,11 @@ pub struct CoreModel {
     /// Instruction indices at which outstanding loads were dispatched,
     /// oldest first, keyed by load id.
     outstanding: VecDeque<(u64, u64)>,
+    /// Instruction count at which the window fills: the oldest
+    /// outstanding load's dispatch index plus `window`, or `u64::MAX`
+    /// with no load outstanding. Updated whenever the front of
+    /// `outstanding` changes.
+    window_limit: u64,
     next_load_id: u64,
     /// Instruction budget; the core stops fetching once reached.
     budget: u64,
@@ -148,6 +153,7 @@ impl CoreModel {
             pending_exec: 0,
             retry: None,
             outstanding: VecDeque::new(),
+            window_limit: u64::MAX,
             next_load_id: 0,
             budget,
         }
@@ -179,7 +185,17 @@ impl CoreModel {
     pub fn on_load_complete(&mut self, id: u64) {
         if let Some(pos) = self.outstanding.iter().position(|&(lid, _)| lid == id) {
             self.outstanding.remove(pos);
+            if pos == 0 {
+                self.refresh_window_limit();
+            }
         }
+    }
+
+    fn refresh_window_limit(&mut self) {
+        self.window_limit = match self.outstanding.front() {
+            Some(&(_, dispatched_at)) => dispatched_at.saturating_add(self.cfg.window),
+            None => u64::MAX,
+        };
     }
 
     /// Loads currently in flight.
@@ -225,12 +241,7 @@ impl CoreModel {
 
     #[inline]
     fn window_full(&self) -> bool {
-        match self.outstanding.front() {
-            Some(&(_, dispatched_at)) => {
-                self.stats.instructions.saturating_sub(dispatched_at) >= self.cfg.window
-            }
-            None => false,
-        }
+        self.stats.instructions >= self.window_limit
     }
 
     /// Advance one cycle: dispatch up to `width` instructions, fetching
@@ -312,6 +323,9 @@ impl CoreModel {
                     }
                     self.next_load_id += 1;
                     self.outstanding.push_back((id, self.stats.instructions));
+                    if self.outstanding.len() == 1 {
+                        self.refresh_window_limit();
+                    }
                     self.stats.instructions += 1;
                     self.stats.loads += 1;
                     dispatched += 1;
@@ -421,6 +435,27 @@ mod tests {
         core.on_load_complete(0);
         core.tick(&mut wl, &mut port);
         assert!(core.stats().instructions > before);
+    }
+
+    #[test]
+    fn window_follows_the_oldest_load_through_out_of_order_completion() {
+        let mut core =
+            CoreModel::new(CoreConfig { width: 1, window: 4, max_outstanding_loads: 8 }, 1000);
+        let loads = [TraceOp::Load(0), TraceOp::Load(64), TraceOp::Load(128)];
+        let mut wl = ReplayWorkload::cycle([&loads[..], &[TraceOp::Exec(100)]].concat());
+        let mut port = TestPort::open();
+        for _ in 0..6 {
+            core.tick(&mut wl, &mut port);
+        }
+        assert_eq!(core.stats().instructions, 4, "window full 4 past load 0");
+        core.on_load_complete(1);
+        core.tick(&mut wl, &mut port);
+        assert_eq!(core.stats().instructions, 4, "a younger completion leaves it full");
+        core.on_load_complete(0);
+        for _ in 0..4 {
+            core.tick(&mut wl, &mut port);
+        }
+        assert_eq!(core.stats().instructions, 6, "window now ends 4 past load 2");
     }
 
     #[test]

@@ -52,16 +52,17 @@ impl Geometry {
         Self { size_bytes, line_bytes, assoc }
     }
 
-    /// Number of sets.
+    /// Number of sets. Every field is a power of two, so this is a
+    /// shift, not a division on the set-index path.
     #[inline]
     pub fn sets(&self) -> usize {
-        self.size_bytes / (self.line_bytes * self.assoc)
+        self.size_bytes >> (self.line_bytes.trailing_zeros() + self.assoc.trailing_zeros())
     }
 
     /// Total number of line slots (sets × ways).
     #[inline]
     pub fn lines(&self) -> usize {
-        self.size_bytes / self.line_bytes
+        self.size_bytes >> self.line_bytes.trailing_zeros()
     }
 
     /// Bits used for the intra-line byte offset.

@@ -122,7 +122,7 @@
 //! preserved and enforced by the same differential matrix.
 
 use crate::bus::{BusReq, BusReqKind, SharedBus};
-use crate::config::{CmpConfig, CycleEngine, MemConfig, SimKernel};
+use crate::config::{CmpConfig, CycleEngine, SimKernel};
 use crate::l1::{L1Cache, L1LoadOutcome, PendingLoad};
 use crate::l2::{L2Cache, L2ReadOutcome, L2WriteOutcome, SideEffects, UpgradeResult};
 use crate::stats::{IntervalActivity, SimStats};
@@ -132,8 +132,7 @@ use cmpleak_cpu::{
 };
 use cmpleak_mem::{ArenaStats, BankArena, Geometry, LineAddr, WriteBuffer};
 use cmpleak_trace::MemTraceCursor;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EvKind {
@@ -366,243 +365,78 @@ impl CycleProfile {
     }
 }
 
-/// Minimum (and default) bucket-ring window of the delayed event queue.
-const MIN_EVENT_WINDOW: usize = 1024;
-
-/// Cap on the adaptive window: bounds the ring at 16 K buckets even for
-/// extreme memory latencies (everything farther uses the overflow heap).
-const MAX_EVENT_WINDOW: usize = 16 * 1024;
-
 /// Minimum profitable working-span batch: below this the entry checks
 /// cost about as much as the per-cycle spine they replace.
 const BATCH_MIN: u64 = 4;
 
-/// Occupancy counters of the bucketed event queue, exposed for tuning
-/// (ROADMAP "calendar-queue tuning"): how often events landed in the
-/// ring vs. spilled to the overflow heap, and how many spilled events
-/// had to migrate back as the window slid. Debug/diagnostic only — the
-/// two kernels advance the cursor differently, so these counters are
-/// *not* part of the bit-identity contract and never enter `SimStats`.
+/// Push counters of the event queue. Diagnostic only: they never enter
+/// `SimStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventQueueStats {
-    /// Bucket-ring window in cycles (sized from the memory latency).
-    pub window: u64,
-    /// Events pushed directly into a ring bucket.
+    /// Events pushed.
     pub ring_pushes: u64,
-    /// Events pushed beyond the window into the overflow heap.
+    /// Always 0: the queue has one tier; kept because perfbench's traced
+    /// build reads it for `system.evq.overflow_frac`.
     pub overflow_pushes: u64,
-    /// Overflow events migrated into buckets as the cursor advanced.
-    pub overflow_migrations: u64,
 }
 
-/// Bucketed delayed event queue (calendar-queue style).
+/// Delayed event queue: one deque kept in `(cycle, push)` order, so the
+/// events of one cycle pop in push (FIFO) order — the order of a heap
+/// keyed by `(cycle, push sequence)`.
 ///
-/// The ring covers the window `[cursor, cursor + window)`; within it,
-/// every pending event's cycle maps to a *unique* bucket, so a bucket
-/// holds the events of exactly one cycle in push (FIFO) order and an
-/// occupancy bitmap finds the earliest pending cycle in a few word
-/// scans — O(1) push/pop against the reference `BinaryHeap`'s O(log n),
-/// with no per-event ordering key. Events beyond the window go to a
-/// sequence-numbered overflow heap and migrate into buckets when the
-/// cursor advances, *before* any same-cycle direct push can happen, so
-/// FIFO order per cycle is preserved end to end. Pop order is therefore
-/// identical to the heap's `(cycle, push-sequence)` order — for *any*
-/// window size, which is why the window can adapt per run: it is sized
-/// at construction from the configured memory latency
-/// ([`EventQueue::window_for`]) so the common `DataReady` horizon lands
-/// in the ring instead of churning through the overflow heap.
-#[derive(Debug)]
+/// It holds few events: on the benchmark grids a push finds 5–6 queued
+/// on average and at most ~350. A push walks back from the tail past
+/// the later events (about 3 on average: far `DataReady` fills sit at
+/// the tail, so only ~15 % of pushes are plain appends) and inserts
+/// there; `next_at` and `pop_due` read the front.
+#[derive(Debug, Default)]
 struct EventQueue {
-    buckets: Vec<VecDeque<(u64, EvKind)>>,
-    /// One bit per bucket: non-empty.
-    occ: Vec<u64>,
-    /// Events at `cycle >= cursor + window`, ordered by `(cycle, seq)`.
-    overflow: BinaryHeap<Reverse<(u64, u64, EvKind)>>,
-    /// Window base; no pending event is earlier. Advances monotonically.
-    cursor: u64,
-    seq: u64,
-    in_buckets: usize,
-    stats: EventQueueStats,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
+    queue: VecDeque<(u64, EvKind)>,
+    /// Events pushed since the last reset.
+    pushes: u64,
+    /// Cycle of the latest `pop_due`: no event may be scheduled before
+    /// it.
+    popped_at: u64,
 }
 
 impl EventQueue {
-    fn new() -> Self {
-        Self::with_window(MIN_EVENT_WINDOW)
+    /// Empty the queue for reuse, keeping its allocation.
+    fn reset(&mut self) {
+        self.queue.clear();
+        self.pushes = 0;
+        self.popped_at = 0;
     }
 
-    fn with_window(window: usize) -> Self {
-        assert!(window.is_power_of_two(), "bucket math relies on a power-of-two window");
-        Self {
-            buckets: vec![VecDeque::new(); window],
-            occ: vec![0; window / 64],
-            overflow: BinaryHeap::new(),
-            cursor: 0,
-            seq: 0,
-            in_buckets: 0,
-            stats: EventQueueStats { window: window as u64, ..Default::default() },
-        }
-    }
-
-    /// Ring window covering the configured memory round-trip (latency +
-    /// one channel service slot), so fills land in buckets even under a
-    /// slow memory; clamped to `[MIN, MAX]_EVENT_WINDOW` and rounded to
-    /// a power of two for the index mask.
-    fn window_for(mem: &MemConfig) -> usize {
-        (mem.latency + mem.service + 1)
-            .next_power_of_two()
-            .clamp(MIN_EVENT_WINDOW as u64, MAX_EVENT_WINDOW as u64) as usize
-    }
-
-    /// Empty the queue for reuse, keeping the ring's allocations when
-    /// the window is unchanged (a different window resizes it).
-    fn reset(&mut self, window: usize) {
-        assert!(window.is_power_of_two());
-        if window != self.buckets.len() {
-            self.buckets.resize(window, VecDeque::new());
-            self.occ.resize(window / 64, 0);
-        }
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.occ.fill(0);
-        self.overflow.clear();
-        self.cursor = 0;
-        self.seq = 0;
-        self.in_buckets = 0;
-        self.stats = EventQueueStats { window: window as u64, ..Default::default() };
-    }
-
-    #[inline]
-    fn window(&self) -> u64 {
-        self.buckets.len() as u64
-    }
-
-    #[inline]
-    fn bucket_index(&self, at: u64) -> usize {
-        (at as usize) & (self.buckets.len() - 1)
-    }
-
-    /// Accumulated ring/overflow occupancy counters.
+    /// Push counters of the current (or last completed) run.
     fn stats(&self) -> EventQueueStats {
-        self.stats
+        EventQueueStats { ring_pushes: self.pushes, overflow_pushes: 0 }
     }
 
     fn push(&mut self, at: u64, kind: EvKind) {
-        debug_assert!(at >= self.cursor, "events are never scheduled in the past");
-        self.seq += 1;
-        if at < self.cursor + self.window() {
-            let idx = self.bucket_index(at);
-            debug_assert!(self.buckets[idx].back().is_none_or(|&(t, _)| t == at));
-            self.buckets[idx].push_back((at, kind));
-            self.occ[idx / 64] |= 1 << (idx % 64);
-            self.in_buckets += 1;
-            self.stats.ring_pushes += 1;
-        } else {
-            self.overflow.push(Reverse((at, self.seq, kind)));
-            self.stats.overflow_pushes += 1;
-        }
-    }
-
-    /// Move the window base forward and pull newly covered overflow
-    /// events into their buckets (in `(cycle, seq)` order).
-    fn advance_cursor(&mut self, to: u64) {
-        if to <= self.cursor {
-            return;
-        }
-        self.cursor = to;
-        while let Some(&Reverse((at, _, _))) = self.overflow.peek() {
-            if at >= self.cursor + self.window() {
-                break;
-            }
-            // audit:allow(unwrap-in-lib, pop follows a successful peek on the same heap in the same loop iteration)
-            let Reverse((at, _, kind)) = self.overflow.pop().expect("peeked");
-            let idx = self.bucket_index(at);
-            self.buckets[idx].push_back((at, kind));
-            self.occ[idx / 64] |= 1 << (idx % 64);
-            self.in_buckets += 1;
-            self.stats.overflow_migrations += 1;
-        }
-    }
-
-    /// Earliest cycle with a pending bucketed event: circular bitmap
-    /// scan starting at the cursor's bucket (bucket→cycle is unique
-    /// within the window, so the first set bit is the minimum).
-    fn next_bucket_at(&self) -> Option<u64> {
-        if self.in_buckets == 0 {
-            return None;
-        }
-        let words = self.occ.len();
-        let start = self.bucket_index(self.cursor);
-        let (sw, sb) = (start / 64, start % 64);
-        for i in 0..=words {
-            let w = (sw + i) % words;
-            let mut bits = self.occ[w];
-            if i == 0 {
-                bits &= !0u64 << sb;
-            } else if i == words {
-                bits &= !(!0u64 << sb);
-            }
-            if bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                // audit:allow(unwrap-in-lib, the occupancy bitmap bit was set, so the bucket is non-empty)
-                return Some(self.buckets[idx].front().expect("occupied bucket").0);
-            }
-        }
-        // audit:allow(unwrap-in-lib, in_buckets and the occupancy bitmap are updated together on every push and pop)
-        unreachable!("in_buckets > 0 but no occupied bucket")
+        debug_assert!(at >= self.popped_at, "events are never scheduled in the past");
+        self.pushes += 1;
+        // Insert after the last event not later than `at` (`<=`, not
+        // `<`): ties stay FIFO.
+        let i = self.queue.iter().rposition(|&(t, _)| t <= at).map_or(0, |i| i + 1);
+        self.queue.insert(i, (at, kind));
     }
 
     /// Earliest pending event cycle (the skip kernel's event wakeup).
+    #[inline]
     fn next_at(&self) -> Option<u64> {
-        let bucket = self.next_bucket_at();
-        let over = self.overflow.peek().map(|&Reverse((at, _, _))| at);
-        match (bucket, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.queue.front().map(|&(at, _)| at)
     }
 
     fn pop_due(&mut self, now: u64) -> Option<EvKind> {
-        // After a long skip the earliest pending event may still sit in
-        // the overflow heap (the window never slid over it): pull it in
-        // first. Overflow times are always ≥ cursor + window > every
-        // bucket time, so this can only matter when the ring is empty.
-        if self.in_buckets == 0 {
-            if let Some(&Reverse((at, _, _))) = self.overflow.peek() {
-                if at <= now {
-                    self.advance_cursor(at);
-                }
-            }
+        self.popped_at = now;
+        match self.queue.front() {
+            Some(&(at, _)) if at <= now => self.queue.pop_front().map(|(_, kind)| kind),
+            _ => None,
         }
-        if let Some(t) = self.next_bucket_at() {
-            if t <= now {
-                let idx = self.bucket_index(t);
-                // audit:allow(unwrap-in-lib, next_bucket_at returned this bucket, so its FIFO is non-empty)
-                let (at, kind) = self.buckets[idx].pop_front().expect("occupied bucket");
-                debug_assert_eq!(at, t);
-                if self.buckets[idx].is_empty() {
-                    self.occ[idx / 64] &= !(1 << (idx % 64));
-                }
-                self.in_buckets -= 1;
-                self.advance_cursor(t);
-                return Some(kind);
-            }
-        }
-        // Nothing due: slide the window up to `now` (everything pending
-        // is later, so the cursor invariant holds) to keep direct pushes
-        // in the fast bucket path.
-        self.advance_cursor(now);
-        None
     }
 
     fn is_empty(&self) -> bool {
-        self.in_buckets == 0 && self.overflow.is_empty()
+        self.queue.is_empty()
     }
 
     /// Monotone push counter: comparing it across a span detects whether
@@ -610,7 +444,7 @@ impl EventQueue {
     /// it to notice its own ticks arming a wakeup). Pops never move it.
     #[inline]
     fn push_seq(&self) -> u64 {
-        self.seq
+        self.pushes
     }
 }
 
@@ -738,11 +572,11 @@ struct Snapshot {
 }
 
 /// Reusable allocation pools for repeated simulations (e.g. one per
-/// sweep worker): the event queue's bucket ring, the side-effect
-/// buffers, the per-core queues *and* the multi-MB per-line columns
-/// (tag arrays, line-state banks, shadow directories — via the
-/// [`BankArena`]) survive across runs instead of being reallocated for
-/// every grid cell. Pass to [`run_simulation_with_scratch`]; a
+/// sweep worker): the event queue, the side-effect buffers, the
+/// per-core queues *and* the multi-MB per-line columns (tag arrays,
+/// line-state banks, shadow directories — via the [`BankArena`])
+/// survive across runs instead of being reallocated for every grid
+/// cell. Pass to [`run_simulation_with_scratch`]; a
 /// default-constructed scratch is simply empty pools.
 #[derive(Debug, Default)]
 pub struct SimScratch {
@@ -761,9 +595,9 @@ impl SimScratch {
         self.arena.stats()
     }
 
-    /// Ring/overflow occupancy counters of the event queue from the most
-    /// recently *completed* run (the queue is handed back on reclaim and
-    /// its counters reset when the next run starts).
+    /// Push counters of the event queue from the most recently
+    /// *completed* run (the queue is handed back on reclaim and its
+    /// counters reset when the next run starts).
     pub fn event_queue_stats(&self) -> EventQueueStats {
         self.events.stats()
     }
@@ -789,6 +623,8 @@ pub struct CmpSystem {
     wbs: Vec<WriteBuffer>,
     l2s: Vec<L2Cache>,
     bus: SharedBus,
+    /// The L1 geometry, built once: every tick slices addresses with it.
+    l1_geom: Geometry,
     events: EventQueue,
     read_queues: Vec<VecDeque<LineAddr>>,
     write_retries: Vec<RetryQueue>,
@@ -946,7 +782,7 @@ impl CmpSystem {
         let l2_decay_due =
             l2s.iter().map(|l| l.next_decay_deadline().unwrap_or(u64::MAX)).collect();
         let mut events = std::mem::take(&mut scratch.events);
-        events.reset(EventQueue::window_for(&cfg.mem));
+        events.reset();
         let mut fx = std::mem::take(&mut scratch.fx);
         fx.clear();
         let mut read_queues = std::mem::take(&mut scratch.read_queues);
@@ -963,6 +799,7 @@ impl CmpSystem {
             wbs,
             l2s,
             bus,
+            l1_geom: cfg.l1.geometry(),
             events,
             read_queues,
             write_retries,
@@ -1013,7 +850,7 @@ impl CmpSystem {
         self.finalize()
     }
 
-    /// Event-queue occupancy counters (diagnostics; see
+    /// Event-queue push counters (diagnostics; see
     /// [`EventQueueStats`]).
     pub fn event_queue_stats(&self) -> EventQueueStats {
         self.events.stats()
@@ -1299,14 +1136,14 @@ impl CmpSystem {
             ProgressState::RetryLoad(addr) => {
                 // Sleepable only if the L1 provably keeps refusing the
                 // retried load (its state is frozen until an event).
-                let line = self.cfg.l1.geometry().line_of(addr);
+                let line = self.l1_geom.line_of(addr);
                 if !self.l1s[core].load_would_refuse(line) {
                     return;
                 }
                 SleepCharge::RejectLoad
             }
             ProgressState::RetryStore(addr) => {
-                let line = self.cfg.l1.geometry().line_of(addr);
+                let line = self.l1_geom.line_of(addr);
                 if !self.wbs[core].store_would_refuse(line) {
                     return;
                 }
@@ -1574,7 +1411,7 @@ impl CmpSystem {
                 ProgressState::RetryLoad(addr) => {
                     // Blocked only if the L1 provably keeps refusing the
                     // retried load (its state is frozen until an event).
-                    let line = self.cfg.l1.geometry().line_of(addr);
+                    let line = self.l1_geom.line_of(addr);
                     if !self.l1s[core].load_would_refuse(line) {
                         return None;
                     }
@@ -1583,7 +1420,7 @@ impl CmpSystem {
                     // Blocked only if the write buffer keeps refusing —
                     // it is full, not coalescing, and (vetted above) its
                     // drain head cannot make progress either.
-                    let line = self.cfg.l1.geometry().line_of(addr);
+                    let line = self.l1_geom.line_of(addr);
                     if !self.wbs[core].store_would_refuse(line) {
                         return None;
                     }
@@ -1931,7 +1768,7 @@ impl CmpSystem {
         let mut port = PortAdapter {
             now: self.now,
             core,
-            geom: self.cfg.l1.geometry(),
+            geom: self.l1_geom,
             l1_hit_latency: self.cfg.l1.hit_latency,
             l1: &mut self.l1s[core],
             wb: &mut self.wbs[core],
@@ -2091,8 +1928,8 @@ impl CmpSystem {
 
 impl CmpSystem {
     /// Hand the reusable pools back to `scratch`: the caches release
-    /// their per-line columns into the arena, and the arena, event ring
-    /// and queues return for the next run. Must run after
+    /// their per-line columns into the arena, and the arena, event queue
+    /// and port queues return for the next run. Must run after
     /// [`CmpSystem::finalize`] (the final accounting pass reads the
     /// line-state banks).
     fn reclaim_scratch(&mut self, scratch: &mut SimScratch) {
@@ -2119,7 +1956,7 @@ pub fn run_simulation(cfg: CmpConfig, workloads: Vec<Box<dyn Workload>>) -> SimS
 /// Like [`run_simulation`], but borrowing the reusable allocation pools
 /// of `scratch` and returning them when the run finishes — callers that
 /// run many simulations back to back (sweep workers, benchmarks) keep
-/// the event ring and queue capacities warm across runs.
+/// the event and port queue capacities warm across runs.
 pub fn run_simulation_with_scratch(
     cfg: CmpConfig,
     workloads: Vec<Box<dyn Workload>>,
@@ -2158,6 +1995,9 @@ mod tests {
     use super::*;
     use cmpleak_coherence::Technique;
     use cmpleak_cpu::{ReplayWorkload, TraceOp};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn tiny_cfg(technique: Technique) -> CmpConfig {
         let mut cfg = CmpConfig { n_cores: 2, ..CmpConfig::default() };
@@ -2486,62 +2326,46 @@ mod tests {
 
     #[test]
     fn kernels_bit_identical_with_memory_latency_beyond_event_window() {
-        // DataReady events land past the bucket ring even after the
-        // adaptive window clamps at its maximum: the overflow heap and
-        // its migration are on the hot path of both kernels.
+        // DataReady events land 48 K cycles out, far behind the L1-hit
+        // and L2-response traffic: pushes insert ahead of far fills on
+        // the hot path of both kernels, and long quiet spans end on them.
         let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 4096 });
-        cfg.mem.latency = 3 * MAX_EVENT_WINDOW as u64;
-        assert_eq!(
-            EventQueue::window_for(&cfg.mem),
-            MAX_EVENT_WINDOW,
-            "latency must exceed the clamped window for this test to bite"
-        );
+        cfg.mem.latency = 49_152;
         cfg.instructions_per_core = 5_000;
         run_both_kernels(cfg, private_streams);
     }
 
     #[test]
-    fn event_window_sized_from_memory_latency() {
-        let mut mem = crate::config::MemConfig { latency: 250, service: 16 };
-        assert_eq!(EventQueue::window_for(&mem), MIN_EVENT_WINDOW, "default fits the minimum");
-        mem.latency = 1500;
-        assert_eq!(EventQueue::window_for(&mem), 2048, "round-trip rounds up to a power of two");
-        mem.latency = 1_000_000;
-        assert_eq!(EventQueue::window_for(&mem), MAX_EVENT_WINDOW, "clamped at the cap");
-    }
-
-    #[test]
     fn event_queue_counts_ring_hits_and_overflow_spills() {
-        let mut q = EventQueue::new();
+        // One tier: every push counts in `ring_pushes`, however far
+        // ahead, and `overflow_pushes` stays 0.
+        let mut q = EventQueue::default();
         let ev = |core: usize| EvKind::L1Hit { core, id: 0, issued_at: 0 };
-        q.push(3, ev(0)); // in window
-        q.push(5000, ev(1)); // beyond the 1024-cycle default window
-        q.push(900, ev(2)); // in window
-        let s = q.stats();
-        assert_eq!((s.ring_pushes, s.overflow_pushes, s.overflow_migrations), (2, 1, 0));
-        assert_eq!(s.window, MIN_EVENT_WINDOW as u64);
-        // Draining past the spill migrates it into a bucket.
-        while q.pop_due(6000).is_some() {}
-        assert_eq!(q.stats().overflow_migrations, 1);
-        // A fresh run resets the counters and may resize the window.
-        q.reset(2048);
-        let s = q.stats();
-        assert_eq!((s.ring_pushes, s.overflow_pushes, s.window), (0, 0, 2048));
+        q.push(3, ev(0));
+        q.push(5 * 16 * 1024, ev(1));
+        q.push(900, ev(2));
+        assert_eq!(q.stats(), EventQueueStats { ring_pushes: 3, overflow_pushes: 0 });
+        while q.pop_due(6 * 16 * 1024).is_some() {}
+        assert_eq!(q.stats().ring_pushes, 3, "pops do not move the counters");
+        // A fresh run resets the counters.
+        q.reset();
+        assert_eq!(q.stats(), EventQueueStats::default());
     }
 
     #[test]
     fn scratch_exposes_event_queue_stats_after_run() {
         let mut scratch = SimScratch::default();
         let mut cfg = tiny_cfg(Technique::Baseline);
-        // Memory latency beyond the clamped window forces overflow
-        // traffic that the counters must witness.
-        cfg.mem.latency = 2 * MAX_EVENT_WINDOW as u64;
-        run_simulation_with_scratch(cfg, private_streams(), &mut scratch);
+        // Fills 32 K cycles out are ordinary pushes too.
+        cfg.mem.latency = 2 * 16 * 1024;
+        let stats = run_simulation_with_scratch(cfg, private_streams(), &mut scratch);
         let s = scratch.event_queue_stats();
-        assert_eq!(s.window, MAX_EVENT_WINDOW as u64);
-        assert!(s.overflow_pushes > 0, "far DataReady events must spill");
-        assert!(s.ring_pushes > 0, "L1 hits stay in the ring");
-        assert_eq!(s.overflow_migrations, s.overflow_pushes, "every spill migrates back");
+        assert!(s.ring_pushes > stats.mem_fills, "every fill and every L1 hit is a push");
+        assert_eq!(s.overflow_pushes, 0, "the queue has one tier");
+        // The counters restart with each run: an identical second run
+        // reports the same counts, not twice them.
+        run_simulation_with_scratch(cfg, private_streams(), &mut scratch);
+        assert_eq!(scratch.event_queue_stats(), s);
     }
 
     #[test]
@@ -2622,7 +2446,7 @@ mod tests {
 
     #[test]
     fn event_queue_orders_like_a_heap_across_overflow() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let ev = |core: usize| EvKind::L1Hit { core, id: 0, issued_at: 0 };
         // Far-future events (overflow), then near ones, interleaved on
         // the same cycle to exercise FIFO-per-cycle across migration.
@@ -2644,6 +2468,68 @@ mod tests {
         assert_eq!(q.pop_due(6000), Some(ev(3)));
         assert!(q.pop_due(6000).is_none());
         assert!(q.is_empty());
+    }
+
+    /// One step of the event-queue property test.
+    #[derive(Debug, Clone, Copy)]
+    enum QueueOp {
+        /// Push an event this many cycles after the current cycle.
+        Push(u64),
+        /// Advance the current cycle by this many cycles, then pop once.
+        Pop(u64),
+    }
+
+    fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
+        proptest::collection::vec(
+            prop_oneof![
+                // Near pushes: many same-cycle ties.
+                (0u64..4).prop_map(QueueOp::Push),
+                // Far pushes on a coarse grid: ties far behind the front.
+                (0u64..64).prop_map(|k| QueueOp::Push(k * 1024)),
+                (0u64..4 * 16 * 1024).prop_map(QueueOp::Push),
+                (0u64..3).prop_map(QueueOp::Pop),
+                (0u64..4 * 16 * 1024).prop_map(QueueOp::Pop),
+            ],
+            1..400,
+        )
+    }
+
+    proptest! {
+        /// The deque pops exactly like a heap keyed by `(cycle, push
+        /// sequence)`: cycle order, FIFO within a cycle.
+        #[test]
+        fn event_queue_pops_like_a_cycle_seq_heap(ops in queue_ops()) {
+            let mut q = EventQueue::default();
+            let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let (mut now, mut pushes) = (0u64, 0u64);
+            for op in ops {
+                match op {
+                    QueueOp::Push(ahead) => {
+                        let at = now + ahead;
+                        q.push(at, EvKind::L1Hit { core: 0, id: pushes, issued_at: now });
+                        model.push(Reverse((at, pushes)));
+                        pushes += 1;
+                    }
+                    QueueOp::Pop(step) => {
+                        now += step;
+                        let want = match model.peek() {
+                            Some(&Reverse((at, _))) if at <= now => {
+                                model.pop().map(|Reverse((_, seq))| seq)
+                            }
+                            _ => None,
+                        };
+                        let got = q.pop_due(now).map(|ev| match ev {
+                            EvKind::L1Hit { id, .. } => id,
+                            other => panic!("only L1 hits were pushed, popped {other:?}"),
+                        });
+                        prop_assert_eq!(got, want, "pop at cycle {}", now);
+                    }
+                }
+                prop_assert_eq!(q.next_at(), model.peek().map(|&Reverse((at, _))| at));
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                prop_assert_eq!(q.push_seq(), pushes);
+            }
+        }
     }
 
     #[test]
