@@ -15,6 +15,7 @@
 use cmpleak_core::sweep::{run_sweep, SweepConfig};
 use cmpleak_core::{ExperimentConfig, Scenario, Technique, WorkloadSpec};
 use cmpleak_store::ResultStore;
+use cmpleak_system::MAX_CORES;
 use cmpleak_workloads::ScenarioSpec;
 use serde::Serialize;
 use std::sync::Arc;
@@ -50,7 +51,14 @@ fn parse_serve_opts(args: &[String]) -> ServeOpts {
             "--instr" => opts.instr = it.next().and_then(|v| v.parse().ok()).expect("--instr N"),
             "--seed" => opts.seed = it.next().and_then(|v| v.parse().ok()).expect("--seed N"),
             "--n-cores" => {
-                opts.n_cores = it.next().and_then(|v| v.parse().ok()).expect("--n-cores N")
+                opts.n_cores = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|n| (1..=MAX_CORES).contains(n))
+                    .unwrap_or_else(|| {
+                        eprintln!("--n-cores takes a core count in 1..={MAX_CORES}");
+                        usage()
+                    })
             }
             "--threads" => {
                 opts.threads = it.next().and_then(|v| v.parse().ok()).expect("--threads N")
@@ -315,14 +323,18 @@ fn serve(args: &[String]) {
     }
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: sweep serve [--store DIR] [--requests PATH] [--instr N] [--seed N] \
+         [--n-cores N] [--threads N] [--out PATH]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) != Some("serve") {
-        eprintln!(
-            "usage: sweep serve [--store DIR] [--requests PATH] [--instr N] [--seed N] \
-             [--n-cores N] [--threads N] [--out PATH]"
-        );
-        std::process::exit(2);
+        usage();
     }
     serve(&args[1..]);
 }

@@ -20,6 +20,7 @@
 use cmpleak_core::experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 use cmpleak_core::{Scenario, Technique};
 use cmpleak_cpu::{TraceOp, Workload};
+use cmpleak_system::MAX_CORES;
 use cmpleak_trace::TraceFile;
 use std::process::exit;
 
@@ -168,6 +169,13 @@ fn cmd_replay(opts: &Opts) {
         eprintln!("cannot open {path}: {e}");
         exit(1);
     });
+    if tf.n_cores() > MAX_CORES {
+        eprintln!(
+            "cannot replay {path}: {} cores exceed the simulator's limit of {MAX_CORES}",
+            tf.n_cores()
+        );
+        exit(1);
+    }
     let replay_scenario = Scenario::from_trace(path).expect("header was just readable");
     let cfg = replay_config(opts, &tf, replay_scenario);
     let replayed = run_experiment(&cfg);

@@ -44,3 +44,32 @@ fn sweep_without_serve_prints_usage_and_fails() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: sweep serve"));
 }
+
+/// The cycle engine's core masks are one `u64`: a core count outside
+/// `1..=64` must be refused at parse time, before the store is opened or
+/// any cell simulated.
+#[test]
+fn serve_rejects_core_counts_outside_1_to_64() {
+    for n_cores in ["0", "65"] {
+        let dir = std::env::temp_dir()
+            .join(format!("cmpleak-serve-cores-{n_cores}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let requests = dir.join("queue.txt");
+        std::fs::write(&requests, "WATER-NS protocol 1 5000\n").expect("queue written");
+        let store = dir.join("store");
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(["serve", "--n-cores", n_cores, "--store"])
+            .arg(&store)
+            .arg("--requests")
+            .arg(&requests)
+            .output()
+            .expect("sweep runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--n-cores {n_cores}:\n{stderr}");
+        assert!(stderr.contains("1..=64"), "the message names the limit: {stderr}");
+        assert!(stderr.contains("usage: sweep serve"), "usage is printed: {stderr}");
+        assert!(!store.exists(), "--n-cores {n_cores} must fail before the store opens");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

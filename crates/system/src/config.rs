@@ -124,6 +124,10 @@ impl Default for MemConfig {
     }
 }
 
+/// The most cores a system may have: the per-core masks of the cycle
+/// engine (active set, L2 ports-idle bits) are one `u64` each.
+pub const MAX_CORES: usize = 64;
+
 /// Which cycle kernel drives the simulation.
 ///
 /// Both kernels produce **bit-identical** [`SimStats`](crate::SimStats)
@@ -132,9 +136,12 @@ impl Default for MemConfig {
 /// under the default without re-blessing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimKernel {
-    /// Quiescence-skipping kernel: when no component can make progress,
-    /// time jumps directly to the next wakeup (event, bus grant, decay
-    /// tick, sample boundary) instead of stepping cycle by cycle.
+    /// Quiescence-skipping kernel: while the worklist engine's active
+    /// set is empty (every core asleep), time jumps directly to the
+    /// next wake edge (event, bus grant, decay deadline, bus drain,
+    /// interval close, cycle cap) instead of stepping cycle by cycle.
+    /// The full scan has no active set, so under
+    /// [`CycleEngine::FullScan`] this kernel steps every cycle.
     #[default]
     QuiescenceSkip,
     /// The classic one-`step_cycle`-per-cycle loop, kept as the
@@ -144,12 +151,13 @@ pub enum SimKernel {
 
 /// Which per-cycle engine executes a *stepped* cycle.
 ///
-/// Orthogonal to [`SimKernel`]: the kernel decides *which* cycles are
-/// stepped (all of them, or only non-quiescent ones); the engine decides
-/// how much of the machine a stepped cycle scans. Both engines produce
-/// **bit-identical** [`SimStats`](crate::SimStats) — enforced by
-/// `tests/cycle_engine_differential.rs` and by the golden sweep
-/// snapshot, which passes under the worklist default without
+/// The engine decides how much of the machine a stepped cycle scans;
+/// the kernel decides *which* cycles are stepped (all of them, or only
+/// those with an awake core — so skipping needs the worklist's active
+/// set, and the full scan steps every cycle under either kernel). Both
+/// engines produce **bit-identical** [`SimStats`](crate::SimStats) —
+/// enforced by `tests/cycle_engine_differential.rs` and by the golden
+/// sweep snapshot, which passes under the worklist default without
 /// re-blessing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CycleEngine {
@@ -158,9 +166,9 @@ pub enum CycleEngine {
     /// provably blocked cores sleep and are bulk-charged their stall
     /// and retry statistics when a wake edge (own event, bus grant,
     /// decay deadline) re-activates them, and the powered-lines
-    /// integral advances as value × span between working cycles.
-    /// Systems with more than 64 cores fall back to the full scan (the
-    /// mask is a single word).
+    /// integral advances as value × span between working cycles. The
+    /// active set is one `u64`, which is why systems are capped at
+    /// [`MAX_CORES`].
     #[default]
     Worklist,
     /// The classic full scan — every stepped cycle walks all cores —
@@ -242,6 +250,11 @@ impl CmpConfig {
     /// Validate cross-component invariants.
     pub fn validate(&self) {
         assert!(self.n_cores >= 1);
+        assert!(
+            self.n_cores <= MAX_CORES,
+            "{} cores exceed the limit of MAX_CORES = {MAX_CORES}",
+            self.n_cores
+        );
         assert_eq!(self.l1.line_bytes, self.l2.line_bytes, "uniform line size");
         assert!(
             self.l2.size_bytes >= self.l1.size_bytes,
@@ -269,6 +282,13 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         CmpConfig::default().validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the limit of MAX_CORES = 64")]
+    fn rejects_more_than_64_cores() {
+        let cfg = CmpConfig { n_cores: 65, ..CmpConfig::default() };
+        cfg.validate();
     }
 
     #[test]

@@ -30,7 +30,9 @@ pub mod stats;
 pub mod system;
 
 pub use bus::{BusReq, BusReqKind, SharedBus};
-pub use config::{BusConfig, CmpConfig, CycleEngine, L1Config, L2Config, MemConfig, SimKernel};
+pub use config::{
+    BusConfig, CmpConfig, CycleEngine, L1Config, L2Config, MemConfig, SimKernel, MAX_CORES,
+};
 pub use l1::{L1Cache, L1LoadOutcome};
 pub use l2::{L2Cache, L2ReadOutcome, L2Target, L2WriteOutcome};
 pub use stats::{IntervalActivity, L1Stats, L2Stats, SimStats};

@@ -23,26 +23,21 @@
 //!
 //! * **per-cycle** — one [`step_cycle`](CmpSystem) per simulated cycle,
 //!   the reference;
-//! * **quiescence-skipping** (default) — before stepping, the kernel
-//!   checks whether any component can make progress *this* cycle. A cycle
-//!   is *quiet* when no event is due, the bus cannot grant, any pending
-//!   L1 read miss and any pending write drain are provably stuck (the
-//!   head of the read queue / retry queue / write buffer would be
-//!   refused by the L2 — a state only an event or bus grant can change),
-//!   no decay tick or
-//!   deferred turn-off is due, and every core is blocked (drained,
-//!   window-full behind an incomplete load, or spinning on a load/store
-//!   the hierarchy provably keeps refusing). Quiet cycles change nothing
-//!   except time, the powered-lines integral and constant per-cycle
-//!   stall counters (core stalls, write-buffer full-stalls, the blocked
-//!   read and write-drain heads' L2 retries) — all linear in the span —
-//!   so the kernel
-//!   advances `now` directly to the next wakeup: the earliest of (next
-//!   event, bus grant/drain horizon, decay tick, sampling-interval
-//!   boundary). The skipped span provably contains no activity, the
-//!   leakage integral is advanced by `powered × span`, and the blocked
-//!   components are bulk-charged — hence bit-identity, enforced by
-//!   `tests/kernel_differential.rs` and the golden sweep snapshot.
+//! * **quiescence-skipping** (default) — while the worklist engine's
+//!   active set is empty (every core asleep; see "Engines"), nothing can
+//!   act before the next *wake edge*: the earliest of the next event,
+//!   the bus's next possible grant, the sleeping cores' earliest decay
+//!   deadline, the bus/memory drain horizon (where the drain check can
+//!   flip), the sampling interval's last cycle (its close runs in a
+//!   stepped cycle) and the cycle cap. The kernel jumps `now` straight
+//!   to that edge. The cores stay asleep through the jump, so their
+//!   stall and retry charges are settled when they wake, like any other
+//!   sleep, and the powered-lines integral stays lazy (value × span). A
+//!   stepped cycle with every core asleep and no edge due only samples,
+//!   so the jump is exact; bit-identity is enforced by
+//!   `tests/kernel_differential.rs` and the golden sweep snapshot. The
+//!   full scan has no active set, so it steps every cycle under either
+//!   kernel.
 //!
 //! # Engines
 //!
@@ -52,22 +47,21 @@
 //! * **full scan** — phases 3 and 4 walk every core, the reference;
 //! * **worklist** (default) — an awake-core bitmask limits both phases
 //!   to cores that can make progress. A core leaves the active set at
-//!   the end of a cycle when its own per-core slice of the quiescence
-//!   conditions holds (drained, window-blocked, or spinning on a
-//!   provably refused load/store; any L2 queue head provably retried;
-//!   no deferred turn-off) — exactly the per-core conditions of
-//!   [`CmpSystem::quiescent_wakeup`], which are frozen until a wake
-//!   edge. It re-enters on its own events, on *any* bus grant (snoops
-//!   and their side effects are the only cross-core mutation channel),
-//!   at its next decay deadline, and at bulk-skip/finalize boundaries;
-//!   on wake it is bulk-charged the per-cycle stall and retry
-//!   statistics its skipped phases would have accrued (the same
-//!   charges as [`CmpSystem::advance_quiet`]). Waking a core spuriously
-//!   is always harmless — the reference runs every core's phases every
-//!   cycle, and a blocked core's phases change nothing but those
-//!   charges — so only a *missed* wake could break equivalence, and
-//!   the edges above cover every channel that can unblock a core.
-//!   The engine also integrates the powered-lines trace as
+//!   the end of a cycle when its phases are provably no-ops until a
+//!   wake edge ([`CmpSystem::sleep_state`]: drained, window-blocked, or
+//!   spinning on a provably refused load/store; any L2 queue head
+//!   provably retried; no deferred turn-off). It re-enters on its own
+//!   events, on *any* bus grant (snoops and their side effects are the
+//!   only cross-core mutation channel), at its next decay deadline, and
+//!   at finalize; on wake it is bulk-charged the per-cycle stall and
+//!   retry statistics its skipped phases would have accrued. Waking a
+//!   core spuriously is always harmless — the reference runs every
+//!   core's phases every cycle, and a blocked core's phases change
+//!   nothing but those charges — so only a *missed* wake could break
+//!   equivalence, and the edges above cover every channel that can
+//!   unblock a core. Debug builds check this at every kernel jump: each
+//!   sleeping core's state must still match what it recorded when it
+//!   fell asleep. The engine also integrates the powered-lines trace as
 //!   value × span between *working* cycles (powered counts only flip
 //!   on cycles that report work) instead of re-summing every cycle.
 //!   Equivalence is enforced by `tests/cycle_engine_differential.rs`
@@ -76,9 +70,9 @@
 //! # Spine gating
 //!
 //! Even with sleeping cores skipped, phases 1–3 used to be consulted on
-//! *every stepped cycle* — the residual "spine" cost. Each spine
-//! component is instead gated behind a timestamped horizon that says
-//! when it can next possibly act, and each horizon is re-derived only
+//! *every stepped cycle* — the residual "spine" cost. Two spine
+//! components are instead gated behind a timestamped horizon that says
+//! when they can next possibly act, and each horizon is re-derived only
 //! at the mutation points that can move it:
 //!
 //! * **bus arbitration** (both engines) — skipped while
@@ -97,27 +91,8 @@
 //!   ([`PortAdapter`] `try_load` miss, `try_store` accept, and the
 //!   write-probe retry push) and recomputed after every executed
 //!   [`L2Cache::l2_cycle`] (the only place decay/deferred state moves).
-//! * **working-span batching** (worklist engine) — when every awake
-//!   core's ports are idle, the engine runs the awake set's phase-4
-//!   ticks in lockstep in a tight loop up to the earliest spine
-//!   horizon (next event, bus grant, sleeping cores' wake, earliest
-//!   decay deadline in the set, sampling-interval close), re-checking
-//!   nothing else. The ticks cannot interact: a bus request is pushed
-//!   only when `l2_cycle` drains a port queue, and the batch requires
-//!   those queues empty, so a tick at most *arms* a queue — which
-//!   clears a `ports_idle` bit and exits the loop at the end of that
-//!   cycle. Within the span only batched cores' own L1-hit events can
-//!   fire (delivered exactly on time inside the loop), no grant or
-//!   decay tick can occur, the powered-lines value is frozen so the
-//!   lazy value × span integral charges the span exactly, and keeping
-//!   a workless core ticking is stats-neutral by the same argument
-//!   that makes spurious wakes harmless. The batch exits on the first
-//!   globally workless cycle, on any port-idle invalidation, at the
-//!   horizon, or when any batched core drains its budget (reproducing
-//!   the reference `done()` stop cycle; a core already drained at
-//!   entry blocks the batch so it can reach `try_sleep`).
 //!
-//! All three are pure skip-conditions: no statistic, event, or state
+//! Both are pure skip-conditions: no statistic, event, or state
 //! transition is deferred past its reference cycle, so bit-identity is
 //! preserved and enforced by the same differential matrix.
 
@@ -233,9 +208,9 @@ enum SleepCharge {
 
 /// Deferred accounting for a core outside the active set. `since` is
 /// the first cycle whose phases were skipped; on wake at cycle `w`, the
-/// span `w - since` is bulk-charged exactly as
-/// [`CmpSystem::advance_quiet`] would have charged it.
-#[derive(Debug, Clone, Copy, Default)]
+/// span `w - since` is bulk-charged what `w - since` stepped cycles of
+/// the blocked core would have charged ([`CmpSystem::settle_core`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct CoreSleep {
     since: u64,
     charge: SleepCharge,
@@ -249,18 +224,6 @@ struct CoreSleep {
     /// asleep): the core must be back in the active set by then so its
     /// decay ticks are processed on time.
     decay_at: Option<u64>,
-}
-
-/// Cached per-core slice of the interval [`Snapshot`], refreshed only
-/// for cores whose counters may have moved since the last interval
-/// close (`snap_dirty` accumulates the awake mask).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct CoreSnap {
-    instructions: u64,
-    l1_accesses: u64,
-    l2_reads: u64,
-    l2_writes: u64,
-    decay_events: u64,
 }
 
 /// Cycle-cost attribution counters of one run. All recording is
@@ -293,9 +256,7 @@ pub struct CycleProfile {
     /// Awake-core L2 port loops skipped because the per-core
     /// `ports_idle` bit proved the whole phase a no-op.
     pub port_loops_skipped: u64,
-    /// Cycles executed inside a working-span batch (lockstep tick-only
-    /// inner loop over the awake set; counted separately from
-    /// `cycles_stepped`).
+    /// Always 0; kept because perfbench reads it.
     pub cycles_batched: u64,
 }
 
@@ -353,21 +314,7 @@ impl CycleProfile {
             self.port_loops_skipped += 1;
         }
     }
-
-    #[inline]
-    fn on_batch(&mut self, span: u64) {
-        #[cfg(feature = "cycle-profile")]
-        {
-            self.cycles_batched += span;
-        }
-        #[cfg(not(feature = "cycle-profile"))]
-        let _ = span;
-    }
 }
-
-/// Minimum profitable working-span batch: below this the entry checks
-/// cost about as much as the per-cycle spine they replace.
-const BATCH_MIN: u64 = 4;
 
 /// Push counters of the event queue. Diagnostic only: they never enter
 /// `SimStats`.
@@ -437,14 +384,6 @@ impl EventQueue {
 
     fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Monotone push counter: comparing it across a span detects whether
-    /// any event was scheduled in between (the working-span batch uses
-    /// it to notice its own ticks arming a wakeup). Pops never move it.
-    #[inline]
-    fn push_seq(&self) -> u64 {
-        self.pushes
     }
 }
 
@@ -650,8 +589,7 @@ pub struct CmpSystem {
     struct_dirty: bool,
     struct_quiet: bool,
     // ---- worklist engine state (see the module docs, "Engines") ----
-    /// Effective engine: the configured [`CycleEngine::Worklist`] with
-    /// the >64-core fallback to the full scan already applied.
+    /// Whether the configured engine is [`CycleEngine::Worklist`].
     worklist: bool,
     /// One bit per core in the active set. Ground truth for sleep
     /// state; `sleep[c]` is meaningful only while bit `c` is clear.
@@ -674,11 +612,6 @@ pub struct CmpSystem {
     powered_synced_at: u64,
     /// Σ lines over all L2s, cached at construction (pure geometry).
     lines_total: u64,
-    /// Per-core interval-snapshot cache + running aggregate, refreshed
-    /// only for cores in `snap_dirty` at interval closes.
-    core_snaps: Vec<CoreSnap>,
-    snap_agg: Snapshot,
-    snap_dirty: u64,
     /// Cycle-cost attribution (no-op unless the `cycle-profile` feature
     /// is on).
     profile: CycleProfile,
@@ -771,10 +704,10 @@ impl CmpSystem {
             .map(|_| L2Cache::new_in(&cfg.l2, cfg.technique, cfg.shadow_tags, &mut arena))
             .collect();
         let bus = SharedBus::new(cfg.bus, cfg.mem, cfg.l2.line_bytes);
-        // The worklist's active-set mask is one machine word; wider
-        // systems fall back to the full scan (bit-identical anyway).
-        let worklist = cfg.engine == CycleEngine::Worklist && cfg.n_cores <= 64;
-        let all_mask = if cfg.n_cores >= 64 { !0u64 } else { (1u64 << cfg.n_cores) - 1 };
+        let worklist = cfg.engine == CycleEngine::Worklist;
+        // `validate` bounds `n_cores` to `1..=MAX_CORES` (64): every core
+        // mask is one machine word.
+        let all_mask = u64::MAX >> (64 - cfg.n_cores);
         let lines_total = l2s.iter().map(|l| l.geometry().lines() as u64).sum();
         let powered_cache = l2s.iter().map(|l| l.powered_lines()).sum();
         // All ports-idle bits start clear: the first cycle runs every
@@ -822,9 +755,6 @@ impl CmpSystem {
             powered_cache,
             powered_synced_at: 0,
             lines_total,
-            core_snaps: vec![CoreSnap::default(); cfg.n_cores],
-            snap_agg: Snapshot::default(),
-            snap_dirty: all_mask,
             profile: CycleProfile::default(),
             ports_idle: 0,
             l2_decay_due,
@@ -863,34 +793,18 @@ impl CmpSystem {
     }
 
     fn run_loop(&mut self) {
-        match self.cfg.kernel {
-            SimKernel::PerCycle => {
-                while !self.done() && self.now < self.cfg.max_cycles {
-                    self.step_cycle();
+        // Only the worklist engine has an active set to be empty; the
+        // full scan steps every cycle under either kernel.
+        let skip = self.cfg.kernel == SimKernel::QuiescenceSkip && self.worklist;
+        while !self.done() && self.now < self.cfg.max_cycles {
+            if skip && self.awake == 0 {
+                let wake = self.next_wake_edge();
+                if wake > self.now {
+                    self.jump_to(wake);
+                    continue;
                 }
             }
-            SimKernel::QuiescenceSkip => {
-                // Only probe for quiescence after a cycle that did no
-                // work: active phases pay zero check overhead, quiet
-                // spans pay one plain step at their first cycle (which
-                // is exact anyway — stepping is always allowed).
-                let mut try_skip = false;
-                loop {
-                    if self.done() || self.now >= self.cfg.max_cycles {
-                        break;
-                    }
-                    if try_skip {
-                        if let Some(target) = self.quiescent_wakeup() {
-                            self.advance_quiet(target);
-                            // The span may have reached the drain
-                            // horizon or the cycle cap: recheck before
-                            // stepping the wake cycle.
-                            continue;
-                        }
-                    }
-                    try_skip = !self.step_cycle();
-                }
-            }
+            self.step_cycle();
         }
     }
 
@@ -913,7 +827,7 @@ impl CmpSystem {
         self.struct_quiet && self.bus.idle(self.now)
     }
 
-    fn step_cycle(&mut self) -> bool {
+    fn step_cycle(&mut self) {
         if self.worklist {
             self.step_cycle_worklist()
         } else {
@@ -925,7 +839,7 @@ impl CmpSystem {
     /// ("Reference" for the worklist's active set, not for spine gating:
     /// the grant-horizon and ports-idle gates skip provable no-ops and
     /// apply to both engines alike.)
-    fn step_cycle_scan(&mut self) -> bool {
+    fn step_cycle_scan(&mut self) {
         let mut work = false;
         while let Some(ev) = self.events.pop_due(self.now) {
             self.profile.on_event();
@@ -950,7 +864,6 @@ impl CmpSystem {
         self.sample_cycle();
         self.now += 1;
         self.struct_dirty |= work;
-        work
     }
 
     /// The worklist engine: phases 3 and 4 visit only the active set.
@@ -958,25 +871,7 @@ impl CmpSystem {
     /// the set would have contributed nothing but its per-cycle stall
     /// and retry charges, which are settled in bulk when it wakes. See
     /// the module docs ("Engines") for the invariants.
-    fn step_cycle_worklist(&mut self) -> bool {
-        // Working span: when every awake core's L2 ports are provably
-        // idle and every spine horizon is strictly ahead, their ticks
-        // cannot interact (bus requests are only pushed when a port
-        // queue drains, and those queues are empty), so the whole awake
-        // set runs in lockstep in a tight inner loop instead of
-        // re-consulting the spine each cycle. A core already drained at
-        // entry is excluded (it must reach `try_sleep` on a normal
-        // cycle, or it would re-trigger the batch's drain exit every
-        // span).
-        if self.awake != 0
-            && self.awake & self.ports_idle == self.awake
-            && !self.any_drained(self.awake)
-        {
-            let horizon = self.batch_horizon(self.awake);
-            if horizon > self.now && horizon - self.now >= BATCH_MIN {
-                return self.run_batch(self.awake, horizon);
-            }
-        }
+    fn step_cycle_worklist(&mut self) {
         let mut work = false;
         // Every event is addressed to one core and mutates only that
         // core's state: wake it (settling its deferred charges) before
@@ -1032,10 +927,6 @@ impl CmpSystem {
             self.interval_powered += p;
             self.powered_synced_at = self.now + 1;
         }
-        // Any counter a cycle can move belongs to a core that was awake
-        // during it (snoop cycles wake everyone), so the interval
-        // snapshot only needs to refresh these.
-        self.snap_dirty |= self.awake;
         let mut pending = self.awake;
         while pending != 0 {
             let core = pending.trailing_zeros() as usize;
@@ -1047,16 +938,16 @@ impl CmpSystem {
         }
         self.now += 1;
         self.struct_dirty |= work;
-        work
     }
 
     // ---- worklist engine --------------------------------------------------
 
     /// Charge a sleeping core the per-cycle statistics its skipped
-    /// phases would have accrued — the same spec as
-    /// [`CmpSystem::advance_quiet`]: one stall of its blocking kind per
-    /// cycle, one write-buffer full-stall per cycle when spinning on a
-    /// refused store, and one L2 retry per jammed queue head per cycle.
+    /// phases would have accrued, over every skipped cycle — stepped
+    /// cycles it slept through and kernel jumps alike: one stall of its
+    /// blocking kind per cycle, one write-buffer full-stall per cycle
+    /// when spinning on a refused store, and one L2 retry per jammed
+    /// queue head per cycle.
     fn settle_core(&mut self, core: usize) {
         let s = self.sleep[core];
         let span = self.now - s.since;
@@ -1092,7 +983,7 @@ impl CmpSystem {
         }
     }
 
-    /// Wake every sleeping core (bus grant, bulk skip, finalize).
+    /// Wake every sleeping core (bus grant, finalize).
     fn wake_all(&mut self) {
         let mut sleeping = self.all_mask & !self.awake;
         while sleeping != 0 {
@@ -1124,13 +1015,16 @@ impl CmpSystem {
         self.next_core_wake = next;
     }
 
-    /// Remove `core` from the active set if its phases are provably
-    /// no-ops until a wake edge — the per-core slice of the conditions
-    /// [`CmpSystem::quiescent_wakeup`] checks globally. Evaluated at
-    /// the end of a cycle, after the core's phases ran.
-    fn try_sleep(&mut self, core: usize) {
+    /// The sleep `core` would record if it left the active set now, or
+    /// `None` while its phases can still make progress: drained,
+    /// window-blocked, or spinning on a load/store the hierarchy provably
+    /// keeps refusing, with every L2 queue head provably retried and no
+    /// deferred turn-off. Each condition is frozen until a wake edge (own
+    /// event, bus grant, decay deadline), so a sleeping core's value is
+    /// constant apart from `since`.
+    fn sleep_state(&self, core: usize) -> Option<CoreSleep> {
         let charge = match self.cores[core].progress_state() {
-            ProgressState::Ready => return,
+            ProgressState::Ready => return None,
             ProgressState::Idle => SleepCharge::Idle,
             ProgressState::WindowBlocked => SleepCharge::Window,
             ProgressState::RetryLoad(addr) => {
@@ -1138,25 +1032,25 @@ impl CmpSystem {
                 // retried load (its state is frozen until an event).
                 let line = self.l1_geom.line_of(addr);
                 if !self.l1s[core].load_would_refuse(line) {
-                    return;
+                    return None;
                 }
                 SleepCharge::RejectLoad
             }
             ProgressState::RetryStore(addr) => {
                 let line = self.l1_geom.line_of(addr);
                 if !self.wbs[core].store_would_refuse(line) {
-                    return;
+                    return None;
                 }
                 SleepCharge::RejectStore
             }
         };
         if self.l2s[core].has_deferred_turnoffs() {
-            return;
+            return None;
         }
         let read_jam = match self.read_queues[core].front() {
             Some(&line) => {
                 if !self.l2s[core].read_would_retry(line) {
-                    return;
+                    return None;
                 }
                 true
             }
@@ -1165,16 +1059,26 @@ impl CmpSystem {
         let write_jam = match self.write_retries[core].front().or_else(|| self.wbs[core].head()) {
             Some(line) => {
                 if !self.l2s[core].write_would_retry(line) {
-                    return;
+                    return None;
                 }
                 true
             }
             None => false,
         };
         let decay_at = self.l2s[core].next_decay_deadline();
-        self.sleep[core] = CoreSleep { since: self.now + 1, charge, read_jam, write_jam, decay_at };
+        Some(CoreSleep { since: self.now + 1, charge, read_jam, write_jam, decay_at })
+    }
+
+    /// Remove `core` from the active set if [`CmpSystem::sleep_state`]
+    /// proves its phases no-ops until a wake edge. Evaluated at the end
+    /// of a cycle, after the core's phases ran.
+    fn try_sleep(&mut self, core: usize) {
+        let Some(sleep) = self.sleep_state(core) else {
+            return;
+        };
+        self.sleep[core] = sleep;
         self.awake &= !(1u64 << core);
-        if let Some(t) = decay_at {
+        if let Some(t) = sleep.decay_at {
             self.next_core_wake = self.next_core_wake.min(t);
         }
     }
@@ -1232,122 +1136,6 @@ impl CmpSystem {
         work
     }
 
-    /// True if any core in `mask` has drained its instruction budget.
-    #[inline]
-    fn any_drained(&self, mask: u64) -> bool {
-        let mut pending = mask;
-        while pending != 0 {
-            let core = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            if self.cores[core].drained() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// First cycle at which anything other than the batched cores' own
-    /// ticks could act: the earliest pending event, the bus grant
-    /// horizon, the sleeping cores' earliest decay wake, the earliest
-    /// decay deadline among the batched cores, the sampling-interval
-    /// close and the cycle cap. Cycles strictly before it can run as
-    /// pure ticks.
-    fn batch_horizon(&self, mask: u64) -> u64 {
-        let mut h = self.events.next_at().unwrap_or(u64::MAX);
-        h = h.min(self.bus.next_possible_grant());
-        h = h.min(self.next_core_wake);
-        let mut pending = mask;
-        while pending != 0 {
-            let core = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            h = h.min(self.l2_decay_due[core]);
-        }
-        // The interval's last cycle must be stepped normally: its close
-        // runs at the end of that cycle.
-        h = h.min(self.interval_start + self.cfg.sample_interval - 1);
-        h.min(self.cfg.max_cycles)
-    }
-
-    /// Tick the awake set in lockstep in a tight loop over
-    /// `[now, horizon)`.
-    ///
-    /// Equivalence argument, piece by piece: with every non-batched core
-    /// asleep and `ports_idle` covering the batch, a reference cycle in
-    /// the span would run (a) no event delivery before one is due —
-    /// pre-existing events bound the horizon, and events pushed *by the
-    /// batch's own ticks* are delivered in-loop exactly when due (they
-    /// are batched cores' own L1 hits, the only kind a tick can push,
-    /// and an L1 hit mutates only its own core); (b) no bus grant — the
-    /// grant horizon bounds the span, and nothing in a tick enqueues on
-    /// the bus (a miss arms a port queue, and the bus request is pushed
-    /// only when `l2_cycle` later drains it — empty queues mean no
-    /// pushes), so the batched ticks are mutually non-interacting and
-    /// lockstep order equals the reference's per-cycle core order;
-    /// (c) no L2 phase work — `ports_idle` holds until a tick enqueue
-    /// clears some core's bit, which exits the loop; (d) the ticks
-    /// themselves, executed here identically; (e) powered/interval
-    /// bookkeeping — no tick touches an L2, so the powered value is
-    /// frozen and PR 8's value×span integral charges the span exactly,
-    /// and the interval close bounds the horizon. `try_sleep` is
-    /// deferred to the next normal cycle: keeping a core awake is always
-    /// stats-neutral (the reference ticks blocked cores every cycle, and
-    /// those ticks charge exactly what the sleep settle would).
-    fn run_batch(&mut self, mask: u64, horizon: u64) -> bool {
-        debug_assert_eq!(self.awake, mask, "batch must cover exactly the awake set");
-        debug_assert_eq!(self.ports_idle & mask, mask, "batch entered with armed L2 ports");
-        self.snap_dirty |= mask;
-        let start = self.now;
-        // No pending event lies inside the horizon at entry; ticks can
-        // only schedule batched cores' own L1-hit completions, tracked
-        // here so they are delivered exactly on time.
-        let mut next_ev = u64::MAX;
-        let mut any = false;
-        let mut work;
-        loop {
-            work = false;
-            if self.now >= next_ev {
-                while let Some(ev) = self.events.pop_due(self.now) {
-                    self.profile.on_event();
-                    debug_assert!(
-                        mask & (1u64 << ev.core()) != 0,
-                        "foreign event inside a working-span batch"
-                    );
-                    self.handle_event(ev);
-                    work = true;
-                }
-                next_ev = self.events.next_at().unwrap_or(u64::MAX);
-            }
-            let seq = self.events.push_seq();
-            let mut pending = mask;
-            while pending != 0 {
-                let core = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                work |= self.tick_core(core);
-            }
-            if self.events.push_seq() != seq {
-                next_ev = next_ev.min(self.events.next_at().unwrap_or(u64::MAX));
-            }
-            any |= work;
-            self.now += 1;
-            // Exit on the first cycle where no batched core did anything
-            // (let the kernel probe for a quiescent span), on a tick
-            // enqueue arming any core's L2 ports, at the horizon, or the
-            // moment any core drains — the run's drain check (`done`)
-            // can flip only then, and the reference loop consults it
-            // after every cycle.
-            if !work
-                || self.ports_idle & mask != mask
-                || self.now >= horizon
-                || self.any_drained(mask)
-            {
-                break;
-            }
-        }
-        self.profile.on_batch(self.now - start);
-        self.struct_dirty |= any;
-        work
-    }
-
     /// Charge cycles `[powered_synced_at, t)` into the interval's
     /// powered-lines integral at the cached (provably constant over
     /// that span) value.
@@ -1361,146 +1149,38 @@ impl CmpSystem {
 
     // ---- quiescence skipping ----------------------------------------------
 
-    /// If nothing can make progress at the current cycle, return the
-    /// next cycle at which something can (always `> now`); `None` means
-    /// the cycle must be stepped normally.
-    ///
-    /// Wakeup sources: the earliest pending event, the bus's next
-    /// possible grant (queue non-empty) or drain horizon (for the
-    /// termination check), each cache's next decay tick, and the cycle
-    /// whose sample closes the current interval. Skipping never passes
-    /// any of them, so a skipped span provably contains no activity.
-    fn quiescent_wakeup(&self) -> Option<u64> {
-        // Anything due *this* cycle forces a step.
-        if self.events.next_at().is_some_and(|t| t <= self.now) {
-            return None;
-        }
-        if !self.bus.queue_is_empty() && self.bus.busy_until() <= self.now {
-            return None;
-        }
-        for core in 0..self.cfg.n_cores {
-            if self.l2s[core].has_deferred_turnoffs() {
-                return None;
-            }
-            // A pending L1 read miss blocks the span only if the L2
-            // provably keeps refusing the queue's head (transient line /
-            // full MSHR). The refusal is stable until an event or bus
-            // grant — both wakeup sources — so read-burst spans jammed
-            // on a saturated MSHR are skippable like write bursts.
-            if let Some(&line) = self.read_queues[core].front() {
-                if !self.l2s[core].read_would_retry(line) {
-                    return None;
-                }
-            }
-            // A pending write drain blocks the span only if the L2
-            // provably keeps refusing its head (retry queue first, then
-            // the write buffer — the order the port loop serves). The
-            // refusal is stable until an event or bus grant — both
-            // wakeup sources — so blocked-on-reject write bursts no
-            // longer force per-cycle stepping.
-            if let Some(line) = self.write_retries[core].front().or_else(|| self.wbs[core].head()) {
-                if !self.l2s[core].write_would_retry(line) {
-                    return None;
-                }
-            }
-            if self.l2s[core].next_decay_deadline().is_some_and(|t| t <= self.now) {
-                return None;
-            }
-            match self.cores[core].progress_state() {
-                ProgressState::Idle | ProgressState::WindowBlocked => {}
-                ProgressState::RetryLoad(addr) => {
-                    // Blocked only if the L1 provably keeps refusing the
-                    // retried load (its state is frozen until an event).
-                    let line = self.l1_geom.line_of(addr);
-                    if !self.l1s[core].load_would_refuse(line) {
-                        return None;
-                    }
-                }
-                ProgressState::RetryStore(addr) => {
-                    // Blocked only if the write buffer keeps refusing —
-                    // it is full, not coalescing, and (vetted above) its
-                    // drain head cannot make progress either.
-                    let line = self.l1_geom.line_of(addr);
-                    if !self.wbs[core].store_would_refuse(line) {
-                        return None;
-                    }
-                }
-                ProgressState::Ready => return None,
-            }
-        }
-        let mut wake = u64::MAX;
-        if let Some(t) = self.events.next_at() {
-            wake = wake.min(t);
-        }
-        if !self.bus.queue_is_empty() {
-            wake = wake.min(self.bus.busy_until());
-        }
+    /// The earliest cycle at which anything can act while every core
+    /// sleeps: the next event, the bus's next possible grant, the
+    /// sleeping cores' earliest decay deadline, the bus/memory drain
+    /// horizon (not an activity source, but `done()` can flip there),
+    /// the interval's last cycle (its close runs in a stepped cycle) and
+    /// the cycle cap. Every cycle before it would step as a no-op.
+    fn next_wake_edge(&self) -> u64 {
+        let mut wake = self.events.next_at().unwrap_or(u64::MAX);
+        wake = wake.min(self.bus.next_possible_grant());
+        wake = wake.min(self.next_core_wake);
         let drain = self.bus.quiesce_at();
         if drain > self.now {
-            // Not an activity source, but `done()` can flip here once
-            // the channels run dry.
             wake = wake.min(drain);
         }
-        for l2 in &self.l2s {
-            if let Some(t) = l2.next_decay_deadline() {
-                wake = wake.min(t);
-            }
-        }
-        // The interval's last cycle must be stepped: its sample closes
-        // the books at the boundary.
         wake = wake.min(self.interval_start + self.cfg.sample_interval - 1);
-        wake = wake.min(self.cfg.max_cycles);
-        (wake > self.now).then_some(wake)
+        wake.min(self.cfg.max_cycles)
     }
 
-    /// Advance time in bulk over a span vetted by
-    /// [`CmpSystem::quiescent_wakeup`]: charge the powered-lines leakage
-    /// integral as value × elapsed span (every component's powered count
-    /// is frozen) and bulk-charge each blocked core the stall statistics
-    /// its per-cycle ticks would have accrued — including, for a core
-    /// spinning on a refused store, the write buffer's full-stall count,
-    /// and for any core with a blocked write drain, the one L2 retry its
-    /// head probe would have accrued each cycle.
-    fn advance_quiet(&mut self, target: u64) {
-        let span = target - self.now;
-        self.profile.on_skip(span);
-        if self.worklist {
-            // Settle every sleeping core through `now` first, so the
-            // bulk charges below cover exactly `[now, target)` with no
-            // overlap; the powered integral stays lazy (the value is
-            // frozen over the span, so `sync_powered_to` at the next
-            // interval close or working cycle charges it exactly).
-            self.wake_all();
-        } else {
-            let powered: u64 = self.l2s.iter().map(|l| l.powered_lines()).sum();
-            self.interval_powered += powered * span;
-        }
-        for core in 0..self.cfg.n_cores {
-            match self.cores[core].progress_state() {
-                ProgressState::Idle => {}
-                ProgressState::WindowBlocked => {
-                    self.cores[core].charge_stall_cycles(StallKind::Window, span)
-                }
-                ProgressState::RetryLoad(_) => {
-                    self.cores[core].charge_stall_cycles(StallKind::Reject, span)
-                }
-                ProgressState::RetryStore(_) => {
-                    self.cores[core].charge_stall_cycles(StallKind::Reject, span);
-                    self.wbs[core].charge_full_stalls(span);
-                }
-                // audit:allow(unwrap-in-lib, advance_quiet only runs after every core reported a non-Ready progress state)
-                ProgressState::Ready => unreachable!("quiescence check vetted all cores"),
-            }
-            // The port loop re-probes each blocked queue head once per
-            // cycle, counting one retry per probe: one for a jammed read
-            // head, one for a jammed write-drain head.
-            if !self.read_queues[core].is_empty() {
-                self.l2s[core].charge_retries(span);
-            }
-            if self.write_retries[core].front().or_else(|| self.wbs[core].head()).is_some() {
-                self.l2s[core].charge_retries(span);
-            }
-        }
+    /// Jump time to `target` with every core asleep. Nothing is charged
+    /// here: the cores stay asleep, so [`CmpSystem::settle_core`] charges
+    /// the span when they wake, and the powered-lines integral stays
+    /// lazy (the value is frozen without working cycles).
+    fn jump_to(&mut self, target: u64) {
+        debug_assert!(
+            (0..self.cfg.n_cores).all(|c| {
+                let recorded = self.sleep[c];
+                self.sleep_state(c).map(|s| CoreSleep { since: recorded.since, ..s })
+                    == Some(recorded)
+            }),
+            "a sleeping core's state moved without a wake edge"
+        );
+        self.profile.on_skip(target - self.now);
         self.now = target;
     }
 
@@ -1781,52 +1461,9 @@ impl CmpSystem {
 
     // ---- sampling -----------------------------------------------------------
 
-    /// Interval snapshot. The worklist engine refreshes only the
-    /// per-core slices whose counters may have moved since the last
-    /// close (`snap_dirty` accumulates the awake mask — a sleeping
-    /// core's counters are provably frozen); the full scan recomputes
-    /// everything, and a debug assertion pins the two against each
-    /// other.
-    fn counters(&mut self) -> Snapshot {
-        if !self.worklist {
-            return self.counters_scan();
-        }
-        let mut dirty = self.snap_dirty;
-        while dirty != 0 {
-            let core = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let old = self.core_snaps[core];
-            let new = self.core_snap_of(core);
-            self.snap_agg.instructions += new.instructions - old.instructions;
-            self.snap_agg.l1_accesses += new.l1_accesses - old.l1_accesses;
-            self.snap_agg.l2_reads += new.l2_reads - old.l2_reads;
-            self.snap_agg.l2_writes += new.l2_writes - old.l2_writes;
-            self.snap_agg.decay_events += new.decay_events - old.decay_events;
-            self.core_snaps[core] = new;
-        }
-        self.snap_dirty = 0;
-        let mut s = self.snap_agg;
-        s.bus_transactions = self.bus.transactions;
-        s.bus_bytes = self.bus.bus_bytes;
-        s.mem_bytes = self.bus.mem_bytes;
-        debug_assert_eq!(s, self.counters_scan(), "delta-tracked snapshot drifted");
-        s
-    }
-
-    fn core_snap_of(&self, core: usize) -> CoreSnap {
-        let l1 = self.l1s[core].stats();
-        let l2 = self.l2s[core].stats();
-        let d = self.l2s[core].decay_stats();
-        CoreSnap {
-            instructions: self.cores[core].stats().instructions,
-            l1_accesses: l1.loads + l1.stores,
-            l2_reads: l2.reads,
-            l2_writes: l2.writes,
-            decay_events: d.increments + d.resets,
-        }
-    }
-
-    fn counters_scan(&self) -> Snapshot {
+    /// Interval snapshot: the cumulative counters, summed over every
+    /// core at each interval close.
+    fn counters(&self) -> Snapshot {
         let mut s = Snapshot::default();
         for c in &self.cores {
             s.instructions += c.stats().instructions;
@@ -1993,6 +1630,7 @@ pub fn run_feeds_with_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_CORES;
     use cmpleak_coherence::Technique;
     use cmpleak_cpu::{ReplayWorkload, TraceOp};
     use proptest::prelude::*;
@@ -2275,6 +1913,63 @@ mod tests {
     }
 
     #[test]
+    fn sixty_four_cores_complete_every_instruction() {
+        // Core 63 owns the top bit of every core mask.
+        let mut cfg = tiny_cfg(Technique::Protocol);
+        cfg.n_cores = MAX_CORES;
+        cfg.instructions_per_core = 2_000;
+        let wl = || -> Vec<Box<dyn Workload>> {
+            (0..MAX_CORES as u64)
+                .map(|c| {
+                    let base = (c + 1) << 20;
+                    let ops: Vec<TraceOp> = (0..64)
+                        .flat_map(|i| [TraceOp::Exec(3), TraceOp::Load(base + i * 64)])
+                        .collect();
+                    Box::new(ReplayWorkload::cycle(ops)) as Box<dyn Workload>
+                })
+                .collect()
+        };
+        let stats = run_simulation(cfg, wl());
+        assert_eq!(stats.instructions, 64 * 2_000);
+        assert!(stats.cycles < cfg.max_cycles);
+        let mut reference = cfg;
+        reference.kernel = SimKernel::PerCycle;
+        reference.engine = CycleEngine::FullScan;
+        assert_eq!(run_simulation(reference, wl()), stats);
+    }
+
+    #[cfg(feature = "cycle-profile")]
+    #[test]
+    fn skip_kernel_jumps_only_over_an_empty_active_set() {
+        // Core 0 drains early and core 1 waits on memory: quiet spans
+        // with every core blocked.
+        let wl = || -> Vec<Box<dyn Workload>> {
+            vec![
+                Box::new(ReplayWorkload::cycle(vec![TraceOp::Exec(64), TraceOp::Load(1 << 21)])),
+                Box::new(ReplayWorkload::cycle(
+                    (0..2048u64).map(|i| TraceOp::Load((2 << 20) + i * 64)).collect(),
+                )),
+            ]
+        };
+        let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 2048 });
+        cfg.instructions_per_core = 10_000;
+        let mut scratch = SimScratch::default();
+
+        let scan = CmpConfig { engine: CycleEngine::FullScan, ..cfg };
+        assert_eq!(scan.kernel, SimKernel::QuiescenceSkip);
+        let stats = run_simulation_with_scratch(scan, wl(), &mut scratch);
+        let p = scratch.cycle_profile();
+        assert_eq!(p.cycles_skipped, 0, "the full scan has no active set to empty");
+        assert_eq!(p.cycles_stepped, stats.cycles);
+
+        let stats = run_simulation_with_scratch(cfg, wl(), &mut scratch);
+        let p = scratch.cycle_profile();
+        assert!(p.cycles_skipped > 0, "every core sleeps through the memory stalls");
+        assert_eq!(p.cycles_batched, 0);
+        assert_eq!(p.cycles_stepped + p.cycles_skipped, stats.cycles);
+    }
+
+    #[test]
     fn feeds_match_boxed_sources_bit_for_bit() {
         // The enum-dispatched feed path must be invisible: CoreSource
         // wrapping (Live and Dyn) changes delivery mechanics only.
@@ -2527,7 +2222,7 @@ mod tests {
                 }
                 prop_assert_eq!(q.next_at(), model.peek().map(|&Reverse((at, _))| at));
                 prop_assert_eq!(q.is_empty(), model.is_empty());
-                prop_assert_eq!(q.push_seq(), pushes);
+                prop_assert_eq!(q.stats().ring_pushes, pushes);
             }
         }
     }

@@ -17,7 +17,9 @@
 //! Both engines are additionally crossed with both kernels: the engine
 //! choice concerns *stepped* cycles, the kernel choice concerns *which*
 //! cycles are stepped, and the contract is that the four combinations
-//! form one equivalence class.
+//! form one equivalence class. (The skip kernel jumps only while the
+//! worklist's active set is empty, so under the full scan it steps
+//! every cycle.)
 
 use cmp_leakage::coherence::Technique;
 use cmp_leakage::core::{run_experiment, ExperimentConfig, Scenario};
@@ -205,11 +207,11 @@ fn engines_agree_nack_storm_under_grant_gating() {
 
 #[test]
 fn engines_agree_lone_core_sleeping_mid_batch() {
-    // One core alternating compute bursts with long exec gaps: the
-    // worklist engine enters a lone-core batch during every burst, and
-    // each gap ends the batch with a no-work cycle after which the core
-    // must sleep and the kernel must skip the quiet span — the
-    // batch-exit → try_sleep → quiescence handoff, repeated per burst.
+    // One core alternating compute bursts with long exec gaps: at the
+    // end of every burst the lone core falls asleep, which empties the
+    // active set, and the skip kernel must jump the quiet span at once
+    // and hand back on the wake edge — the sleep → jump handoff,
+    // repeated on every burst.
     let burster = WorkloadSpec {
         name: "lone_burster",
         class: BenchClass::Multimedia,
@@ -239,13 +241,12 @@ fn engines_agree_lone_core_sleeping_mid_batch() {
 #[test]
 fn engines_agree_staggered_drain_inside_lockstep_batch() {
     // Four compute-heavy cores with different exec-gap distributions:
-    // all ports idle for long stretches, so the worklist engine runs
-    // them as one lockstep working-span batch — but their per-cycle
-    // throughputs differ, so one core drains its instruction budget
-    // while the others are mid-span. The batch must stop on that exact
-    // cycle (the reference consults `done()` after every cycle) and the
-    // drained core must be excluded from subsequent spans so it can
-    // reach `try_sleep` on a normal cycle.
+    // their per-cycle throughputs differ, so the cores drain their
+    // instruction budgets at staggered cycles while the others are
+    // still running. Each drained core must fall asleep on its own, and
+    // the run must stop on the reference cycle (the reference consults
+    // `done()` after every cycle), whether the last drain lands in a
+    // stepped cycle or ends a skipped span.
     let mut fast = WorkloadSpec::volrend();
     fast.name = "fast_cruncher";
     fast.exec_gap = (2, 6);
@@ -265,10 +266,10 @@ fn engines_agree_staggered_drain_inside_lockstep_batch() {
 #[test]
 fn engines_agree_decay_deadline_inside_batched_span() {
     // A lone compute-heavy core under a short decay interval: decay
-    // ticks land every ~1K cycles, well inside the exec spans the batch
-    // would otherwise cover. The batch horizon must stop at each
-    // deadline so the L2 phase processes the decay clock exactly on
-    // time — one late tick shifts turn-off cycles and breaks the
+    // ticks land every ~1K cycles, inside the spans the skip kernel
+    // jumps while the core sleeps. The jump must stop at each sleeping
+    // core's deadline so the L2 phase processes the decay clock exactly
+    // on time — one late tick shifts turn-off cycles and breaks the
     // leakage integral.
     let cruncher = WorkloadSpec {
         name: "cruncher",
