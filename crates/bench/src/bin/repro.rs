@@ -11,7 +11,7 @@
 //! repro cores               # beyond-paper: 2/4/8-core scaling
 //! repro adaptive            # beyond-paper: oracle adaptive decay
 //!
-//! options: --instr N (default 6000000)  --size MB (default 4)
+//! options: --instr N (default 6000000)  --size MB (1/2/4/8, default 4)
 //!          --threads N (default: all)   --seed S (default 42)
 //! ```
 
@@ -38,7 +38,19 @@ fn parse_opts() -> Opts {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--instr" => opts.instr = it.next().and_then(|v| v.parse().ok()).expect("--instr N"),
-            "--size" => opts.size_mb = it.next().and_then(|v| v.parse().ok()).expect("--size MB"),
+            "--size" => {
+                // Refused here, not after minutes of sweeping: the figures
+                // and the headline only exist at the sweep's sizes.
+                let sizes = SweepConfig::paper(0).sizes_mb;
+                opts.size_mb = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|mb| sizes.contains(mb))
+                    .unwrap_or_else(|| {
+                        eprintln!("--size takes one of the paper's L2 sizes {sizes:?} (MB)");
+                        std::process::exit(2);
+                    })
+            }
             "--threads" => {
                 opts.threads = it.next().and_then(|v| v.parse().ok()).expect("--threads N")
             }

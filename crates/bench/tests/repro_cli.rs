@@ -1,0 +1,34 @@
+//! `repro` end to end: an L2 size the paper sweep does not cover is
+//! refused before the sweep starts, and a small full run succeeds.
+
+use std::process::Command;
+
+/// Every sweep-backed command reads its figures at `--size`, so a size
+/// outside 1/2/4/8 MB would only fail after the whole grid had run.
+#[test]
+fn repro_rejects_sizes_outside_the_paper_axis_before_sweeping() {
+    for cmd in ["headline", "fig6a", "cores"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([cmd, "--size", "3", "--instr", "3000"])
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd} --size 3:\n{stderr}");
+        assert!(stderr.contains("[1, 2, 4, 8]"), "the message names the sizes: {stderr}");
+        assert!(!stderr.contains("[sweep:"), "{cmd} --size 3 must fail before sweeping");
+        assert!(out.stdout.is_empty(), "{cmd} --size 3 printed results");
+    }
+}
+
+#[test]
+fn repro_headline_runs_at_a_small_budget() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["headline", "--instr", "3000"])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "repro headline failed:\n{stderr}");
+    assert!(stderr.contains("[sweep: 192 cells"), "the paper grid ran: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Headline (paper §VII), 4MB total L2"), "{stdout}");
+}

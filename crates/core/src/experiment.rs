@@ -6,7 +6,7 @@ use cmpleak_mem::BankArena;
 use cmpleak_power::{evaluate_energy, PowerParams, PowerReport};
 use cmpleak_store::{CellKey, KeyHasher, StoredCell};
 use cmpleak_system::{
-    run_feeds_with_scratch, CmpConfig, CycleEngine, SimKernel, SimScratch, SimStats,
+    run_feeds_with_scratch, CmpConfig, CycleEngine, SimKernel, SimScratch, SimStats, MAX_CORES,
 };
 use cmpleak_workloads::WorkloadSpec;
 
@@ -123,8 +123,14 @@ impl ExperimentConfig {
         ))
     }
 
-    /// Derive the simulator configuration.
+    /// Derive the simulator configuration. Panics unless `n_cores` is in
+    /// `1..=MAX_CORES` (the capacity split divides by it).
     pub fn cmp_config(&self) -> CmpConfig {
+        assert!(
+            (1..=MAX_CORES).contains(&self.n_cores),
+            "n_cores = {} is outside 1..={MAX_CORES}",
+            self.n_cores
+        );
         let mut cfg = CmpConfig::paper_system(self.total_l2_mb, self.technique);
         cfg.n_cores = self.n_cores;
         cfg.l2.size_bytes = self.total_l2_mb * 1024 * 1024 / self.n_cores;
@@ -307,6 +313,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "n_cores = 0 is outside 1..=64")]
+    fn zero_cores_are_refused_before_the_capacity_split() {
+        let mut cfg = quick(Technique::Baseline);
+        cfg.n_cores = 0;
+        cfg.cmp_config();
+    }
+
+    #[test]
     fn experiments_are_deterministic() {
         let a = run_experiment(&quick(Technique::Decay { decay_cycles: 64 * 1024 }));
         let b = run_experiment(&quick(Technique::Decay { decay_cycles: 64 * 1024 }));
@@ -382,6 +396,41 @@ mod tests {
             }
         }
         assert!(warmed.is_some_and(|f| f > 0), "the first cell allocates its columns");
+    }
+
+    #[test]
+    fn smaller_cells_after_an_8mb_cell_allocate_nothing() {
+        // The sweep runs its largest cells first because of this: once
+        // an 8 MB cell has sized the arena, every smaller cell's columns
+        // are best-fit pool hits, whatever its technique.
+        let cell = |technique, total_l2_mb| {
+            let mut cfg = ExperimentConfig::paper(WorkloadSpec::water_ns(), technique, total_l2_mb);
+            cfg.instructions_per_core = 3_000;
+            cfg
+        };
+        let mut scratch = ExperimentScratch::default();
+        run_experiment_with_scratch(
+            &cell(Technique::Decay { decay_cycles: 512 * 1024 }, 8),
+            &mut scratch,
+        );
+        let sized = scratch.arena_stats().fresh_allocations;
+        assert!(sized > 0, "the 8 MB cell allocates its columns");
+        for total_l2_mb in [4, 2, 1] {
+            for technique in [
+                Technique::Baseline,
+                Technique::Protocol,
+                Technique::Decay { decay_cycles: 64 * 1024 },
+                Technique::SelectiveDecay { decay_cycles: 128 * 1024 },
+            ] {
+                run_experiment_with_scratch(&cell(technique, total_l2_mb), &mut scratch);
+                assert_eq!(
+                    scratch.arena_stats().fresh_allocations,
+                    sized,
+                    "{total_l2_mb} MB {}: a smaller cell allocated fresh columns",
+                    technique.name()
+                );
+            }
+        }
     }
 
     #[test]

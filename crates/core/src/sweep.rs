@@ -21,7 +21,10 @@
 //! in the persistent result store ([`SweepConfig::store`]) are *loaded*
 //! instead of simulated. The reference arm applies none of them. The
 //! worker pool's unit of work is one cell, so even a single (scenario,
-//! size) group spreads over every thread. `tests/sweep_memoization.rs`,
+//! size) group spreads over every thread. Workers take cells largest L2
+//! size first: a worker's first cell sizes its per-line arena and every
+//! later, smaller cell reuses those buffers, so each worker holds one
+//! largest cell's worth of per-line state. `tests/sweep_memoization.rs`,
 //! `tests/stream_sharing.rs` and `tests/store_differential.rs` pin the
 //! three optimizations against the reference arm and against each
 //! other; timing them is `perfbench/`'s job.
@@ -362,6 +365,18 @@ fn resolve_stream(
     }
 }
 
+/// The order the pool runs `jobs` in: a stable sort of job indices by
+/// descending L2 size. A worker's first cell is then one of its largest,
+/// so its arena's column set is sized once and every later, smaller cell
+/// is a best-fit pool hit; in job order it would meet 1, 2, 4 and 8 MB in
+/// turn and keep a column set for each. Largest-first is also
+/// longest-first scheduling, which shortens the pool's tail.
+fn largest_first(jobs: &[Job]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&u| std::cmp::Reverse(jobs[u].cfg.total_l2_mb));
+    order
+}
+
 /// Returns the results plus the sweep's work telemetry. `reference`
 /// turns off baseline memoization, stream sharing and the store.
 fn run_sweep_inner(
@@ -480,17 +495,19 @@ fn run_sweep_inner(
     }
     .min(jobs.len().max(1));
 
+    let order = largest_first(&jobs);
     let mut results: Vec<Option<ExperimentResult>> = (0..jobs.len()).map(|_| None).collect();
     {
         // Share-nothing worker pool on std primitives: an atomic cursor
-        // hands out job indices, an mpsc channel collects results, and
-        // reassembly by index keeps the output identical for any thread
-        // count.
+        // walks `order` handing out job indices, an mpsc channel
+        // collects results, and reassembly by index keeps the output
+        // identical for any thread count and execution order.
         let next_job = AtomicUsize::new(0);
         let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, ExperimentResult)>();
         std::thread::scope(|s| {
             for _ in 0..threads {
                 let next_job = &next_job;
+                let order = &order;
                 let jobs = &jobs;
                 let keys = &keys;
                 let slots = &slots;
@@ -505,10 +522,10 @@ fn run_sweep_inner(
                     // allocations are recycled across this worker's jobs.
                     let mut scratch = ExperimentScratch::default();
                     loop {
-                        let u = next_job.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(u) else {
+                        let Some(&u) = order.get(next_job.fetch_add(1, Ordering::Relaxed)) else {
                             return;
                         };
+                        let job = &jobs[u];
                         if !job.simulate {
                             continue; // derived after the pool finishes
                         }
@@ -681,6 +698,19 @@ mod tests {
             second.fresh_allocations, first.fresh_allocations,
             "the second sweep records into the pooled buffers"
         );
+    }
+
+    #[test]
+    fn workers_take_cells_largest_l2_first_stable_within_a_size() {
+        let jobs: Vec<Job> = [1, 8, 2, 8, 4, 1, 2]
+            .into_iter()
+            .map(|mb| Job {
+                cfg: ExperimentConfig::paper(WorkloadSpec::mpeg2dec(), Technique::Protocol, mb),
+                simulate: true,
+                scenario_idx: 0,
+            })
+            .collect();
+        assert_eq!(largest_first(&jobs), vec![1, 3, 4, 2, 6, 0, 5]);
     }
 
     #[test]

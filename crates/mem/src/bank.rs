@@ -1,19 +1,21 @@
 //! Columnar per-line state banks and the arena that owns their storage.
 //!
 //! Every leakage mechanism in the simulator tracks some flavour of
-//! per-cache-line state across arrays that reach tens of megabytes at
-//! the paper's 8 MB L2 configurations: the Gated-Vdd powered bit and its
-//! on-time accounting, the decay bank's armed/live bits and saturating
-//! counters, the tag array's tag/LRU columns. Three properties matter at
-//! that scale and are provided here, behind one storage layer:
+//! per-cache-line state across arrays that reach megabytes at the
+//! paper's 8 MB L2 configurations: the Gated-Vdd powered bit, the decay
+//! bank's armed/live bits and saturating counters, the tag array's
+//! tag/LRU columns. Three properties matter at that scale and are
+//! provided here, behind one storage layer:
 //!
 //! * **word packing** — the boolean columns (`powered`, `armed`, `live`)
-//!   are `u64` bitsets ([`BitSet`]), so counting is popcount and the two
-//!   hot scans — the decay tick and the final on-cycle accounting pass —
-//!   walk `u64×4` chunks and skip idle regions 256 lines at a time;
-//! * **columnar layout** — timestamps and counters live in their own
-//!   dense arrays ([`LineStateBank`]), touched only by the passes that
-//!   need them, instead of being interleaved in per-line structs;
+//!   are `u64` bitsets ([`BitSet`]), so counting is popcount and the one
+//!   hot scan, the decay tick, walks `u64×4` chunks and skips idle
+//!   regions 256 lines at a time;
+//! * **columnar layout** — the decay counters live in their own dense
+//!   array ([`LineStateBank`]), touched only by the pass that needs
+//!   them, instead of being interleaved in per-line structs. On-time
+//!   needs no per-line column at all: only its total is ever read, and
+//!   two running sums of power-on and power-off cycles give it exactly;
 //! * **arena reuse** — a [`BankArena`] owns the backing allocations and
 //!   hands them out per simulation; a sweep worker running hundreds of
 //!   grid cells re-checks the same buffers out instead of reallocating
@@ -34,7 +36,7 @@ pub struct BitSet {
     len: usize,
 }
 
-/// Words scanned per chunk in the hot passes: `u64×4` = 256 lines.
+/// Words per chunk in the popcount's accumulators: `u64×4` = 256 lines.
 const CHUNK: usize = 4;
 
 impl BitSet {
@@ -169,10 +171,10 @@ pub struct LineStateBank {
     live: BitSet,
     /// Saturating decay counters.
     counters: Vec<u8>,
-    /// Cycle the line was last powered on (meaningful while powered).
-    powered_since: Vec<u64>,
-    /// Accumulated powered cycles per line.
-    on_cycles: Vec<u64>,
+    /// Σ of the cycles at which lines were powered on (wrapping).
+    on_stamps: u64,
+    /// Σ of the cycles at which lines were powered off (wrapping).
+    off_stamps: u64,
     /// Cached popcount of `powered` (kept exact incrementally; the
     /// word-packed layout makes the invariant cheap to audit).
     powered_count: u64,
@@ -192,8 +194,8 @@ impl LineStateBank {
             armed: BitSet::from_arena(lines, arena),
             live: BitSet::from_arena(lines, arena),
             counters: arena.take_u8(lines, 0),
-            powered_since: arena.take_u64(lines, 0),
-            on_cycles: arena.take_u64(lines, 0),
+            on_stamps: 0,
+            off_stamps: 0,
             powered_count: 0,
         };
         bank.armed.set_all();
@@ -206,9 +208,9 @@ impl LineStateBank {
         self.armed.release_into(arena);
         self.live.release_into(arena);
         arena.give_u8(std::mem::take(&mut self.counters));
-        arena.give_u64(std::mem::take(&mut self.powered_since));
-        arena.give_u64(std::mem::take(&mut self.on_cycles));
         self.lines = 0;
+        self.on_stamps = 0;
+        self.off_stamps = 0;
         self.powered_count = 0;
     }
 
@@ -220,7 +222,9 @@ impl LineStateBank {
 
     // ---- powered column --------------------------------------------------
 
-    /// Power every line on at cycle 0 (the always-on baseline start).
+    /// Power every line on at cycle 0 (the always-on baseline start):
+    /// each newly powered line stamps cycle 0, which adds nothing to the
+    /// power-on sum.
     pub fn power_all_on(&mut self) {
         self.powered.set_all();
         self.powered_count = self.lines as u64;
@@ -243,63 +247,30 @@ impl LineStateBank {
     pub fn power_on(&mut self, slot: usize, now: u64) {
         if !self.powered.get(slot) {
             self.powered.set(slot);
-            self.powered_since[slot] = now;
+            self.on_stamps = self.on_stamps.wrapping_add(now);
             self.powered_count += 1;
         }
     }
 
-    /// Power `slot` off at `now`, banking its on-time (no-op if off).
+    /// Power `slot` off at `now`, closing its on-interval (no-op if off).
     #[inline]
     pub fn power_off(&mut self, slot: usize, now: u64) {
         if self.powered.get(slot) {
             self.powered.clear(slot);
-            self.on_cycles[slot] += now - self.powered_since[slot];
+            self.off_stamps = self.off_stamps.wrapping_add(now);
             self.powered_count -= 1;
         }
     }
 
-    /// Close the books at `now`: bank the on-time of every still-powered
-    /// line (word-chunked over the powered bitset) and return Σ
-    /// on-cycles over all slots (`u64×4` accumulators).
-    pub fn finish_on_cycles(&mut self, now: u64) -> u64 {
-        let nw = self.powered.word_count();
-        let mut w = 0;
-        while w < nw {
-            let end = (w + CHUNK).min(nw);
-            let mut any = 0u64;
-            for i in w..end {
-                any |= self.powered.word(i);
-            }
-            if any != 0 {
-                for i in w..end {
-                    let mut bits = self.powered.word(i);
-                    if bits == !0u64 {
-                        // Dense fast path: a fully powered word walks its
-                        // 64 slots directly, without per-bit extraction.
-                        for slot in i * 64..i * 64 + 64 {
-                            self.on_cycles[slot] += now - self.powered_since[slot];
-                            self.powered_since[slot] = now;
-                        }
-                        continue;
-                    }
-                    while bits != 0 {
-                        let slot = i * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        self.on_cycles[slot] += now - self.powered_since[slot];
-                        self.powered_since[slot] = now;
-                    }
-                }
-            }
-            w = end;
-        }
-        let mut acc = [0u64; CHUNK];
-        let mut chunks = self.on_cycles.chunks_exact(CHUNK);
-        for c in &mut chunks {
-            for (a, v) in acc.iter_mut().zip(c) {
-                *a += v;
-            }
-        }
-        acc.iter().sum::<u64>() + chunks.remainder().iter().sum::<u64>()
+    /// Σ on-cycles over all slots at `now`, in O(1). Each closed
+    /// interval `[on, off)` contributes `off − on` and each still-open
+    /// one `now − on`, so the total is Σ off + `powered_count` × now −
+    /// Σ on. The sums wrap, so the result is exact whenever the total
+    /// itself fits in a `u64` (it is at most `lines × now`).
+    pub fn finish_on_cycles(&self, now: u64) -> u64 {
+        self.off_stamps
+            .wrapping_add(self.powered_count.wrapping_mul(now))
+            .wrapping_sub(self.on_stamps)
     }
 
     // ---- armed / live columns -------------------------------------------
@@ -536,7 +507,8 @@ mod tests {
         assert!(!b.is_powered(3) && b.is_powered(200));
         // 3: 300-100 = 200 banked; 200: still on since 50 → 950 at t=1000.
         assert_eq!(b.finish_on_cycles(1000), 200 + 950);
-        // Idempotent at the same instant: since-stamps were rebased.
+        // Idempotent at the same instant: closing the books only reads
+        // the running sums.
         assert_eq!(b.finish_on_cycles(1000), 200 + 950);
     }
 

@@ -106,6 +106,8 @@ enum Op {
     Disarm(usize),
     SetLive(usize),
     ClearLive(usize),
+    /// Close the books at the current cycle, then keep going.
+    CloseBooks,
 }
 
 proptest! {
@@ -143,13 +145,16 @@ proptest! {
 
     /// LineStateBank vs the naive three-vector model: every bit column
     /// and the on-cycle integral agree under random interleavings of
-    /// power flips, arm/disarm, and live transitions with advancing
-    /// time; checked at every step via per-slot probes and at the end
-    /// via popcount and the closed-books integral.
+    /// power flips, arm/disarm, live transitions and mid-sequence
+    /// closings of the books with advancing time; checked at every step
+    /// via per-slot probes, at each closing, and at the end via popcount
+    /// and the closed-books integral. The model keeps per-line power-on
+    /// stamps and on-cycle counters as the reference for the bank's two
+    /// running sums.
     #[test]
     fn line_state_bank_matches_naive_model(
         lines in 1usize..300,
-        ops in proptest::collection::vec((0usize..300, 0u8..6, 1u64..50), 1..200),
+        ops in proptest::collection::vec((0usize..300, 0u8..7, 1u64..50), 1..200),
     ) {
         let mut bank = LineStateBank::new(lines);
         let mut naive = NaiveBank::new(lines);
@@ -162,7 +167,8 @@ proptest! {
                 2 => Op::Arm(slot % lines),
                 3 => Op::Disarm(slot % lines),
                 4 => Op::SetLive(slot % lines),
-                _ => Op::ClearLive(slot % lines),
+                5 => Op::ClearLive(slot % lines),
+                _ => Op::CloseBooks,
             };
             match op {
                 Op::PowerOn(s) => { bank.power_on(s, now); naive.power_on(s, now); }
@@ -171,6 +177,10 @@ proptest! {
                 Op::Disarm(s) => { bank.disarm(s); naive.armed[s] = false; }
                 Op::SetLive(s) => { bank.set_live(s); naive.live[s] = true; }
                 Op::ClearLive(s) => { bank.clear_live(s); naive.live[s] = false; }
+                Op::CloseBooks => {
+                    prop_assert_eq!(bank.finish_on_cycles(now), naive.finish_on_cycles(now),
+                        "on-cycle integral diverged mid-sequence");
+                }
             }
             let expected_powered = naive.powered.iter().filter(|&&b| b).count() as u64;
             prop_assert_eq!(bank.powered_count(), expected_powered);

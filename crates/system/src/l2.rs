@@ -335,9 +335,9 @@ impl L2Cache {
         self.state.power_off(slot, now);
     }
 
-    /// Close the books at `now`: Σ on-cycles over all slots
-    /// (word-chunked over the powered bitset).
-    pub fn finish_on_cycles(&mut self, now: u64) -> u64 {
+    /// Close the books at `now`: Σ on-cycles over all slots (O(1), from
+    /// the line-state bank's running sums).
+    pub fn finish_on_cycles(&self, now: u64) -> u64 {
         self.state.finish_on_cycles(now)
     }
 

@@ -1535,11 +1535,16 @@ impl CmpSystem {
         }
         self.close_interval(self.now);
         let now = self.now;
-        let mut on = 0u64;
-        for l2 in &mut self.l2s {
-            on += l2.finish_on_cycles(now);
-        }
+        let on: u64 = self.l2s.iter().map(|l2| l2.finish_on_cycles(now)).sum();
         let lines_total = self.lines_total;
+        // Two independent books of the same integral: the banks' power
+        // on/off stamps, and the cycle loop's powered-count × span sums.
+        debug_assert_eq!(
+            self.trace.iter().map(|iv| iv.l2_powered_line_cycles).sum::<u64>(),
+            on,
+            "the powered-lines integral and the banks' on-cycle books disagree"
+        );
+        debug_assert!(on <= lines_total * now, "on-cycles exceed the line-cycle capacity");
         SimStats {
             cycles: now,
             instructions: self.cores.iter().map(|c| c.stats().instructions).sum(),
@@ -1567,8 +1572,8 @@ impl CmpSystem {
     /// Hand the reusable pools back to `scratch`: the caches release
     /// their per-line columns into the arena, and the arena, event queue
     /// and port queues return for the next run. Must run after
-    /// [`CmpSystem::finalize`] (the final accounting pass reads the
-    /// line-state banks).
+    /// [`CmpSystem::finalize`] (closing the books reads the line-state
+    /// banks' on-time sums).
     fn reclaim_scratch(&mut self, scratch: &mut SimScratch) {
         for l2 in &mut self.l2s {
             l2.release_storage(&mut self.arena);
