@@ -31,13 +31,30 @@ struct Opts {
     seed: u64,
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro [all|table1|fig3a|fig3b|fig4a|fig4b|fig5a|fig5b|fig6a|fig6b|headline|json|\
+         moesi|cores|adaptive]\n             [--instr N] [--size MB] [--threads N] [--seed S]"
+    );
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed; missing or malformed is a usage
+/// error.
+fn value<T: std::str::FromStr>(flag: &str, it: &mut impl Iterator<Item = String>) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{flag} needs a valid value");
+        usage()
+    })
+}
+
 fn parse_opts() -> Opts {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Opts { cmd: "all".into(), instr: 6_000_000, size_mb: 4, threads: 0, seed: 42 };
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--instr" => opts.instr = it.next().and_then(|v| v.parse().ok()).expect("--instr N"),
+            "--instr" => opts.instr = value(&a, &mut it),
             "--size" => {
                 // Refused here, not after minutes of sweeping: the figures
                 // and the headline only exist at the sweep's sizes.
@@ -51,14 +68,12 @@ fn parse_opts() -> Opts {
                         std::process::exit(2);
                     })
             }
-            "--threads" => {
-                opts.threads = it.next().and_then(|v| v.parse().ok()).expect("--threads N")
-            }
-            "--seed" => opts.seed = it.next().and_then(|v| v.parse().ok()).expect("--seed S"),
+            "--threads" => opts.threads = value(&a, &mut it),
+            "--seed" => opts.seed = value(&a, &mut it),
             cmd if !cmd.starts_with("--") => opts.cmd = cmd.to_string(),
             other => {
                 eprintln!("unknown option {other}");
-                std::process::exit(2);
+                usage()
             }
         }
     }
@@ -214,8 +229,8 @@ fn main() {
             println!("{out}");
         }
         other => {
-            eprintln!("unknown command {other}; see `repro` docs");
-            std::process::exit(2);
+            eprintln!("unknown command {other}");
+            usage()
         }
     }
 }

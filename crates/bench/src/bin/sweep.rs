@@ -46,30 +46,41 @@ fn parse_serve_opts(args: &[String]) -> ServeOpts {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--store" => opts.store = it.next().expect("--store DIR").clone(),
-            "--requests" => opts.requests = Some(it.next().expect("--requests PATH").clone()),
-            "--instr" => opts.instr = it.next().and_then(|v| v.parse().ok()).expect("--instr N"),
-            "--seed" => opts.seed = it.next().and_then(|v| v.parse().ok()).expect("--seed N"),
+            "--store" => opts.store = value(a, &mut it),
+            "--requests" => opts.requests = Some(value(a, &mut it)),
+            "--instr" => opts.instr = value(a, &mut it),
+            "--seed" => opts.seed = value(a, &mut it),
             "--n-cores" => {
-                opts.n_cores = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| (1..=MAX_CORES).contains(n))
-                    .unwrap_or_else(|| {
-                        eprintln!("--n-cores takes a core count in 1..={MAX_CORES}");
-                        usage()
-                    })
+                opts.n_cores = value(a, &mut it);
+                if !(1..=MAX_CORES).contains(&opts.n_cores) {
+                    eprintln!("--n-cores takes a core count in 1..={MAX_CORES}");
+                    usage()
+                }
             }
-            "--threads" => {
-                opts.threads = it.next().and_then(|v| v.parse().ok()).expect("--threads N")
+            "--threads" => opts.threads = value(a, &mut it),
+            "--out" => opts.out = Some(value(a, &mut it)),
+            other => {
+                eprintln!("unknown serve argument {other}");
+                usage()
             }
-            "--out" => opts.out = Some(it.next().expect("--out PATH").clone()),
-            other => panic!(
-                "unknown serve argument {other} (try --store/--requests/--instr/--seed/--n-cores/--threads/--out)"
-            ),
         }
     }
     opts
+}
+
+/// The value following `flag`, parsed; missing or malformed is a usage
+/// error.
+fn value<T: std::str::FromStr>(flag: &str, it: &mut std::slice::Iter<'_, String>) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{flag} needs a valid value");
+        usage()
+    })
+}
+
+/// Print why the service cannot run and exit 1.
+fn fail(what: &str, e: std::io::Error) -> ! {
+    eprintln!("{what}: {e}");
+    std::process::exit(1);
 }
 
 /// One parsed request line, carrying the exact cell configuration a
@@ -138,15 +149,19 @@ struct MissGroup {
 fn serve(args: &[String]) {
     let opts = parse_serve_opts(args);
     let text = match &opts.requests {
-        Some(path) => std::fs::read_to_string(path).expect("requests readable"),
+        Some(path) => std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(&format!("cannot read requests {path}"), e)),
         None => {
             let mut s = String::new();
-            std::io::Read::read_to_string(&mut std::io::stdin(), &mut s).expect("stdin readable");
+            std::io::Read::read_to_string(&mut std::io::stdin(), &mut s)
+                .unwrap_or_else(|e| fail("cannot read requests from stdin", e));
             s
         }
     };
     let (scenarios, techniques, sizes) = serve_catalog();
-    let store = Arc::new(ResultStore::open(&opts.store).expect("store root"));
+    let store = ResultStore::open(&opts.store)
+        .unwrap_or_else(|e| fail(&format!("cannot open store {}", opts.store), e));
+    let store = Arc::new(store);
     println!("store: {} ({} records)", opts.store, store.record_count());
 
     // Parse. Malformed lines are reported and skipped, never fatal —
@@ -318,7 +333,7 @@ fn serve(args: &[String]) {
     if let Some(path) = &opts.out {
         let mut json = serde_json::to_string_pretty(&report).expect("serializable");
         json.push('\n');
-        std::fs::write(path, json).expect("report written");
+        std::fs::write(path, json).unwrap_or_else(|e| fail(&format!("cannot write {path}"), e));
         println!("wrote {path}");
     }
 }

@@ -19,10 +19,11 @@
 
 use cmpleak_core::experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 use cmpleak_core::{Scenario, Technique};
-use cmpleak_cpu::{TraceOp, Workload};
+use cmpleak_cpu::TraceOp;
 use cmpleak_system::MAX_CORES;
-use cmpleak_trace::TraceFile;
+use cmpleak_trace::MemTrace;
 use std::process::exit;
+use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
@@ -109,12 +110,12 @@ fn cmd_record(opts: &Opts) {
         eprintln!("unknown scenario {name}");
         usage()
     });
-    let rec = scenario.record(opts.cores, opts.seed, opts.instr);
-    rec.save(out).unwrap_or_else(|e| {
+    let trace = scenario.record(opts.cores, opts.seed, opts.instr);
+    trace.save(out).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");
         exit(1);
     });
-    let header = rec.header();
+    let header = trace.header();
     let total_bytes: u64 = header.cores.iter().map(|c| c.len).sum();
     let total_ops: u64 = header.cores.iter().map(|c| c.ops).sum();
     println!(
@@ -132,13 +133,14 @@ fn cmd_record(opts: &Opts) {
     );
 }
 
-fn replay_config(opts: &Opts, tf: &TraceFile, scenario: Scenario) -> ExperimentConfig {
-    let technique = parse_technique(opts.technique.as_deref().unwrap_or("baseline"));
-    let mut cfg = ExperimentConfig::paper_scenario(scenario, technique, opts.size_mb);
-    cfg.n_cores = tf.n_cores();
-    cfg.seed = tf.seed();
-    cfg.instructions_per_core = tf.min_core_instructions();
-    cfg
+/// Load and validate `--in`, or print why not and exit 1.
+fn open_trace(opts: &Opts) -> (&str, MemTrace) {
+    let path = opts.file_in.as_deref().unwrap_or_else(|| usage());
+    let trace = MemTrace::open(path).unwrap_or_else(|e| {
+        eprintln!("cannot open {path}: {e}");
+        exit(1);
+    });
+    (path, trace)
 }
 
 fn print_result(tag: &str, r: &ExperimentResult) {
@@ -164,26 +166,29 @@ fn print_result(tag: &str, r: &ExperimentResult) {
 }
 
 fn cmd_replay(opts: &Opts) {
-    let path = opts.file_in.as_deref().unwrap_or_else(|| usage());
-    let tf = TraceFile::open(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        exit(1);
-    });
-    if tf.n_cores() > MAX_CORES {
+    let (path, trace) = open_trace(opts);
+    if trace.n_cores() > MAX_CORES {
         eprintln!(
             "cannot replay {path}: {} cores exceed the simulator's limit of {MAX_CORES}",
-            tf.n_cores()
+            trace.n_cores()
         );
         exit(1);
     }
-    let replay_scenario = Scenario::from_trace(path).expect("header was just readable");
-    let cfg = replay_config(opts, &tf, replay_scenario);
+    let technique = parse_technique(opts.technique.as_deref().unwrap_or("baseline"));
+    let (label, n_cores, seed) = (trace.label().to_string(), trace.n_cores(), trace.seed());
+    let instructions_per_core = trace.min_core_instructions();
+    let cfg = ExperimentConfig {
+        n_cores,
+        seed,
+        instructions_per_core,
+        ..ExperimentConfig::paper_scenario(Scenario::replaying(trace), technique, opts.size_mb)
+    };
     let replayed = run_experiment(&cfg);
     print_result("replay", &replayed);
 
     if opts.verify {
-        let live_scenario = Scenario::by_name(tf.label()).unwrap_or_else(|| {
-            eprintln!("--verify needs the trace label '{}' to name a known scenario", tf.label());
+        let live_scenario = Scenario::by_name(&label).unwrap_or_else(|| {
+            eprintln!("--verify needs the trace label '{label}' to name a known scenario");
             exit(1);
         });
         let live_cfg = ExperimentConfig { scenario: live_scenario, ..cfg };
@@ -205,26 +210,19 @@ fn cmd_replay(opts: &Opts) {
 }
 
 fn cmd_inspect(opts: &Opts) {
-    let path = opts.file_in.as_deref().unwrap_or_else(|| usage());
-    let tf = TraceFile::open(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        exit(1);
-    });
-    let h = tf.header();
+    let (path, trace) = open_trace(opts);
+    let h = trace.header();
     println!(
         "{path}: CMPT v{}, label '{}', seed {}, {} cores, drives ≤{} instr/core",
         h.version,
         h.label,
         h.seed,
         h.n_cores(),
-        tf.min_core_instructions()
+        trace.min_core_instructions()
     );
     print_core_rows(&h.cores);
-    let mut w = tf.core_workload(0).unwrap_or_else(|e| {
-        eprintln!("cannot read core 0: {e}");
-        exit(1);
-    });
-    println!("first {} ops of core 0 ({}):", opts.ops.min(w.total_ops()), w.name());
+    let mut w = Arc::new(trace).cursor(0);
+    println!("first {} ops of core 0 ({}):", opts.ops.min(w.total_ops()), h.cores[0].name);
     let (mut execs, mut loads, mut stores) = (0u64, 0u64, 0u64);
     let mut shown = 0u64;
     while let Some(op) = w.try_next_op() {

@@ -1,5 +1,6 @@
-//! `repro` end to end: an L2 size the paper sweep does not cover is
-//! refused before the sweep starts, and a small full run succeeds.
+//! `repro` end to end: an L2 size the paper sweep does not cover, or a
+//! malformed flag, is refused before the sweep starts, and a small full
+//! run succeeds.
 
 use std::process::Command;
 
@@ -31,4 +32,25 @@ fn repro_headline_runs_at_a_small_budget() {
     assert!(stderr.contains("[sweep: 192 cells"), "the paper grid ran: {stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Headline (paper §VII), 4MB total L2"), "{stdout}");
+}
+
+/// A flag whose value is missing or not a number prints usage and exits
+/// 2 instead of panicking.
+#[test]
+fn repro_rejects_malformed_flags_with_usage() {
+    for args in [
+        &["headline", "--instr", "x"][..],
+        &["headline", "--threads", "x"],
+        &["headline", "--seed", "x"],
+        &["headline", "--instr"],
+        &["headline", "--bogus"],
+    ] {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("[sweep:"), "{args:?} must fail before sweeping");
+    }
 }

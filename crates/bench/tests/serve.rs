@@ -1,5 +1,6 @@
 //! `sweep serve` end to end: a request line the service cannot answer is
-//! reported and skipped, never fatal to the rest of the queue.
+//! reported and skipped, never fatal to the rest of the queue, and a
+//! bad command line is refused with an exit code, never a panic.
 
 use std::process::Command;
 
@@ -72,4 +73,41 @@ fn serve_rejects_core_counts_outside_1_to_64() {
         assert!(!store.exists(), "--n-cores {n_cores} must fail before the store opens");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Bad or missing flags are usage errors (exit 2); an unreadable request
+/// file or an unusable store root is an error (exit 1). Never a panic.
+#[test]
+fn serve_refuses_bad_command_lines_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("cmpleak-serve-cli-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let requests = dir.join("queue.txt");
+    std::fs::write(&requests, "WATER-NS protocol 1 5000\n").expect("queue written");
+    let a_file = dir.join("not-a-dir");
+    std::fs::write(&a_file, "").expect("file written");
+    let (requests, a_file) = (requests.to_str().unwrap(), a_file.to_str().unwrap());
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let cases: [(&[&str], i32); 7] = [
+        (&["--bogus"], 2),
+        (&["--requests", requests, "--store"], 2),
+        (&["--store", store, "--requests", requests, "--instr", "x"], 2),
+        (&["--store", store, "--requests", requests, "--threads"], 2),
+        (&["--store", store, "--requests", requests, "--seed", "x"], 2),
+        (&["--store", store, "--requests", "/nonexistent/queue.txt"], 1),
+        (&["--store", a_file, "--requests", requests], 1),
+    ];
+    for (args, code) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .arg("serve")
+            .args(args)
+            .output()
+            .expect("sweep runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(code == 2, stderr.contains("usage: sweep serve"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

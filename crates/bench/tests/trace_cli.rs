@@ -1,5 +1,6 @@
-//! `trace replay` end to end: a trace the simulator cannot run is
-//! refused with a message, never a panic.
+//! `trace replay` and `trace inspect` end to end: a trace the simulator
+//! cannot run, or a damaged one, is refused with a message, never a
+//! panic.
 
 use std::process::Command;
 
@@ -25,5 +26,43 @@ fn replay_refuses_traces_with_more_than_64_cores() {
     let stderr = String::from_utf8_lossy(&replay.stderr);
     assert_eq!(replay.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("65 cores exceed the simulator's limit of 64"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A trace whose stream bytes are damaged but whose sizes are intact
+/// must be refused at load — exit 1 naming the core — not panic
+/// mid-replay.
+#[test]
+fn damaged_stream_bytes_are_refused_at_load() {
+    let dir = std::env::temp_dir().join(format!("cmpleak-trace-damaged-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("fmm.cmpt");
+    let record = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["record", "--scenario", "FMM", "--instr", "20000", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("trace runs");
+    assert!(record.status.success(), "record failed:\n{}", String::from_utf8_lossy(&record.stderr));
+    let good = std::fs::read(&trace).expect("trace written");
+    for fill in [0x00u8, 0xFF] {
+        let mut bytes = good.clone();
+        let end = bytes.len();
+        bytes[end - 250..end - 50].fill(fill);
+        let damaged = dir.join(format!("damaged-{fill:02x}.cmpt"));
+        std::fs::write(&damaged, &bytes).expect("damaged copy written");
+        for cmd in ["replay", "inspect"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+                .args([cmd, "--in"])
+                .arg(&damaged)
+                .output()
+                .expect("trace runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd}, fill {fill:#04x}:\n{stderr}");
+            assert!(stderr.contains("damaged stream"), "{cmd}, fill {fill:#04x}: {stderr}");
+            assert!(stderr.contains("core 3 (FMM)"), "{cmd}, fill {fill:#04x}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd}, fill {fill:#04x}: {stderr}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

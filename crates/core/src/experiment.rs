@@ -2,7 +2,6 @@
 
 use crate::scenario::Scenario;
 use cmpleak_coherence::Technique;
-use cmpleak_mem::BankArena;
 use cmpleak_power::{evaluate_energy, PowerParams, PowerReport};
 use cmpleak_store::{CellKey, KeyHasher, StoredCell};
 use cmpleak_system::{
@@ -159,31 +158,16 @@ pub struct ExperimentResult {
 /// Reusable allocation pools for back-to-back experiments (one per
 /// sweep worker thread): wraps the simulator's [`SimScratch`] so event
 /// and port queue capacities — and, via the bank arena, the multi-MB
-/// per-line columns of every cache — stay warm across grid cells. The
-/// separate `streams` arena pools the encoded op-stream buffers of
-/// shared-stream recordings ([`Scenario::record_shared`]), so repeated
-/// sweeps on one scratch re-record into the same allocations.
+/// per-line columns of every cache — stay warm across grid cells.
 #[derive(Debug, Default)]
 pub struct ExperimentScratch {
     sim: SimScratch,
-    streams: BankArena,
 }
 
 impl ExperimentScratch {
     /// Allocation counters of the per-line-state arena.
     pub fn arena_stats(&self) -> cmpleak_system::ArenaStats {
         self.sim.arena_stats()
-    }
-
-    /// Allocation counters of the shared-stream buffer pool.
-    pub fn stream_arena_stats(&self) -> cmpleak_system::ArenaStats {
-        self.streams.stats()
-    }
-
-    /// The shared-stream buffer pool (recording checks encoded-stream
-    /// buffers out of it; releasing a retired recording returns them).
-    pub fn stream_arena(&mut self) -> &mut BankArena {
-        &mut self.streams
     }
 
     /// Event-queue push counters from the most recent run.
@@ -352,11 +336,11 @@ mod tests {
         .map(quick)
         .collect();
         let first = &cfgs[0];
-        let shared = first.scenario.record_shared(
+        let shared = first.scenario.record_shared_in(
             first.n_cores,
             first.seed,
             first.instructions_per_core,
-            &mut BankArena::default(),
+            vec![Vec::new(); first.n_cores],
         );
         let mut scratch = ExperimentScratch::default();
         for cfg in &cfgs {

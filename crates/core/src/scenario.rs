@@ -1,32 +1,28 @@
 //! What runs on the cores of one experiment.
 //!
 //! A [`Scenario`] names the workload side of an experiment cell and
-//! knows how to build the per-core [`Workload`] drivers:
+//! builds its per-core op streams:
 //!
 //! * [`Scenario::Homogeneous`] — the paper's configuration: every core
 //!   runs the same [`WorkloadSpec`];
 //! * [`Scenario::Mix`] — a heterogeneous multiprogrammed
 //!   [`ScenarioSpec`], one spec per core;
-//! * [`Scenario::TraceReplay`] — replay a recorded trace file
-//!   (`cmpleak-trace`), bit-identical to the live run it captured;
-//! * [`Scenario::SharedStream`] — replay an in-memory [`MemTrace`]
-//!   recorded from another scenario, shared (via `Arc`) across every
-//!   experiment cell that consumes the same (scenario, seed, budget)
-//!   stream — the sweep planner's record-once/replay-everywhere
-//!   substrate.
+//! * [`Scenario::SharedStream`] — replay a [`MemTrace`], shared (via
+//!   `Arc`) across every experiment cell that consumes it: a sweep's
+//!   in-memory recording of another scenario (same label, so its cells
+//!   are indistinguishable from the live ones), or a `.cmpt` file loaded
+//!   by [`Scenario::from_trace`] (labelled `<label>@trace`).
 //!
-//! Experiments consume a scenario through [`Scenario::build_sources`]
-//! (per-core [`OpSource`] delivery channels); the parallel
-//! [`Scenario::build_workloads`] view exists for recording and
-//! differential tooling.
+//! Experiments consume a scenario through [`Scenario::build_feeds`];
+//! [`Scenario::build_sources`] is the same streams as plain boxed
+//! [`Workload`]s, for recording and differential tooling.
 
-use cmpleak_cpu::{LiveGen, OpSource, Workload};
-use cmpleak_mem::BankArena;
+use cmpleak_cpu::Workload;
 use cmpleak_system::CoreSource;
-use cmpleak_trace::{record_workloads, MemTrace, TraceFile, TraceRecorder};
+use cmpleak_trace::MemTrace;
 use cmpleak_workloads::{ScenarioSpec, WorkloadSpec};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// The workload half of an experiment configuration.
@@ -36,20 +32,8 @@ pub enum Scenario {
     Homogeneous(WorkloadSpec),
     /// Heterogeneous multiprogrammed mix.
     Mix(ScenarioSpec),
-    /// Replay the per-core streams of a recorded trace file.
-    TraceReplay {
-        /// Trace file path (diagnostics only; the image is cached).
-        path: PathBuf,
-        /// Label from the trace header (cached at construction so
-        /// labelling never needs IO).
-        label: String,
-        /// The preloaded trace image, shared across clones — a sweep
-        /// replaying one trace over many cells reads the file once, and
-        /// worker threads slice the same cached bytes.
-        file: Arc<TraceFile>,
-    },
-    /// Replay the per-core streams of an in-memory recording. The label
-    /// is the *recorded* scenario's label, so a shared-stream cell is
+    /// Replay the per-core streams of a recording. A sweep's recording
+    /// keeps the *recorded* scenario's label, so a shared-stream cell is
     /// indistinguishable (in reports, sweep cells and golden snapshots)
     /// from the live-generation cell it stands in for — which is the
     /// point: record once, replay across every cell of the group,
@@ -61,16 +45,17 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Wrap a trace file: parse the header, pull the image into memory
-    /// once, and share it across every clone of this scenario.
+    /// Load and validate a trace file and replay it, labelled
+    /// `<label>@trace`. A damaged file is an
+    /// [`io::ErrorKind::InvalidData`] error here, never a panic mid-run.
     pub fn from_trace(path: impl AsRef<Path>) -> io::Result<Scenario> {
-        let mut tf = TraceFile::open(path.as_ref())?;
-        tf.preload()?;
-        Ok(Scenario::TraceReplay {
-            path: path.as_ref().to_path_buf(),
-            label: format!("{}@trace", tf.label()),
-            file: Arc::new(tf),
-        })
+        MemTrace::open(path).map(Scenario::replaying)
+    }
+
+    /// Replay a loaded trace file, labelled `<label>@trace`.
+    pub fn replaying(trace: MemTrace) -> Scenario {
+        let label = format!("{}@trace", trace.label());
+        Scenario::SharedStream { trace: Arc::new(trace.with_label(label)) }
     }
 
     /// Resolve a benchmark or curated-mix name (`FMM`, `mpeg2dec`,
@@ -95,42 +80,32 @@ impl Scenario {
         match self {
             Scenario::Homogeneous(spec) => spec.name.to_string(),
             Scenario::Mix(mix) => mix.name.clone(),
-            Scenario::TraceReplay { label, .. } => label.clone(),
             Scenario::SharedStream { trace } => trace.label().to_string(),
         }
     }
 
     /// Whether this scenario generates its streams live — i.e. whether a
     /// sweep gains anything from recording it once into a shared stream
-    /// (replay scenarios already share one buffer across cells).
+    /// (a shared stream already shares one buffer across cells).
     pub fn generates_live(&self) -> bool {
-        matches!(self, Scenario::Homogeneous(_) | Scenario::Mix(_))
+        !matches!(self, Scenario::SharedStream { .. })
     }
 
-    /// Record this scenario's streams once into an in-memory trace and
-    /// wrap it as a [`Scenario::SharedStream`], with stream buffers
-    /// checked out of `arena`. Every experiment run from the returned
-    /// scenario with the same `(n_cores, seed)` and a budget
-    /// `≤ instructions_per_core` is bit-identical to running `self`
-    /// live — the contract pinned by `tests/stream_sharing.rs`.
-    pub fn record_shared(
-        &self,
-        n_cores: usize,
-        seed: u64,
-        instructions_per_core: u64,
-        arena: &mut BankArena,
-    ) -> Scenario {
-        let mut wls = self.build_workloads(n_cores, seed, instructions_per_core);
-        let trace = MemTrace::record(self.label(), seed, &mut wls, instructions_per_core, arena);
-        Scenario::SharedStream { trace: Arc::new(trace) }
+    /// Record this scenario's streams, each covering
+    /// `instructions_per_core` instructions. (Recording a shared stream
+    /// re-encodes the replayed streams.)
+    pub fn record(&self, n_cores: usize, seed: u64, instructions_per_core: u64) -> MemTrace {
+        let hint = MemTrace::stream_capacity_hint(instructions_per_core);
+        let buffers = (0..n_cores).map(|_| Vec::with_capacity(hint)).collect();
+        self.record_into(n_cores, seed, instructions_per_core, buffers)
     }
 
-    /// [`record_shared`](Self::record_shared) into caller-provided
-    /// stream buffers, one per core (each cleared before use). This is
-    /// the sweep pool's in-pool recording path: the recording worker
-    /// checks `n_cores` buffers out of the shared pool under one brief
-    /// lock, then records here without further synchronization. The
-    /// produced scenario is bit-identical to `record_shared`'s.
+    /// Record this scenario's streams once into caller-provided stream
+    /// buffers, one per core (each cleared before use), and wrap the
+    /// recording as a [`Scenario::SharedStream`]. Every experiment run
+    /// from the returned scenario with the same `(n_cores, seed)` and a
+    /// budget `≤ instructions_per_core` is bit-identical to running
+    /// `self` live — the contract pinned by `tests/stream_sharing.rs`.
     ///
     /// # Panics
     /// Panics if `buffers.len() != n_cores`.
@@ -141,13 +116,25 @@ impl Scenario {
         instructions_per_core: u64,
         buffers: Vec<Vec<u8>>,
     ) -> Scenario {
-        assert_eq!(buffers.len(), n_cores, "one recording buffer per core");
-        let mut wls = self.build_workloads(n_cores, seed, instructions_per_core);
-        let mut trace = MemTrace::new(self.label(), seed);
-        for (wl, buf) in wls.iter_mut().zip(buffers) {
-            trace.record_core_in(wl.as_mut(), instructions_per_core, buf);
-        }
+        let trace = self.record_into(n_cores, seed, instructions_per_core, buffers);
         Scenario::SharedStream { trace: Arc::new(trace) }
+    }
+
+    fn record_into(
+        &self,
+        n_cores: usize,
+        seed: u64,
+        instructions_per_core: u64,
+        buffers: Vec<Vec<u8>>,
+    ) -> MemTrace {
+        assert_eq!(buffers.len(), n_cores, "one recording buffer per core");
+        let mut trace = MemTrace::new(self.label(), seed);
+        for (mut src, buf) in
+            self.build_sources(n_cores, seed, instructions_per_core).into_iter().zip(buffers)
+        {
+            trace.record_core_in(src.as_mut(), instructions_per_core, buf);
+        }
+        trace
     }
 
     /// Canonical byte encoding of everything about this scenario that
@@ -155,12 +142,8 @@ impl Scenario {
     /// store content address ([`crate::store_key`]). Every field is
     /// length- or width-delimited, so distinct scenarios cannot alias.
     ///
-    /// For [`Scenario::TraceReplay`] the encoding covers the exact
-    /// cached file image when one is present (always the case for
-    /// scenarios built via [`Scenario::from_trace`], which preloads);
-    /// otherwise it falls back to the parsed header, which still pins
-    /// label, seed and every per-core stream's op/instruction/byte
-    /// counts.
+    /// A [`Scenario::SharedStream`] encodes its label, seed, per-core
+    /// metadata and every encoded stream byte.
     pub fn canonical_bytes(&self, out: &mut Vec<u8>) {
         fn put_u64(out: &mut Vec<u8>, v: u64) {
             out.extend_from_slice(&v.to_le_bytes());
@@ -203,23 +186,6 @@ impl Scenario {
                     put_spec(out, spec);
                 }
             }
-            Scenario::TraceReplay { label, file, .. } => {
-                out.push(3);
-                put_str(out, label);
-                match file.cached_image() {
-                    Some(image) => {
-                        out.push(1);
-                        put_u64(out, image.len() as u64);
-                        out.extend_from_slice(image);
-                    }
-                    None => {
-                        out.push(0);
-                        let bytes = file.header().encode();
-                        put_u64(out, bytes.len() as u64);
-                        out.extend_from_slice(&bytes);
-                    }
-                }
-            }
             Scenario::SharedStream { trace } => {
                 out.push(4);
                 put_str(out, trace.label());
@@ -238,116 +204,53 @@ impl Scenario {
         }
     }
 
-    /// Build the per-core workload drivers.
+    /// Build the per-core op streams as boxed [`Workload`]s: live
+    /// generators, or replay cursors over the recorded streams.
     ///
     /// # Panics
-    /// For [`Scenario::TraceReplay`] and [`Scenario::SharedStream`],
-    /// panics if the recording covers a different core count or fewer
-    /// instructions per core than `instructions_per_core` (replaying
-    /// past the recorded budget would silently diverge from the live
-    /// run), or — for a shared stream — was recorded under a different
-    /// seed than requested.
-    pub fn build_workloads(
-        &self,
-        n_cores: usize,
-        seed: u64,
-        instructions_per_core: u64,
-    ) -> Vec<Box<dyn Workload>> {
-        match self {
-            Scenario::Homogeneous(spec) => {
-                ScenarioSpec::new(spec.name, vec![*spec]).build_workloads(n_cores, seed)
-            }
-            Scenario::Mix(mix) => mix.build_workloads(n_cores, seed),
-            Scenario::TraceReplay { path, file: tf, .. } => {
-                assert_eq!(
-                    tf.n_cores(),
-                    n_cores,
-                    "trace {} records {} cores, experiment wants {n_cores}",
-                    path.display(),
-                    tf.n_cores()
-                );
-                assert!(
-                    tf.min_core_instructions() >= instructions_per_core,
-                    "trace {} covers {} instructions/core, experiment wants {}",
-                    path.display(),
-                    tf.min_core_instructions(),
-                    instructions_per_core
-                );
-                (0..n_cores)
-                    .map(|c| {
-                        Box::new(tf.core_workload(c).unwrap_or_else(|e| {
-                            // audit:allow(unwrap-in-lib, config-load failure at scenario build time, before any simulation state exists; the trace path was validated by the header read above)
-                            panic!("cannot read core {c} of {}: {e}", path.display())
-                        })) as Box<dyn Workload>
-                    })
-                    .collect()
-            }
-            Scenario::SharedStream { trace } => {
-                Self::check_shared(trace, n_cores, seed, instructions_per_core);
-                (0..n_cores).map(|c| Box::new(trace.cursor(c)) as Box<dyn Workload>).collect()
-            }
-        }
-    }
-
-    /// Build the per-core [`OpSource`] delivery channels the simulator
-    /// consumes: live generators behind budget-cursor adapters, or
-    /// replay cursors over the recorded streams. Op-for-op identical to
-    /// [`Scenario::build_workloads`] (pinned by the op-source proptests
-    /// in `crates/cpu/tests/`).
-    ///
-    /// # Panics
-    /// As [`Scenario::build_workloads`].
+    /// For a [`Scenario::SharedStream`], panics if the recording covers
+    /// a different core count or seed, or fewer instructions per core
+    /// than `instructions_per_core` (replaying past the recorded budget
+    /// would silently diverge from the live run).
     pub fn build_sources(
         &self,
         n_cores: usize,
         seed: u64,
         instructions_per_core: u64,
-    ) -> Vec<Box<dyn OpSource>> {
-        match self {
-            Scenario::Homogeneous(spec) => {
-                ScenarioSpec::new(spec.name, vec![*spec]).build_sources(n_cores, seed)
-            }
-            Scenario::Mix(mix) => mix.build_sources(n_cores, seed),
-            Scenario::TraceReplay { .. } => self
-                .build_workloads(n_cores, seed, instructions_per_core)
-                .into_iter()
-                .map(LiveGen::boxed)
-                .collect(),
-            Scenario::SharedStream { trace } => {
-                Self::check_shared(trace, n_cores, seed, instructions_per_core);
-                (0..n_cores).map(|c| Box::new(trace.cursor(c)) as Box<dyn OpSource>).collect()
-            }
-        }
+    ) -> Vec<Box<dyn Workload>> {
+        self.build_feeds(n_cores, seed, instructions_per_core)
+            .into_iter()
+            .map(|feed| match feed {
+                CoreSource::Live(w) => w,
+                CoreSource::Trace(cursor) => Box::new(cursor) as Box<dyn Workload>,
+            })
+            .collect()
     }
 
     /// Build the per-core feeds for the simulator's devirtualized hot
-    /// path: the same delivery channels as [`Scenario::build_sources`],
-    /// but wrapped in [`CoreSource`] so `CoreModel::tick` dispatches by
-    /// enum match instead of vtable — live generators ride in
-    /// [`CoreSource::Live`], shared-stream replay cursors in
-    /// [`CoreSource::Trace`]. Op-for-op identical to `build_sources`
-    /// (both reduce to the same workloads/cursors; the simulated results
-    /// are pinned equal by `feeds_match_boxed_sources_bit_for_bit` in
-    /// `cmpleak-system` and the golden sweep snapshot).
+    /// path: live generators ride in [`CoreSource::Live`], replay
+    /// cursors in [`CoreSource::Trace`], so `CoreModel::tick` dispatches
+    /// by enum match and inlines the replay fetch. Op-for-op identical to
+    /// [`Scenario::build_sources`].
     ///
     /// # Panics
-    /// As [`Scenario::build_workloads`].
+    /// As [`Scenario::build_sources`].
     pub fn build_feeds(
         &self,
         n_cores: usize,
         seed: u64,
         instructions_per_core: u64,
     ) -> Vec<CoreSource> {
+        let live = |mix: &ScenarioSpec| {
+            mix.build_workloads(n_cores, seed).into_iter().map(CoreSource::Live).collect()
+        };
         match self {
+            Scenario::Homogeneous(spec) => live(&ScenarioSpec::new(spec.name, vec![*spec])),
+            Scenario::Mix(mix) => live(mix),
             Scenario::SharedStream { trace } => {
                 Self::check_shared(trace, n_cores, seed, instructions_per_core);
                 (0..n_cores).map(|c| CoreSource::Trace(trace.cursor(c))).collect()
             }
-            _ => self
-                .build_workloads(n_cores, seed, instructions_per_core)
-                .into_iter()
-                .map(|w| CoreSource::Live(LiveGen::new(w)))
-                .collect(),
         }
     }
 
@@ -376,14 +279,6 @@ impl Scenario {
             instructions_per_core
         );
     }
-
-    /// Record this scenario's live streams into a [`TraceRecorder`]
-    /// covering `instructions_per_core` per core. (Recording a
-    /// `TraceReplay` scenario re-encodes the replayed streams.)
-    pub fn record(&self, n_cores: usize, seed: u64, instructions_per_core: u64) -> TraceRecorder {
-        let mut wls = self.build_workloads(n_cores, seed, instructions_per_core);
-        record_workloads(self.label(), seed, &mut wls, instructions_per_core)
-    }
 }
 
 impl From<WorkloadSpec> for Scenario {
@@ -401,7 +296,11 @@ impl From<ScenarioSpec> for Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmpleak_trace::TraceFile;
+
+    fn temp_trace(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir()
+            .join(format!("cmpleak_core_scenario_{tag}_{}.cmpt", std::process::id()))
+    }
 
     #[test]
     fn labels_and_lookup() {
@@ -417,7 +316,7 @@ mod tests {
     fn homogeneous_build_matches_direct_generators() {
         use cmpleak_workloads::GenerationalWorkload;
         let spec = WorkloadSpec::volrend();
-        let mut built = Scenario::Homogeneous(spec).build_workloads(2, 5, 1000);
+        let mut built = Scenario::Homogeneous(spec).build_sources(2, 5, 1000);
         let mut direct = GenerationalWorkload::new(spec, 1, 2, 5);
         for _ in 0..2000 {
             assert_eq!(built[1].next_op(), Workload::next_op(&mut direct));
@@ -427,30 +326,39 @@ mod tests {
     #[test]
     fn record_then_replay_streams_are_identical() {
         let scenario = Scenario::Mix(ScenarioSpec::stream_revisit());
-        let rec = scenario.record(4, 42, 5_000);
-        let path = std::env::temp_dir().join("cmpleak_core_scenario_test.cmpt");
-        rec.save(&path).unwrap();
+        let path = temp_trace("replay");
+        scenario.record(4, 42, 5_000).save(&path).unwrap();
 
         let replay = Scenario::from_trace(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         assert_eq!(replay.label(), "mix_stream_revisit@trace");
-        let mut replayed = replay.build_workloads(4, 42, 5_000);
-        let mut live = scenario.build_workloads(4, 42, 5_000);
-        let tf = TraceFile::open(&path).unwrap();
+        assert!(!replay.generates_live());
+        let Scenario::SharedStream { trace } = &replay else { unreachable!() };
+        let mut replayed = replay.build_sources(4, 42, 5_000);
+        let mut live = scenario.build_sources(4, 42, 5_000);
         for core in 0..4 {
             assert_eq!(replayed[core].name(), live[core].name());
-            for _ in 0..tf.header().cores[core].ops {
+            for _ in 0..trace.core_info(core).ops {
                 assert_eq!(replayed[core].next_op(), live[core].next_op(), "core {core}");
             }
         }
+    }
+
+    #[test]
+    fn trace_file_scenarios_feed_every_core_from_the_trace() {
+        let path = temp_trace("feeds");
+        Scenario::Homogeneous(WorkloadSpec::fmm()).record(3, 42, 2_000).save(&path).unwrap();
+        let replay = Scenario::from_trace(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        let feeds = replay.build_feeds(3, 42, 2_000);
+        assert_eq!(feeds.len(), 3);
+        assert!(feeds.iter().all(|f| matches!(f, CoreSource::Trace(_))), "{feeds:?}");
     }
 
     #[test]
     fn shared_stream_replays_bit_identically_to_live_generation() {
-        use cmpleak_mem::BankArena;
         let live = Scenario::Mix(ScenarioSpec::producer_sharing());
-        let mut arena = BankArena::default();
-        let shared = live.record_shared(4, 42, 5_000, &mut arena);
+        let shared = live.record_shared_in(4, 42, 5_000, vec![Vec::new(); 4]);
         assert_eq!(shared.label(), live.label(), "shared cells keep the scenario label");
         assert!(!shared.generates_live());
         let mut a = live.build_sources(4, 42, 5_000);
@@ -467,9 +375,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "seed")]
     fn shared_stream_rejects_a_mismatched_seed() {
-        use cmpleak_mem::BankArena;
         let live = Scenario::Homogeneous(WorkloadSpec::fmm());
-        let shared = live.record_shared(2, 7, 1_000, &mut BankArena::default());
+        let shared = live.record_shared_in(2, 7, 1_000, vec![Vec::new(); 2]);
         let _ = shared.build_sources(2, 8, 1_000);
     }
 
@@ -477,10 +384,10 @@ mod tests {
     #[should_panic(expected = "instructions/core")]
     fn oversized_budget_is_rejected_up_front() {
         let scenario = Scenario::Homogeneous(WorkloadSpec::facerec());
-        let rec = scenario.record(2, 1, 1_000);
-        let path = std::env::temp_dir().join("cmpleak_core_scenario_small.cmpt");
-        rec.save(&path).unwrap();
+        let path = temp_trace("small");
+        scenario.record(2, 1, 1_000).save(&path).unwrap();
         let replay = Scenario::from_trace(&path).unwrap();
-        let _ = replay.build_workloads(2, 1, 100_000);
+        std::fs::remove_file(&path).ok();
+        let _ = replay.build_sources(2, 1, 100_000);
     }
 }

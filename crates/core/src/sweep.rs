@@ -17,7 +17,8 @@
 //! simulated; each (scenario, seed, budget) group's op stream is
 //! *recorded once* into a shared in-memory trace that every cell of the
 //! group replays instead of regenerating live (the grid runs 1 + sizes
-//! × techniques cells per scenario off one recording); and cells found
+//! × techniques cells per scenario off one recording, made by the first
+//! worker to need it behind one `OnceLock` per scenario); and cells found
 //! in the persistent result store ([`SweepConfig::store`]) are *loaded*
 //! instead of simulated. The reference arm applies none of them. The
 //! worker pool's unit of work is one cell, so even a single (scenario,
@@ -36,14 +37,12 @@ use crate::experiment::{
 use crate::metrics::TechniqueMetrics;
 use crate::scenario::Scenario;
 use cmpleak_coherence::Technique;
-use cmpleak_mem::BankArena;
 use cmpleak_power::PowerParams;
 use cmpleak_store::{CellKey, ResultStore};
-use cmpleak_trace::MemTrace;
 use cmpleak_workloads::{ScenarioSpec, WorkloadSpec};
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -200,14 +199,17 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// **Shared streams** — every cell of a (scenario, seed, instruction
 /// budget) group consumes the *same* op stream: the live generators
 /// recompute it per cell, although trace replay is bit-identical to
-/// generation (PR 2's contract). The planner therefore records each
-/// live-generating scenario once into an in-memory trace
-/// ([`Scenario::record_shared_in`]) and hands every cell of the group a
-/// cheap replay cursor over the shared buffer, amortizing the generator
-/// work to one recording per group. The recording happens **inside the
-/// worker pool** — the first worker to touch a group records it while
-/// other workers proceed to other groups and block only on that group —
-/// so grid latency scales with cores even on recording-heavy sweeps.
+/// generation. The planner therefore records each live-generating
+/// scenario once into an in-memory trace ([`Scenario::record`]) and
+/// hands every cell of the group a cheap replay cursor over the shared
+/// buffer, amortizing the generator work to one recording per group.
+/// The recording happens **inside the worker pool**, behind one
+/// [`OnceLock`] per scenario — the first worker to touch a group
+/// records it while other workers proceed to other groups and block
+/// only on that group — so grid latency scales with cores even on
+/// recording-heavy sweeps. If a recording panics, a waiting worker
+/// records again and the thread scope re-raises the panic; nothing
+/// hangs.
 ///
 /// **Persistent store** — when [`SweepConfig::store`] is set, each
 /// cell's content address ([`ExperimentConfig::store_key`]) is probed
@@ -227,10 +229,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
 /// [`run_sweep`] returning the planner's work counters alongside the
 /// results — how many cells were derived, how many stream groups were
 /// recorded in-pool, and how the persistent store split the grid into
-/// hits and misses — and reusing `scratch`'s pools across calls, in
-/// particular the shared-stream buffer arena, so repeated sweeps
-/// re-record their streams into the same allocations. The results are
-/// identical to [`run_sweep`]'s.
+/// hits and misses. `scratch` becomes the first worker's scratch; the
+/// results are identical to [`run_sweep`]'s.
 pub fn run_sweep_with_telemetry(
     cfg: &SweepConfig,
     scratch: &mut ExperimentScratch,
@@ -264,105 +264,12 @@ pub struct SweepTelemetry {
 /// One grid cell's work order: the experiment configuration (carrying
 /// the **original** scenario — content addresses and recordings both
 /// key off it), whether it is simulated at all (derived baselines are
-/// not), and which scenario's stream slot it consumes.
+/// not), and which scenario's shared stream it consumes.
 #[derive(Debug)]
 struct Job {
     cfg: ExperimentConfig,
     simulate: bool,
     scenario_idx: usize,
-}
-
-/// Lifecycle of one scenario's shared op stream inside the pool.
-#[derive(Debug)]
-enum SlotState {
-    /// Not recorded yet — the next toucher becomes the recorder.
-    Pending,
-    /// A worker is recording; wait on the slot's condvar.
-    Recording,
-    /// The scenario every cell of this group simulates from (a shared
-    /// recording, or the original scenario when recording is off or
-    /// unprofitable).
-    Ready(Scenario),
-    /// The recording worker panicked; waiters must abort, not hang.
-    Failed,
-}
-
-/// First-toucher-records coordination for one scenario: workers needing
-/// the stream either find it [`SlotState::Ready`], record it
-/// themselves, or wait for the in-flight recording — so recording load
-/// spreads across the pool instead of running as a serial pre-pass,
-/// while every thread count still simulates identical streams.
-#[derive(Debug)]
-struct StreamSlot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
-
-/// Marks `slot` [`SlotState::Failed`] if the recording worker unwinds,
-/// so waiters abort with a diagnostic instead of deadlocking under the
-/// scoped-thread join.
-#[derive(Debug)]
-struct FailGuard<'a> {
-    slot: &'a StreamSlot,
-    armed: bool,
-}
-
-impl Drop for FailGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            *self.slot.state.lock().unwrap_or_else(|e| e.into_inner()) = SlotState::Failed;
-            self.slot.ready.notify_all();
-        }
-    }
-}
-
-/// Resolve the scenario a group's cells should simulate from,
-/// recording it first if this worker is the group's first toucher. The
-/// recording itself runs lock-free: buffers come out of the shared
-/// pool under one brief lock, the slot is only held long enough to
-/// flip states.
-fn resolve_stream(
-    slot: &StreamSlot,
-    original: &Scenario,
-    cfg: &SweepConfig,
-    rec_pool: &Mutex<BankArena>,
-    recorded: &AtomicUsize,
-) -> Scenario {
-    let mut st = slot.state.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        match &*st {
-            SlotState::Ready(s) => return s.clone(),
-            SlotState::Failed => {
-                // audit:allow(unwrap-in-lib, the recorder already panicked on its own thread; waiters must join the abort rather than simulate a stream that does not exist)
-                panic!("shared-stream recording of '{}' failed on another worker", original.label())
-            }
-            SlotState::Recording => {
-                st = slot.ready.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            SlotState::Pending => {
-                *st = SlotState::Recording;
-                drop(st);
-                let mut guard = FailGuard { slot, armed: true };
-                let buffers: Vec<Vec<u8>> = {
-                    let mut pool = rec_pool.lock().unwrap_or_else(|e| e.into_inner());
-                    let hint = MemTrace::stream_capacity_hint(cfg.instructions_per_core);
-                    (0..cfg.n_cores).map(|_| pool.take_u8_empty(hint)).collect()
-                };
-                let rec = original.record_shared_in(
-                    cfg.n_cores,
-                    cfg.seed,
-                    cfg.instructions_per_core,
-                    buffers,
-                );
-                recorded.fetch_add(1, Ordering::Relaxed);
-                *slot.state.lock().unwrap_or_else(|e| e.into_inner()) =
-                    SlotState::Ready(rec.clone());
-                guard.armed = false;
-                slot.ready.notify_all();
-                return rec;
-            }
-        }
-    }
 }
 
 /// The order the pool runs `jobs` in: a stable sort of job indices by
@@ -401,11 +308,8 @@ fn run_sweep_inner(
     // Recording pays off only when a group simulates ≥ 2 cells (the
     // recording costs one generator pass); a degenerate single-cell
     // group stays on the live path. The recording itself happens
-    // *inside* the worker pool — the first worker to need a group's
-    // stream records it while others proceed to other groups
-    // ([`resolve_stream`]) — so grid latency scales with cores even on
-    // recording-heavy sweeps, and a fully-warm store run records
-    // nothing at all.
+    // *inside* the worker pool, by the first worker to need a group's
+    // stream, so a fully-warm store run records nothing at all.
     let simulated_per_group = cfg.sizes_mb.len() * (1 + cfg.techniques.len())
         - if donor_offset.is_some() { cfg.sizes_mb.len() } else { 0 };
     let share_streams = !reference && simulated_per_group > 1;
@@ -463,28 +367,11 @@ fn run_sweep_inner(
         jobs.iter().map(|_| None).collect()
     };
 
-    // One stream slot per scenario: replay-backed (or single-cell)
-    // groups are Ready immediately with the original scenario; live
-    // groups start Pending and are recorded by their first toucher.
-    let slots: Vec<StreamSlot> = cfg
-        .scenarios
-        .iter()
-        .map(|s| {
-            let state = if share_streams && s.generates_live() {
-                SlotState::Pending
-            } else {
-                SlotState::Ready(s.clone())
-            };
-            StreamSlot { state: Mutex::new(state), ready: Condvar::new() }
-        })
-        .collect();
-
+    // One shared stream per scenario, recorded by its first toucher.
+    let streams: Vec<OnceLock<Scenario>> = cfg.scenarios.iter().map(|_| OnceLock::new()).collect();
     let recorded = AtomicUsize::new(0);
     let store_hits = AtomicUsize::new(0);
     let store_misses = AtomicUsize::new(0);
-    // The shared-stream buffer pool, lent to the pool's recorders for
-    // the duration of the sweep and restored to `scratch` after.
-    let rec_pool = Mutex::new(std::mem::take(scratch.stream_arena()));
 
     // The pool's work unit is one cell, so even a single (scenario,
     // size) group — a serve-mode miss — spreads over every thread.
@@ -497,6 +384,10 @@ fn run_sweep_inner(
 
     let order = largest_first(&jobs);
     let mut results: Vec<Option<ExperimentResult>> = (0..jobs.len()).map(|_| None).collect();
+    // Per-worker scratch: queue and per-line-bank allocations are
+    // recycled across a worker's jobs. The caller's is the first one.
+    let mut spare: Vec<ExperimentScratch> =
+        (1..threads).map(|_| ExperimentScratch::default()).collect();
     {
         // Share-nothing worker pool on std primitives: an atomic cursor
         // walks `order` handing out job indices, an mpsc channel
@@ -505,22 +396,18 @@ fn run_sweep_inner(
         let next_job = AtomicUsize::new(0);
         let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, ExperimentResult)>();
         std::thread::scope(|s| {
-            for _ in 0..threads {
+            for scratch in std::iter::once(scratch).chain(spare.iter_mut()) {
                 let next_job = &next_job;
                 let order = &order;
                 let jobs = &jobs;
                 let keys = &keys;
-                let slots = &slots;
+                let streams = &streams;
                 let store = &store;
-                let rec_pool = &rec_pool;
                 let recorded = &recorded;
                 let store_hits = &store_hits;
                 let store_misses = &store_misses;
                 let res_tx = res_tx.clone();
                 s.spawn(move || {
-                    // Per-worker scratch: queue and per-line-bank
-                    // allocations are recycled across this worker's jobs.
-                    let mut scratch = ExperimentScratch::default();
                     loop {
                         let Some(&u) = order.get(next_job.fetch_add(1, Ordering::Relaxed)) else {
                             return;
@@ -539,16 +426,23 @@ fn run_sweep_inner(
                                 continue;
                             }
                         }
-                        let scenario = resolve_stream(
-                            &slots[job.scenario_idx],
-                            &job.cfg.scenario,
-                            cfg,
-                            rec_pool,
-                            recorded,
-                        );
-                        let mut run_cfg = job.cfg.clone();
-                        run_cfg.scenario = scenario;
-                        let r = run_experiment_with_scratch(&run_cfg, &mut scratch);
+                        let original = &job.cfg.scenario;
+                        let scenario = if share_streams && original.generates_live() {
+                            streams[job.scenario_idx].get_or_init(|| {
+                                let trace = original.record(
+                                    cfg.n_cores,
+                                    cfg.seed,
+                                    cfg.instructions_per_core,
+                                );
+                                recorded.fetch_add(1, Ordering::Relaxed);
+                                Scenario::SharedStream { trace: Arc::new(trace) }
+                            })
+                        } else {
+                            original
+                        };
+                        let run_cfg =
+                            ExperimentConfig { scenario: scenario.clone(), ..job.cfg.clone() };
+                        let r = run_experiment_with_scratch(&run_cfg, scratch);
                         if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
                             store_misses.fetch_add(1, Ordering::Relaxed);
                             st.publish(key, &r.stats, &r.power).ok();
@@ -565,9 +459,6 @@ fn run_sweep_inner(
             }
         });
     }
-
-    // Reclaim the stream-buffer pool before retiring recordings into it.
-    *scratch.stream_arena() = rec_pool.into_inner().unwrap_or_else(|e| e.into_inner());
 
     // Derive the skipped baseline cells from their donors (a pure
     // bookkeeping pass, deterministic for any thread count). Derived
@@ -591,21 +482,6 @@ fn run_sweep_inner(
     let results: Vec<ExperimentResult> =
         // audit:allow(unwrap-in-lib, the worker pool joined above and baseline derivation filled the remaining slots)
         results.into_iter().map(|r| r.expect("all jobs completed")).collect();
-
-    // Retire the shared recordings: with the jobs (and their cursor
-    // factories) gone, each recorded trace has one handle left — in its
-    // slot — and its encoded stream buffers go back to the scratch pool
-    // for the next sweep. Scenarios that were Ready with a caller-owned
-    // SharedStream keep their outside handles and are left alone.
-    drop(jobs);
-    for slot in slots {
-        let state = slot.state.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let SlotState::Ready(Scenario::SharedStream { trace }) = state {
-            if let Some(mut t) = Arc::into_inner(trace) {
-                t.release_into(scratch.stream_arena());
-            }
-        }
-    }
 
     // Group per (scenario, size): first entry is the baseline.
     let mut cells = Vec::with_capacity(results.len());
@@ -685,19 +561,17 @@ mod tests {
     }
 
     #[test]
-    fn shared_streams_release_their_buffers_and_repool_across_sweeps() {
-        let cfg = tiny();
-        let mut scratch = ExperimentScratch::default();
-        run_sweep_with_telemetry(&cfg, &mut scratch);
-        let first = scratch.stream_arena_stats();
-        assert_eq!(first.checkouts, 4, "one stream buffer per core per recorded scenario");
-        assert_eq!(first.returns, first.checkouts, "retired recordings repool their buffers");
-        run_sweep_with_telemetry(&cfg, &mut scratch);
-        let second = scratch.stream_arena_stats();
-        assert_eq!(
-            second.fresh_allocations, first.fresh_allocations,
-            "the second sweep records into the pooled buffers"
-        );
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_recording_fails_the_sweep_instead_of_hanging() {
+        // An empty assignment list (built past `ScenarioSpec::new`'s
+        // check) panics when its generators are built — inside the
+        // recording. Every worker waiting on that stream records again
+        // and panics too; the thread scope re-raises.
+        let mut cfg = tiny();
+        cfg.scenarios =
+            vec![Scenario::Mix(ScenarioSpec { name: "broken".into(), assignments: vec![] })];
+        cfg.sizes_mb = vec![1, 2];
+        run_sweep(&cfg);
     }
 
     #[test]

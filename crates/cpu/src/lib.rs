@@ -11,20 +11,17 @@
 //! modelling rename or branch prediction (see DESIGN.md, substitution
 //! table).
 //!
-//! Workloads are infinite instruction streams ([`Workload`]) of
-//! [`TraceOp`]s; the simulator runs each core for a fixed instruction
-//! budget so that every technique executes the same work, matching the
-//! paper's fixed-workload comparisons. The core consumes ops through the
-//! weaker [`OpSource`] delivery contract (see [`source`]), which live
-//! generators satisfy automatically and finite trace backends implement
-//! directly.
+//! A core consumes one op stream ([`Workload`]) of [`TraceOp`]s: a live
+//! generator or a cursor over a recorded trace. The simulator runs each
+//! core for a fixed instruction budget so that every technique executes
+//! the same work, matching the paper's fixed-workload comparisons; the
+//! budget-cursor contract on [`Workload`] is what lets a recording that
+//! covers the budget stand in for its generator.
 
 #![forbid(unsafe_code)]
 
 pub mod model;
-pub mod source;
 pub mod trace;
 
 pub use model::{CoreConfig, CoreModel, CorePort, CoreStats, ProgressState, StallKind};
-pub use source::{LiveGen, OpSource};
 pub use trace::{ReplayWorkload, TraceOp, Workload};

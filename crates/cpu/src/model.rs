@@ -22,8 +22,7 @@
 //! [`CorePort`], and reports completions via
 //! [`CoreModel::on_load_complete`].
 
-use crate::source::OpSource;
-use crate::trace::TraceOp;
+use crate::trace::{TraceOp, Workload};
 use std::collections::VecDeque;
 
 /// Static configuration of a core.
@@ -247,19 +246,18 @@ impl CoreModel {
     /// Advance one cycle: dispatch up to `width` instructions, fetching
     /// ops from `src` as dispatch consumes them.
     ///
-    /// The fetch discipline is the budget-cursor contract every
-    /// [`OpSource`] backend relies on: `src.next_op()` is called only
-    /// while `instructions < budget` (a refused op is re-presented from
-    /// the retry slot, never re-fetched), so a finite source covering
-    /// the budget covers the whole run.
+    /// Fetches follow the budget-cursor contract documented on
+    /// [`Workload`]: `src.next_op()` is called only while
+    /// `instructions < budget`, so a finite stream covering the budget
+    /// covers the whole run.
     ///
     /// Returns the number of instructions dispatched this cycle (0 when
     /// stalled or finished).
     ///
-    /// Generic over the source so the simulator's enum-dispatched
-    /// per-core feeds monomorphize the fetch path; `&mut dyn OpSource`
+    /// Generic over the stream so the simulator's enum-dispatched
+    /// per-core feeds monomorphize the fetch path; `&mut dyn Workload`
     /// callers resolve to the dynamic instantiation unchanged.
-    pub fn tick<S: OpSource + ?Sized>(&mut self, src: &mut S, port: &mut dyn CorePort) -> u32 {
+    pub fn tick<S: Workload + ?Sized>(&mut self, src: &mut S, port: &mut dyn CorePort) -> u32 {
         if self.stats.instructions >= self.budget && self.retry.is_none() {
             return 0;
         }

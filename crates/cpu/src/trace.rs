@@ -29,14 +29,25 @@ impl TraceOp {
     }
 }
 
-/// A per-core instruction stream.
+/// A per-core op stream: a live generator or a cursor over a recording.
 ///
-/// Workloads are *infinite*: the simulator imposes the instruction
-/// budget, so `next_op` must always produce an op. Implementations must
-/// be deterministic for a given construction seed (the whole simulator is
-/// bit-reproducible).
+/// The core model fetches under the **budget-cursor contract**: it calls
+/// `next_op` only while its dispatched-instruction count is below its
+/// budget, and a refused op is re-presented from the core's own retry
+/// slot, never re-fetched. So the ops one run consumes are exactly the
+/// stream prefix whose instruction count first reaches the budget —
+/// independent of technique, cache size or timing — and a finite stream
+/// covering that prefix stands in for its generator bit-identically.
+/// A stream is consumed once, in order; implementations must be
+/// deterministic for a given construction seed.
 pub trait Workload {
     /// Produce the next op of the stream.
+    ///
+    /// # Panics
+    /// Generators are infinite and never panic. Finite recordings panic
+    /// with a diagnostic when driven past the budget they cover —
+    /// looping or fabricating ops would diverge from the stream they
+    /// stand in for.
     fn next_op(&mut self) -> TraceOp;
 
     /// A short name for reports.

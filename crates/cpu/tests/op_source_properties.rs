@@ -1,18 +1,17 @@
-//! Property-based differentials for the [`OpSource`] boundary.
+//! Property-based differentials for the op-stream boundary.
 //!
 //! The sweep planner's shared-stream optimization rests on one claim:
 //! an op prefix recorded into a `MemTrace` and served back through
-//! per-core cursors is **op-for-op identical** to the [`LiveGen`]
+//! per-core cursors is **op-for-op identical** to the live generator
 //! stream it was recorded from, for any workload spec, seed, core
 //! count and instruction budget. These properties pin that claim at the
-//! source boundary itself (the end-to-end `SimStats` differential lives
-//! in `tests/stream_sharing.rs` at the workspace root), plus the
+//! [`Workload`] boundary itself (the end-to-end `SimStats` differential
+//! lives in `tests/stream_sharing.rs` at the workspace root), plus the
 //! encode/decode round-trip of the in-memory CMPT streams against both
-//! the cursor path and the file tooling.
+//! the cursor path and the file image.
 
-use cmpleak_cpu::{LiveGen, OpSource, ReplayWorkload, TraceOp, Workload};
-use cmpleak_mem::BankArena;
-use cmpleak_trace::{MemTrace, TraceFile};
+use cmpleak_cpu::{ReplayWorkload, TraceOp, Workload};
+use cmpleak_trace::MemTrace;
 use cmpleak_workloads::{GenerationalWorkload, WorkloadSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -32,9 +31,24 @@ fn arb_ops() -> impl Strategy<Value = Vec<TraceOp>> {
     )
 }
 
+/// Record one stream per workload (core order), each covering
+/// `min_instructions`.
+fn record(
+    label: &str,
+    seed: u64,
+    workloads: Vec<Box<dyn Workload>>,
+    min_instructions: u64,
+) -> Arc<MemTrace> {
+    let mut trace = MemTrace::new(label, seed);
+    for mut wl in workloads {
+        trace.record_core_in(wl.as_mut(), min_instructions, Vec::new());
+    }
+    Arc::new(trace)
+}
+
 proptest! {
-    /// Any op prefix served via `MemTrace` cursors equals the `LiveGen`
-    /// stream op-for-op — over every workload spec, random seeds, core
+    /// Any op prefix served via `MemTrace` cursors equals the live
+    /// generator stream op-for-op — over every workload spec, random seeds, core
     /// counts and budgets — and the recording covers at least the
     /// budget on every core.
     #[test]
@@ -52,34 +66,35 @@ proptest! {
                 })
                 .collect()
         };
-        let mut to_record = gens();
-        let mut arena = BankArena::default();
-        let trace = Arc::new(MemTrace::record(
-            spec.name, seed, &mut to_record, budget, &mut arena,
-        ));
+        let trace = record(spec.name, seed, gens(), budget);
         prop_assert!(trace.min_core_instructions() >= budget, "recording must cover the budget");
 
-        let live: Vec<LiveGen> = gens().into_iter().map(LiveGen::new).collect();
-        for (core, mut live) in live.into_iter().enumerate() {
+        for (core, mut live) in gens().into_iter().enumerate() {
             let mut cursor = trace.cursor(core);
-            prop_assert_eq!(OpSource::name(&live), Workload::name(&cursor), "core {}", core);
+            prop_assert_eq!(live.name(), cursor.name(), "core {}", core);
+            // The bare generator is the reference; count what it serves.
+            let (mut ops_served, mut instructions_served, mut before_last) = (0u64, 0u64, 0u64);
             for i in 0..cursor.total_ops() {
-                let recorded = Workload::next_op(&mut cursor);
+                let recorded = cursor.next_op();
                 let generated = live.next_op();
                 prop_assert_eq!(recorded, generated, "core {} op {}", core, i);
+                ops_served += 1;
+                before_last = instructions_served;
+                instructions_served += generated.instructions();
             }
             // The budget cursors agree: the recorded prefix is exactly
             // the live prefix whose instruction count first covers the
             // budget.
-            prop_assert_eq!(live.instructions_served(), cursor.total_instructions());
-            prop_assert_eq!(live.ops_served(), cursor.total_ops());
-            prop_assert!(live.instructions_served() >= budget);
+            prop_assert_eq!(instructions_served, cursor.total_instructions());
+            prop_assert_eq!(ops_served, cursor.total_ops());
+            prop_assert!(instructions_served >= budget);
+            prop_assert!(before_last < budget, "the prefix ends at the first covering op");
         }
     }
 
     /// `MemTrace` encode/decode round-trip: arbitrary op sequences come
     /// back bit-identically through a cursor, through rewind, and
-    /// through the CMPT file image read back by the file tooling.
+    /// through the CMPT file image loaded back by `from_file_bytes`.
     #[test]
     fn mem_trace_roundtrips_arbitrary_ops(
         ops in arb_ops(),
@@ -89,10 +104,7 @@ proptest! {
         // full cycles so wrap-around delta state is exercised too.
         let cycle_instr: u64 = ops.iter().map(|o| o.instructions()).sum::<u64>().max(1);
         let budget = cycle_instr * 3;
-        let mut wl: Vec<Box<dyn Workload>> =
-            vec![Box::new(ReplayWorkload::named("rt", ops.clone()))];
-        let mut arena = BankArena::default();
-        let trace = Arc::new(MemTrace::record("rt", seed, &mut wl, budget, &mut arena));
+        let trace = record("rt", seed, vec![Box::new(ReplayWorkload::named("rt", ops.clone()))], budget);
 
         let mut cursor = trace.cursor(0);
         let mut reference = ReplayWorkload::named("rt", ops);
@@ -109,12 +121,13 @@ proptest! {
         let again: Vec<TraceOp> = (0..total).map(|_| Workload::next_op(&mut cursor)).collect();
         prop_assert_eq!(&again, &decoded);
 
-        // The in-memory streams are CMPT v1: the file image replays the
-        // same ops through the file reader.
-        let tf = TraceFile::from_bytes(trace.to_file_bytes()).expect("valid CMPT image");
-        let mut file_replay = tf.core_workload(0).expect("core 0 readable");
+        // The in-memory streams are CMPT v1: the file image loads back
+        // and replays the same ops.
+        let loaded = MemTrace::from_file_bytes(&trace.to_file_bytes()).expect("valid CMPT image");
+        let mut file_replay = Arc::new(loaded).cursor(0);
         let from_file: Vec<TraceOp> =
             (0..total).map(|_| Workload::next_op(&mut file_replay)).collect();
         prop_assert_eq!(&from_file, &decoded, "file image diverged from the in-memory streams");
+        prop_assert!(file_replay.try_next_op().is_none());
     }
 }

@@ -37,8 +37,8 @@ pub use l1::{L1Cache, L1LoadOutcome};
 pub use l2::{L2Cache, L2ReadOutcome, L2Target, L2WriteOutcome};
 pub use stats::{IntervalActivity, L1Stats, L2Stats, SimStats};
 pub use system::{
-    run_feeds_with_scratch, run_simulation, run_simulation_with_scratch, run_sources_with_scratch,
-    CmpSystem, CoreSource, CycleProfile, EventQueueStats, SimScratch,
+    run_feeds_with_scratch, run_simulation, CmpSystem, CoreSource, CycleProfile, EventQueueStats,
+    SimScratch,
 };
 
 // Re-exported so scratch-pool consumers can read arena counters without

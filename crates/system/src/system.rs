@@ -102,9 +102,7 @@ use crate::l1::{L1Cache, L1LoadOutcome, PendingLoad};
 use crate::l2::{L2Cache, L2ReadOutcome, L2WriteOutcome, SideEffects, UpgradeResult};
 use crate::stats::{IntervalActivity, SimStats};
 use cmpleak_coherence::bus::SnoopKind;
-use cmpleak_cpu::{
-    CoreModel, CorePort, LiveGen, OpSource, ProgressState, StallKind, TraceOp, Workload,
-};
+use cmpleak_cpu::{CoreModel, CorePort, ProgressState, StallKind, TraceOp, Workload};
 use cmpleak_mem::{ArenaStats, BankArena, Geometry, LineAddr, WriteBuffer};
 use cmpleak_trace::MemTraceCursor;
 use std::collections::{BTreeMap, VecDeque};
@@ -136,12 +134,10 @@ impl EvKind {
     }
 }
 
-/// A per-core op-delivery backend with enum dispatch: the hot
-/// [`CoreModel::tick`] fetch monomorphizes over this type instead of
-/// going through a `&mut dyn OpSource` vtable, so the two dominant
-/// backends (live generation and shared in-memory trace replay) inline
-/// their `next_op`. Anything else rides in the boxed fallback with the
-/// old virtual-call cost.
+/// One core's op stream, enum-dispatched: the hot [`CoreModel::tick`]
+/// fetch monomorphizes over this type, so trace replay — the path every
+/// sweep cell and every replayed trace file takes — inlines its
+/// `next_op`, and a live generator pays one virtual call.
 //
 // The size skew is deliberate: `MemTraceCursor` carries its decode
 // batch inline, and there is exactly one `CoreSource` per core, so
@@ -149,40 +145,34 @@ impl EvKind {
 // chase per fetched op at the cost of a few KiB per core.
 #[allow(clippy::large_enum_variant)]
 pub enum CoreSource {
-    /// A live workload generator (wrapped in [`LiveGen`]).
-    Live(LiveGen),
-    /// A shared in-memory trace cursor (the sweep planner's replay
-    /// path).
+    /// A live workload generator.
+    Live(Box<dyn Workload>),
+    /// A replay cursor over a recorded trace.
     Trace(MemTraceCursor),
-    /// Any other [`OpSource`] backend, boxed.
-    Dyn(Box<dyn OpSource>),
 }
 
 impl std::fmt::Debug for CoreSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CoreSource::Live(s) => f.debug_tuple("Live").field(s).finish(),
+            CoreSource::Live(s) => f.debug_tuple("Live").field(&s.name()).finish(),
             CoreSource::Trace(s) => f.debug_tuple("Trace").field(s).finish(),
-            CoreSource::Dyn(s) => f.debug_tuple("Dyn").field(&s.name()).finish(),
         }
     }
 }
 
-impl OpSource for CoreSource {
+impl Workload for CoreSource {
     #[inline]
     fn next_op(&mut self) -> TraceOp {
         match self {
             CoreSource::Live(s) => s.next_op(),
-            CoreSource::Trace(s) => cmpleak_cpu::Workload::next_op(s),
-            CoreSource::Dyn(s) => s.next_op(),
+            CoreSource::Trace(s) => s.next_op(),
         }
     }
 
     fn name(&self) -> &str {
         match self {
             CoreSource::Live(s) => s.name(),
-            CoreSource::Trace(s) => cmpleak_cpu::Workload::name(s),
-            CoreSource::Dyn(s) => s.name(),
+            CoreSource::Trace(s) => s.name(),
         }
     }
 }
@@ -515,7 +505,7 @@ struct Snapshot {
 /// per-core queues *and* the multi-MB per-line columns (tag arrays,
 /// line-state banks, shadow directories — via the [`BankArena`])
 /// survive across runs instead of being reallocated for every grid
-/// cell. Pass to [`run_simulation_with_scratch`]; a
+/// cell. Pass to [`run_feeds_with_scratch`]; a
 /// default-constructed scratch is simply empty pools.
 #[derive(Debug, Default)]
 pub struct SimScratch {
@@ -553,10 +543,8 @@ pub struct CmpSystem {
     cfg: CmpConfig,
     now: u64,
     cores: Vec<CoreModel>,
-    /// Per-core op delivery channels: live generators (wrapped in
-    /// [`LiveGen`]), shared in-memory trace cursors, or any other
-    /// [`OpSource`] backend boxed — enum-dispatched ([`CoreSource`]) so
-    /// the hot fetch inlines.
+    /// Per-core op streams, enum-dispatched ([`CoreSource`]) so the hot
+    /// fetch inlines.
     sources: Vec<CoreSource>,
     l1s: Vec<L1Cache>,
     wbs: Vec<WriteBuffer>,
@@ -644,50 +632,20 @@ impl std::fmt::Debug for CmpSystem {
 }
 
 impl CmpSystem {
-    /// Build a system running one live workload generator per core
-    /// (each wrapped in a [`LiveGen`] op source).
+    /// Build a system running one live workload generator per core.
     ///
     /// # Panics
     /// Panics unless exactly `cfg.n_cores` workloads are supplied, or if
     /// the configuration is invalid.
     pub fn new(cfg: CmpConfig, workloads: Vec<Box<dyn Workload>>) -> Self {
-        Self::new_with_scratch(cfg, workloads, &mut SimScratch::default())
+        let feeds = workloads.into_iter().map(CoreSource::Live).collect();
+        Self::with_feeds(cfg, feeds, &mut SimScratch::default())
     }
 
-    /// Like [`CmpSystem::new`], but adopts the reusable pools of
-    /// `scratch` (emptied, allocations kept). Pair with
-    /// [`run_simulation_with_scratch`], which returns them when the run
+    /// Build a system over per-core [`CoreSource`] feeds, adopting the
+    /// reusable pools of `scratch` (emptied, allocations kept). Pair
+    /// with [`run_feeds_with_scratch`], which returns them when the run
     /// finishes.
-    ///
-    /// # Panics
-    /// As [`CmpSystem::new`].
-    pub fn new_with_scratch(
-        cfg: CmpConfig,
-        workloads: Vec<Box<dyn Workload>>,
-        scratch: &mut SimScratch,
-    ) -> Self {
-        Self::with_sources(cfg, workloads.into_iter().map(LiveGen::boxed).collect(), scratch)
-    }
-
-    /// Build a system over arbitrary per-core [`OpSource`] backends —
-    /// the general constructor behind [`CmpSystem::new_with_scratch`],
-    /// used directly when cores replay shared in-memory trace cursors.
-    ///
-    /// # Panics
-    /// Panics unless exactly `cfg.n_cores` sources are supplied, or if
-    /// the configuration is invalid.
-    pub fn with_sources(
-        cfg: CmpConfig,
-        sources: Vec<Box<dyn OpSource>>,
-        scratch: &mut SimScratch,
-    ) -> Self {
-        Self::with_feeds(cfg, sources.into_iter().map(CoreSource::Dyn).collect(), scratch)
-    }
-
-    /// Like [`CmpSystem::with_sources`], but over enum-dispatched
-    /// [`CoreSource`] backends, so live-generation and shared-trace
-    /// fetches inline into the core tick instead of paying a virtual
-    /// call per op.
     ///
     /// # Panics
     /// Panics unless exactly `cfg.n_cores` feeds are supplied, or if
@@ -1590,36 +1548,16 @@ impl CmpSystem {
     }
 }
 
-/// Convenience: build and run a system in one call.
+/// Convenience: build and run a system of live generators in one call.
 pub fn run_simulation(cfg: CmpConfig, workloads: Vec<Box<dyn Workload>>) -> SimStats {
     CmpSystem::new(cfg, workloads).run()
 }
 
-/// Like [`run_simulation`], but borrowing the reusable allocation pools
-/// of `scratch` and returning them when the run finishes — callers that
-/// run many simulations back to back (sweep workers, benchmarks) keep
-/// the event and port queue capacities warm across runs.
-pub fn run_simulation_with_scratch(
-    cfg: CmpConfig,
-    workloads: Vec<Box<dyn Workload>>,
-    scratch: &mut SimScratch,
-) -> SimStats {
-    run_sources_with_scratch(cfg, workloads.into_iter().map(LiveGen::boxed).collect(), scratch)
-}
-
-/// [`run_simulation_with_scratch`] over arbitrary per-core [`OpSource`]
-/// backends (shared trace cursors, file replays, wrapped generators).
-pub fn run_sources_with_scratch(
-    cfg: CmpConfig,
-    sources: Vec<Box<dyn OpSource>>,
-    scratch: &mut SimScratch,
-) -> SimStats {
-    run_feeds_with_scratch(cfg, sources.into_iter().map(CoreSource::Dyn).collect(), scratch)
-}
-
-/// [`run_simulation_with_scratch`] over enum-dispatched [`CoreSource`]
-/// feeds — the devirtualized delivery path: live generators and shared
-/// trace cursors inline their fetch into the core tick.
+/// Build and run a system over per-core [`CoreSource`] feeds, borrowing
+/// the reusable allocation pools of `scratch` and returning them when
+/// the run finishes — callers that run many simulations back to back
+/// (sweep workers, benchmarks) keep the event and port queue capacities
+/// and the per-line columns warm across runs.
 pub fn run_feeds_with_scratch(
     cfg: CmpConfig,
     feeds: Vec<CoreSource>,
@@ -1651,6 +1589,10 @@ mod tests {
         cfg.max_cycles = 10_000_000;
         cfg.sample_interval = 1000;
         cfg
+    }
+
+    fn live(workloads: Vec<Box<dyn Workload>>) -> Vec<CoreSource> {
+        workloads.into_iter().map(CoreSource::Live).collect()
     }
 
     fn private_streams() -> Vec<Box<dyn Workload>> {
@@ -1962,12 +1904,12 @@ mod tests {
 
         let scan = CmpConfig { engine: CycleEngine::FullScan, ..cfg };
         assert_eq!(scan.kernel, SimKernel::QuiescenceSkip);
-        let stats = run_simulation_with_scratch(scan, wl(), &mut scratch);
+        let stats = run_feeds_with_scratch(scan, live(wl()), &mut scratch);
         let p = scratch.cycle_profile();
         assert_eq!(p.cycles_skipped, 0, "the full scan has no active set to empty");
         assert_eq!(p.cycles_stepped, stats.cycles);
 
-        let stats = run_simulation_with_scratch(cfg, wl(), &mut scratch);
+        let stats = run_feeds_with_scratch(cfg, live(wl()), &mut scratch);
         let p = scratch.cycle_profile();
         assert!(p.cycles_skipped > 0, "every core sleeps through the memory stalls");
         assert_eq!(p.cycles_batched, 0);
@@ -1976,17 +1918,19 @@ mod tests {
 
     #[test]
     fn feeds_match_boxed_sources_bit_for_bit() {
-        // The enum-dispatched feed path must be invisible: CoreSource
-        // wrapping (Live and Dyn) changes delivery mechanics only.
+        // The enum-dispatched feed path must be invisible: a recording
+        // replayed through `CoreSource::Trace` runs exactly like the
+        // boxed generators it was recorded from.
         let cfg = tiny_cfg(Technique::Decay { decay_cycles: 2048 });
-        let boxed = run_sources_with_scratch(
-            cfg,
-            sharing_streams().into_iter().map(LiveGen::boxed).collect(),
-            &mut SimScratch::default(),
-        );
+        let boxed = run_simulation(cfg, sharing_streams());
+        let mut trace = cmpleak_trace::MemTrace::new("sharing", 0);
+        for mut wl in sharing_streams() {
+            trace.record_core_in(wl.as_mut(), cfg.instructions_per_core, Vec::new());
+        }
+        let trace = std::sync::Arc::new(trace);
         let feeds = run_feeds_with_scratch(
             cfg,
-            sharing_streams().into_iter().map(|w| CoreSource::Live(LiveGen::new(w))).collect(),
+            (0..cfg.n_cores).map(|c| CoreSource::Trace(trace.cursor(c))).collect(),
             &mut SimScratch::default(),
         );
         assert_eq!(boxed, feeds);
@@ -2058,13 +2002,13 @@ mod tests {
         let mut cfg = tiny_cfg(Technique::Baseline);
         // Fills 32 K cycles out are ordinary pushes too.
         cfg.mem.latency = 2 * 16 * 1024;
-        let stats = run_simulation_with_scratch(cfg, private_streams(), &mut scratch);
+        let stats = run_feeds_with_scratch(cfg, live(private_streams()), &mut scratch);
         let s = scratch.event_queue_stats();
         assert!(s.ring_pushes > stats.mem_fills, "every fill and every L1 hit is a push");
         assert_eq!(s.overflow_pushes, 0, "the queue has one tier");
         // The counters restart with each run: an identical second run
         // reports the same counts, not twice them.
-        run_simulation_with_scratch(cfg, private_streams(), &mut scratch);
+        run_feeds_with_scratch(cfg, live(private_streams()), &mut scratch);
         assert_eq!(scratch.event_queue_stats(), s);
     }
 
@@ -2251,15 +2195,15 @@ mod tests {
     #[test]
     fn scratch_reuse_is_invisible() {
         let mut scratch = SimScratch::default();
-        let a = run_simulation_with_scratch(
+        let a = run_feeds_with_scratch(
             tiny_cfg(Technique::Protocol),
-            sharing_streams(),
+            live(sharing_streams()),
             &mut scratch,
         );
         // Second run adopts the warmed pools; results must not change.
-        let b = run_simulation_with_scratch(
+        let b = run_feeds_with_scratch(
             tiny_cfg(Technique::Protocol),
-            sharing_streams(),
+            live(sharing_streams()),
             &mut scratch,
         );
         let fresh = run_simulation(tiny_cfg(Technique::Protocol), sharing_streams());

@@ -1,125 +1,54 @@
-//! In-memory traces: record a workload set once, replay it through
-//! cheap per-core cursors — no file round-trip.
+//! The one trace type: a recording held in memory, replayed through
+//! cheap per-core cursors.
 //!
 //! A [`MemTrace`] holds exactly what a `.cmpt` file holds — the CMPT v1
 //! op encoding (one LEB128 varint per op, zigzag delta-encoded
 //! addresses, ≈2 bytes/op) plus the per-core [`CoreStreamInfo`]
-//! metadata — but keeps the encoded streams as pooled `u8` columns
-//! checked out of a [`BankArena`], so a sweep that records one trace per
-//! (scenario, seed, budget) group reuses the stream buffers the same way
-//! the caches reuse their per-line columns. [`MemTrace::to_file_bytes`]
-//! emits a byte-identical CMPT file image, so an in-memory trace can be
-//! persisted or inspected with the existing file tooling at any time.
+//! metadata. It is recorded from live workloads
+//! ([`MemTrace::record_core_in`]), saved as a CMPT file
+//! ([`MemTrace::save`]) and loaded back ([`MemTrace::open`]), so the
+//! sweep's shared streams and the file tooling share one type and one
+//! replay path.
 //!
 //! Replay is a [`MemTraceCursor`] per core: an `Arc` handle on the
 //! shared trace plus a decode position and a [`BATCH`]-sized local op
 //! buffer (~16 KB), so any number of simulations — across worker
 //! threads — replay the same recording concurrently, each paying only
-//! a cursor instead of a stream copy.
-//! The cursor implements [`Workload`] (finite, panicking past the
-//! recorded budget with a diagnostic, exactly like
-//! [`TraceWorkload`](crate::TraceWorkload)) and therefore the
-//! `cmpleak_cpu::OpSource` delivery contract: the core model fetches
-//! ops only while its instruction budget is uncovered, so a recording
-//! that covers the budget covers every fetch of every cell that replays
-//! it — the bit-identity property pinned by `tests/stream_sharing.rs`
-//! and the cursor-vs-live proptests in `crates/cpu/tests/`.
+//! a cursor instead of a stream copy. The cursor is a finite
+//! [`Workload`] that panics with a diagnostic past the recorded budget:
+//! under the budget-cursor contract documented on `Workload`, a
+//! recording that covers the budget covers every fetch of every cell
+//! that replays it — the bit-identity property pinned by
+//! `tests/stream_sharing.rs` and the cursor-vs-live proptests in
+//! `crates/cpu/tests/`.
 
-use crate::format::{CoreStreamInfo, OpDecoder, OpEncoder, TraceHeader, VERSION};
+use crate::format::{CoreStreamInfo, OpDecoder, TraceHeader, VERSION};
 use cmpleak_cpu::{TraceOp, Workload};
 use cmpleak_mem::BankArena;
 use std::sync::Arc;
 
 /// A recorded trace held in memory: CMPT v1 encoded per-core streams
-/// over arena-pooled byte columns.
-#[derive(Debug, Clone, Default)]
+/// plus their metadata.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemTrace {
-    label: String,
-    seed: u64,
-    cores: Vec<CoreStreamInfo>,
-    streams: Vec<Vec<u8>>,
+    pub(crate) label: String,
+    pub(crate) seed: u64,
+    pub(crate) cores: Vec<CoreStreamInfo>,
+    pub(crate) streams: Vec<Vec<u8>>,
 }
 
 impl MemTrace {
     /// An empty recording labelled `label` for streams generated under
     /// `seed`. Record cores in core order with
-    /// [`record_core`](Self::record_core).
+    /// [`record_core_in`](Self::record_core_in).
     pub fn new(label: impl Into<String>, seed: u64) -> Self {
         Self { label: label.into(), seed, cores: Vec::new(), streams: Vec::new() }
     }
 
-    /// Record one stream per workload (core order), each covering
-    /// `min_instructions` instructions, with stream buffers checked out
-    /// of `arena`.
-    pub fn record(
-        label: impl Into<String>,
-        seed: u64,
-        workloads: &mut [Box<dyn Workload>],
-        min_instructions: u64,
-        arena: &mut BankArena,
-    ) -> Self {
-        let mut t = Self::new(label, seed);
-        for wl in workloads.iter_mut() {
-            t.record_core(wl.as_mut(), min_instructions, arena);
-        }
-        t
-    }
-
-    /// Pull ops from `wl` until their cumulative instruction count
-    /// reaches `min_instructions`, encoding them as the next core's
-    /// stream into a buffer checked out of `arena`. Returns the recorded
-    /// stream's metadata.
-    ///
-    /// This captures the exact op prefix any simulation with a budget
-    /// `≤ min_instructions` will fetch: the core model stops pulling ops
-    /// once its budget is dispatched (see `cmpleak_cpu::OpSource`).
-    pub fn record_core(
-        &mut self,
-        wl: &mut dyn Workload,
-        min_instructions: u64,
-        arena: &mut BankArena,
-    ) -> &CoreStreamInfo {
-        let bytes = arena.take_u8_empty(Self::stream_capacity_hint(min_instructions));
-        self.record_core_in(wl, min_instructions, bytes)
-    }
-
-    /// Capacity hint for one core's encoded stream, from the generators'
-    /// observed density (≈2 B/op at ≈3.5 instructions/op) — so best-fit
-    /// matching finds a buffer of the right magnitude and a reused
-    /// buffer rarely regrows.
-    pub fn stream_capacity_hint(min_instructions: u64) -> usize {
-        (min_instructions as usize / 2).max(64)
-    }
-
-    /// [`record_core`](Self::record_core) into a caller-provided buffer
-    /// (cleared first) instead of an arena checkout. This is the
-    /// lock-free recording path: a sweep worker checks its buffers out
-    /// of the shared pool under one brief lock, then records here
-    /// without touching the pool again.
-    pub fn record_core_in(
-        &mut self,
-        wl: &mut dyn Workload,
-        min_instructions: u64,
-        mut bytes: Vec<u8>,
-    ) -> &CoreStreamInfo {
-        let mut enc = OpEncoder::new();
-        bytes.clear();
-        let (mut ops, mut instructions) = (0u64, 0u64);
-        while instructions < min_instructions {
-            let op = wl.next_op();
-            enc.encode(op, &mut bytes);
-            ops += 1;
-            instructions += op.instructions();
-        }
-        self.cores.push(CoreStreamInfo {
-            name: wl.name().to_string(),
-            ops,
-            instructions,
-            len: bytes.len() as u64,
-        });
-        self.streams.push(bytes);
-        // audit:allow(unwrap-in-lib, a CoreStreamInfo was pushed two statements above)
-        self.cores.last().expect("just pushed")
+    /// The same recording under another label.
+    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+        self.label = label.into();
+        self
     }
 
     /// Hand the stream buffers back to `arena`. The trace becomes empty.
@@ -178,17 +107,6 @@ impl MemTrace {
         }
     }
 
-    /// Serialize as a complete CMPT v1 file image, byte-identical to
-    /// recording the same streams through `TraceRecorder` — the
-    /// interchange path between in-memory sharing and the file tooling.
-    pub fn to_file_bytes(&self) -> Vec<u8> {
-        let mut out = self.header().encode();
-        for s in &self.streams {
-            out.extend_from_slice(s);
-        }
-        out
-    }
-
     /// A replay cursor over `core`'s stream of the shared trace.
     ///
     /// # Panics
@@ -225,8 +143,8 @@ const BATCH: usize = 1024;
 /// a time into a local buffer; cloning the `Arc`'d trace handle plus
 /// the buffer is the only per-cursor cost. The stream is finite — it
 /// covers at least the instruction budget it was recorded for; driving
-/// it further panics with a diagnostic, like file replay, because
-/// silently looping would break the bit-identity contract.
+/// it further panics with a diagnostic, because silently looping would
+/// break the bit-identity contract.
 #[derive(Debug, Clone)]
 pub struct MemTraceCursor {
     trace: Arc<MemTrace>,
@@ -307,7 +225,7 @@ impl Workload for MemTraceCursor {
             let info = &self.trace.cores[self.core];
             // audit:allow(unwrap-in-lib, contract violation: the recording covered the requested budget by construction, so exhaustion is a caller bug worth aborting on)
             panic!(
-                "shared stream '{}' (core {}) exhausted after {} ops / {} instructions — it was \
+                "trace stream '{}' (core {}) exhausted after {} ops / {} instructions — it was \
                  recorded for a smaller instruction budget than this simulation requests",
                 info.name, self.core, info.ops, info.instructions
             )
@@ -320,37 +238,35 @@ impl Workload for MemTraceCursor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::reader::TraceFile;
-    use crate::writer::TraceRecorder;
     use cmpleak_cpu::ReplayWorkload;
 
-    type Workloads = Vec<Box<dyn Workload>>;
+    fn alpha() -> ReplayWorkload {
+        ReplayWorkload::named(
+            "alpha",
+            vec![TraceOp::Exec(2), TraceOp::Load(0x40), TraceOp::Store(0x80)],
+        )
+    }
 
-    fn pair() -> (Workloads, Workloads) {
-        let mk = || -> Workloads {
-            vec![
-                Box::new(ReplayWorkload::named(
-                    "alpha",
-                    vec![TraceOp::Exec(2), TraceOp::Load(0x40), TraceOp::Store(0x80)],
-                )),
-                Box::new(ReplayWorkload::named(
-                    "beta",
-                    vec![TraceOp::Load(0x1000), TraceOp::Exec(5)],
-                )),
-            ]
-        };
-        (mk(), mk())
+    fn beta() -> ReplayWorkload {
+        ReplayWorkload::named("beta", vec![TraceOp::Load(0x1000), TraceOp::Exec(5)])
+    }
+
+    /// Record `alpha` and `beta` as cores 0 and 1, each covering
+    /// `min_instructions`.
+    pub(crate) fn pair(label: &str, seed: u64, min_instructions: u64) -> MemTrace {
+        let mut t = MemTrace::new(label, seed);
+        t.record_core_in(&mut alpha(), min_instructions, Vec::new());
+        t.record_core_in(&mut beta(), min_instructions, Vec::new());
+        t
     }
 
     #[test]
     fn cursors_replay_the_recorded_prefix() {
-        let (mut rec_wls, mut live_wls) = pair();
-        let mut arena = BankArena::default();
-        let trace = Arc::new(MemTrace::record("pair", 3, &mut rec_wls, 16, &mut arena));
+        let trace = Arc::new(pair("pair", 3, 16));
         assert_eq!(trace.n_cores(), 2);
-        for (core, live) in live_wls.iter_mut().enumerate() {
+        for (core, mut live) in [alpha(), beta()].into_iter().enumerate() {
             let mut cur = trace.cursor(core);
             assert_eq!(Workload::name(&cur), live.name());
             assert!(cur.total_instructions() >= 16);
@@ -363,9 +279,7 @@ mod tests {
 
     #[test]
     fn cursor_rewind_restarts_the_stream() {
-        let (mut wls, _) = pair();
-        let mut arena = BankArena::default();
-        let trace = Arc::new(MemTrace::record("pair", 3, &mut wls, 12, &mut arena));
+        let trace = Arc::new(pair("pair", 3, 12));
         let mut cur = trace.cursor(0);
         let first: Vec<TraceOp> = (0..cur.total_ops()).map(|_| cur.next_op()).collect();
         cur.rewind();
@@ -374,34 +288,23 @@ mod tests {
     }
 
     #[test]
-    fn file_image_matches_trace_recorder_byte_for_byte() {
-        let (mut a, mut b) = pair();
-        let mut arena = BankArena::default();
-        let mem = MemTrace::record("pair", 7, &mut a, 20, &mut arena);
-        let mut rec = TraceRecorder::new("pair", 7);
-        for wl in b.iter_mut() {
-            rec.record_core(wl.as_mut(), 20);
-        }
-        assert_eq!(mem.to_file_bytes(), rec.to_bytes());
-        // And the image opens as a regular trace file.
-        let tf = TraceFile::from_bytes(mem.to_file_bytes()).unwrap();
-        assert_eq!(tf.label(), "pair");
-        assert_eq!(tf.min_core_instructions(), mem.min_core_instructions());
-    }
-
-    #[test]
     fn release_returns_stream_buffers_to_the_arena() {
-        let (mut wls, _) = pair();
         let mut arena = BankArena::default();
-        let mut trace = MemTrace::record("pair", 3, &mut wls, 1000, &mut arena);
+        let hint = MemTrace::stream_capacity_hint(1000);
+        let record = |arena: &mut BankArena| {
+            let mut t = MemTrace::new("pair", 3);
+            t.record_core_in(&mut alpha(), 1000, arena.take_u8_empty(hint));
+            t.record_core_in(&mut beta(), 1000, arena.take_u8_empty(hint));
+            t
+        };
+        let mut trace = record(&mut arena);
         let returns_before = arena.stats().returns;
         trace.release_into(&mut arena);
         assert_eq!(arena.stats().returns, returns_before + 2, "both stream buffers pooled");
         assert_eq!(trace.n_cores(), 0);
         // A second recording of the same shape reuses the pooled buffers.
-        let (mut wls2, _) = pair();
         let fresh_before = arena.stats().fresh_allocations;
-        let _again = MemTrace::record("pair", 3, &mut wls2, 1000, &mut arena);
+        let _again = record(&mut arena);
         assert_eq!(arena.stats().fresh_allocations, fresh_before, "streams served from the pool");
     }
 
@@ -410,14 +313,11 @@ mod tests {
         // A cursor fills its local op batch through the batch decoder.
         // Two cursors over one shared stream, stepped in interleaved
         // odd-sized runs so their refills land at different points, must
-        // each hand out exactly what op-at-a-time decode yields.
-        let (mut wls, _) = pair();
-        let mut arena = BankArena::default();
-        let trace = Arc::new(MemTrace::record("pair", 3, &mut wls, 4000, &mut arena));
-        let tf = TraceFile::from_bytes(trace.to_file_bytes()).unwrap();
-        let mut one_by_one = tf.core_workload(0).unwrap();
-        let want: Vec<TraceOp> =
-            (0..one_by_one.total_ops()).map(|_| one_by_one.next_op()).collect();
+        // each hand out exactly what sequential decode yields.
+        let trace = Arc::new(pair("pair", 3, 4000));
+        let (mut dec, mut pos, stream) = (OpDecoder::new(), 0, trace.stream(0));
+        let want: Vec<TraceOp> = std::iter::from_fn(|| dec.decode(stream, &mut pos)).collect();
+        assert_eq!(want.len() as u64, trace.core_info(0).ops);
         assert!(want.len() > 2 * BATCH, "the stream must span several refills");
         let (mut a, mut b) = (trace.cursor(0), trace.cursor(0));
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
@@ -434,9 +334,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exhausted")]
     fn exhaustion_panics_with_diagnostic() {
-        let (mut wls, _) = pair();
-        let mut arena = BankArena::default();
-        let trace = Arc::new(MemTrace::record("pair", 3, &mut wls, 8, &mut arena));
+        let trace = Arc::new(pair("pair", 3, 8));
         let mut cur = trace.cursor(1);
         for _ in 0..=cur.total_ops() {
             cur.next_op();

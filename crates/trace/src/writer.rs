@@ -1,94 +1,76 @@
-//! Recording live workloads into trace files.
-//!
-//! The recorder is a file-writing veneer over the in-memory
-//! [`MemTrace`]: one recording engine serves both the shared-stream
-//! path (sweep cells replaying cursors) and the `.cmpt` file tooling,
-//! so their byte streams cannot drift apart.
+//! Recording workloads into a [`MemTrace`] and writing it out as a CMPT
+//! file.
 
-use crate::format::{CoreStreamInfo, TraceHeader};
+use crate::format::{CoreStreamInfo, OpEncoder};
 use crate::mem::MemTrace;
 use cmpleak_cpu::Workload;
-use cmpleak_mem::BankArena;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
-/// Accumulates per-core encoded streams and writes the final file.
-///
-/// Record cores in core order; each stream captures the exact op prefix
-/// a simulation with `instructions ≤ min_instructions` will fetch (the
-/// core model stops pulling ops once its budget is dispatched, so a
-/// stream whose cumulative instruction count reaches the budget covers
-/// every fetch).
-#[derive(Debug)]
-pub struct TraceRecorder {
-    trace: MemTrace,
-    arena: BankArena,
-}
-
-impl TraceRecorder {
-    /// Start a recording labelled `label` (scenario/benchmark name) for
-    /// streams generated under `seed`.
-    pub fn new(label: impl Into<String>, seed: u64) -> Self {
-        Self { trace: MemTrace::new(label, seed), arena: BankArena::default() }
+impl MemTrace {
+    /// Capacity hint for one core's encoded stream, from the generators'
+    /// observed density (≈2 B/op at ≈3.5 instructions/op) — so best-fit
+    /// matching finds a buffer of the right magnitude and a reused
+    /// buffer rarely regrows.
+    pub fn stream_capacity_hint(min_instructions: u64) -> usize {
+        (min_instructions as usize / 2).max(64)
     }
 
     /// Pull ops from `wl` until their cumulative instruction count
-    /// reaches `min_instructions`, encoding them as the next core's
-    /// stream. Returns the recorded stream's metadata.
-    pub fn record_core(&mut self, wl: &mut dyn Workload, min_instructions: u64) -> &CoreStreamInfo {
-        self.trace.record_core(wl, min_instructions, &mut self.arena)
-    }
-
-    /// The header describing what has been recorded so far.
-    pub fn header(&self) -> TraceHeader {
-        self.trace.header()
-    }
-
-    /// The recording itself, for in-memory replay without a file.
-    pub fn into_mem_trace(self) -> MemTrace {
-        self.trace
-    }
-
-    /// Serialize the whole trace file (header + streams).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.trace.to_file_bytes()
-    }
-
-    /// Write the trace file through `w`.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&self.header().encode())?;
-        for core in 0..self.trace.n_cores() {
-            w.write_all(self.trace.stream(core))?;
+    /// reaches `min_instructions`, encoding them into `bytes` (cleared
+    /// first) as the next core's stream. Returns the recorded stream's
+    /// metadata.
+    ///
+    /// This captures the exact op prefix any simulation with a budget
+    /// `≤ min_instructions` will fetch: the core model stops pulling ops
+    /// once its budget is dispatched (the budget-cursor contract on
+    /// [`Workload`]).
+    pub fn record_core_in(
+        &mut self,
+        wl: &mut dyn Workload,
+        min_instructions: u64,
+        mut bytes: Vec<u8>,
+    ) -> &CoreStreamInfo {
+        let mut enc = OpEncoder::new();
+        bytes.clear();
+        let (mut ops, mut instructions) = (0u64, 0u64);
+        while instructions < min_instructions {
+            let op = wl.next_op();
+            enc.encode(op, &mut bytes);
+            ops += 1;
+            instructions += op.instructions();
         }
-        Ok(())
+        self.cores.push(CoreStreamInfo {
+            name: wl.name().to_string(),
+            ops,
+            instructions,
+            len: bytes.len() as u64,
+        });
+        self.streams.push(bytes);
+        // audit:allow(unwrap-in-lib, a CoreStreamInfo was pushed two statements above)
+        self.cores.last().expect("just pushed")
+    }
+
+    /// Serialize as a complete CMPT v1 file image: the header, then the
+    /// streams in core order.
+    pub fn to_file_bytes(&self) -> Vec<u8> {
+        let mut out = self.header().encode();
+        for s in &self.streams {
+            out.extend_from_slice(s);
+        }
+        out
     }
 
     /// Save the trace file to `path`.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        self.write_to(&mut f)?;
-        f.flush()
+        std::fs::write(path, self.to_file_bytes())
     }
-}
-
-/// Record one stream per workload (core order), each covering
-/// `min_instructions` instructions.
-pub fn record_workloads(
-    label: impl Into<String>,
-    seed: u64,
-    workloads: &mut [Box<dyn Workload>],
-    min_instructions: u64,
-) -> TraceRecorder {
-    let mut rec = TraceRecorder::new(label, seed);
-    for wl in workloads.iter_mut() {
-        rec.record_core(wl.as_mut(), min_instructions);
-    }
-    rec
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::mem::tests::pair;
+    use crate::mem::MemTrace;
     use cmpleak_cpu::{ReplayWorkload, TraceOp};
 
     #[test]
@@ -97,8 +79,8 @@ mod tests {
             "t",
             vec![TraceOp::Exec(3), TraceOp::Load(64), TraceOp::Store(128)],
         );
-        let mut rec = TraceRecorder::new("unit", 1);
-        let info = rec.record_core(&mut wl, 10);
+        let mut trace = MemTrace::new("unit", 1);
+        let info = trace.record_core_in(&mut wl, 10, Vec::new());
         // Cycle of 5 instructions: 10 requires exactly two full cycles.
         assert_eq!(info.instructions, 10);
         assert_eq!(info.ops, 6);
@@ -107,28 +89,13 @@ mod tests {
 
     #[test]
     fn file_layout_matches_header_offsets() {
-        let mut a = ReplayWorkload::named("a", vec![TraceOp::Exec(2), TraceOp::Load(64)]);
-        let mut b = ReplayWorkload::named("b", vec![TraceOp::Store(4096)]);
-        let mut rec = TraceRecorder::new("two", 7);
-        rec.record_core(&mut a, 9);
-        rec.record_core(&mut b, 4);
-        let bytes = rec.to_bytes();
-        let header = rec.header();
+        let trace = pair("two", 7, 9);
+        let bytes = trace.to_file_bytes();
+        let header = trace.header();
         let total: u64 = header.byte_len() + header.cores.iter().map(|c| c.len).sum::<u64>();
         assert_eq!(bytes.len() as u64, total);
         assert_eq!(header.stream_offset(1), header.byte_len() + header.cores[0].len);
-    }
-
-    #[test]
-    fn recorder_converts_into_a_replayable_mem_trace() {
-        let mut wl = ReplayWorkload::named("t", vec![TraceOp::Exec(1), TraceOp::Load(64)]);
-        let mut rec = TraceRecorder::new("unit", 9);
-        rec.record_core(&mut wl, 8);
-        let trace = std::sync::Arc::new(rec.into_mem_trace());
-        let mut cur = trace.cursor(0);
-        let mut live = ReplayWorkload::named("t", vec![TraceOp::Exec(1), TraceOp::Load(64)]);
-        for _ in 0..cur.total_ops() {
-            assert_eq!(cmpleak_cpu::Workload::next_op(&mut cur), live.next_op());
-        }
+        let at = header.stream_offset(1) as usize;
+        assert_eq!(&bytes[at..], trace.stream(1), "core 1's stream sits at its offset");
     }
 }

@@ -4,9 +4,25 @@
 //! on.
 
 use cmpleak_cpu::{TraceOp, Workload};
-use cmpleak_trace::{record_workloads, OpDecoder, OpEncoder, TraceFile, TraceRecorder};
+use cmpleak_trace::{MemTrace, OpDecoder, OpEncoder};
 use cmpleak_workloads::{GenerationalWorkload, WorkloadSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// Record one stream per workload (core order), each covering
+/// `min_instructions`, and load the trace back from its file image.
+fn record_through_a_file(
+    label: &str,
+    seed: u64,
+    workloads: &mut [Box<dyn Workload>],
+    min_instructions: u64,
+) -> Arc<MemTrace> {
+    let mut trace = MemTrace::new(label, seed);
+    for wl in workloads {
+        trace.record_core_in(wl.as_mut(), min_instructions, Vec::new());
+    }
+    Arc::new(MemTrace::from_file_bytes(&trace.to_file_bytes()).unwrap())
+}
 
 proptest! {
     /// Replay equals live generation op-for-op across the whole suite.
@@ -17,15 +33,15 @@ proptest! {
         seed in 0u64..100_000,
     ) {
         let spec = WorkloadSpec::paper_suite()[idx];
-        let mut live = GenerationalWorkload::new(spec, core, 4, seed);
-        let mut rec = TraceRecorder::new(spec.name, seed);
-        let info = rec.record_core(&mut live, 20_000);
+        let mut live: Vec<Box<dyn Workload>> =
+            vec![Box::new(GenerationalWorkload::new(spec, core, 4, seed))];
+        let trace = record_through_a_file(spec.name, seed, &mut live, 20_000);
+        let info = trace.core_info(0);
         let (ops, instructions) = (info.ops, info.instructions);
         prop_assert!(instructions >= 20_000);
         prop_assert!(instructions - 20_000 < 64, "overshoot is at most one op's instructions");
 
-        let tf = TraceFile::from_bytes(rec.to_bytes()).unwrap();
-        let mut replay = tf.core_workload(0).unwrap();
+        let mut replay = trace.cursor(0);
         prop_assert_eq!(replay.name(), spec.name);
         let mut fresh = GenerationalWorkload::new(spec, core, 4, seed);
         for i in 0..ops {
@@ -83,8 +99,8 @@ proptest! {
     fn encoding_is_compact(idx in 0usize..6, seed in 0u64..10_000) {
         let spec = WorkloadSpec::paper_suite()[idx];
         let mut live = GenerationalWorkload::new(spec, 0, 4, seed);
-        let mut rec = TraceRecorder::new(spec.name, seed);
-        let info = rec.record_core(&mut live, 30_000);
+        let mut trace = MemTrace::new(spec.name, seed);
+        let info = trace.record_core_in(&mut live, 30_000, Vec::new());
         let per_op = info.len as f64 / info.ops as f64;
         prop_assert!(per_op < 4.0, "{}: {per_op:.2} bytes/op", spec.name);
     }
@@ -96,13 +112,12 @@ fn multi_core_recording_keeps_streams_independent() {
     let mut wls: Vec<Box<dyn Workload>> = (0..4)
         .map(|c| Box::new(GenerationalWorkload::new(spec, c, 4, 42)) as Box<dyn Workload>)
         .collect();
-    let rec = record_workloads(spec.name, 42, &mut wls, 5_000);
-    let tf = TraceFile::from_bytes(rec.to_bytes()).unwrap();
-    assert_eq!(tf.n_cores(), 4);
-    assert!(tf.min_core_instructions() >= 5_000);
+    let trace = record_through_a_file(spec.name, 42, &mut wls, 5_000);
+    assert_eq!(trace.n_cores(), 4);
+    assert!(trace.min_core_instructions() >= 5_000);
     // Each replayed stream must match a fresh generator for its core.
     for core in 0..4 {
-        let mut replay = tf.core_workload(core).unwrap();
+        let mut replay = trace.cursor(core);
         let mut fresh = GenerationalWorkload::new(spec, core, 4, 42);
         for _ in 0..replay.total_ops() {
             assert_eq!(replay.next_op(), fresh.next_op(), "core {core}");
@@ -113,11 +128,9 @@ fn multi_core_recording_keeps_streams_independent() {
 #[test]
 fn instruction_accounting_matches_op_sum() {
     let spec = WorkloadSpec::fmm();
-    let mut live = GenerationalWorkload::new(spec, 1, 4, 9);
-    let mut rec = TraceRecorder::new(spec.name, 9);
-    rec.record_core(&mut live, 8_000);
-    let tf = TraceFile::from_bytes(rec.to_bytes()).unwrap();
-    let mut replay = tf.core_workload(0).unwrap();
+    let mut live: Vec<Box<dyn Workload>> = vec![Box::new(GenerationalWorkload::new(spec, 1, 4, 9))];
+    let trace = record_through_a_file(spec.name, 9, &mut live, 8_000);
+    let mut replay = trace.cursor(0);
     let mut sum = 0u64;
     let mut ops = 0u64;
     while let Some(op) = replay.try_next_op() {
@@ -128,6 +141,6 @@ fn instruction_accounting_matches_op_sum() {
             assert!(n < 1_000_000, "implausible exec burst {n}");
         }
     }
-    assert_eq!(ops, tf.header().cores[0].ops);
-    assert_eq!(sum, tf.header().cores[0].instructions);
+    assert_eq!(ops, trace.core_info(0).ops);
+    assert_eq!(sum, trace.core_info(0).instructions);
 }

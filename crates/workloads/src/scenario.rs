@@ -22,7 +22,7 @@
 
 use crate::generator::GenerationalWorkload;
 use crate::spec::WorkloadSpec;
-use cmpleak_cpu::{LiveGen, OpSource, Workload};
+use cmpleak_cpu::Workload;
 
 /// A named per-core benchmark assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,14 +58,6 @@ impl ScenarioSpec {
                     as Box<dyn Workload>
             })
             .collect()
-    }
-
-    /// Build one live-generation [`OpSource`] per core: the generators
-    /// of [`ScenarioSpec::build_workloads`], each wrapped in a
-    /// [`LiveGen`] budget-cursor adapter — the stream-delivery shape the
-    /// simulator consumes. Op-for-op identical to the raw generators.
-    pub fn build_sources(&self, n_cores: usize, seed: u64) -> Vec<Box<dyn OpSource>> {
-        self.build_workloads(n_cores, seed).into_iter().map(LiveGen::boxed).collect()
     }
 
     /// Streaming + revisiting mix: mpeg2enc / WATER-NS alternating.

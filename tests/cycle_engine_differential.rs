@@ -98,9 +98,8 @@ fn engines_agree_on_shared_stream_replay() {
     // Shared streams ride the devirtualized `CoreSource::Trace` arm;
     // everything else rides `CoreSource::Live`. Cover the trace arm
     // explicitly under both engines.
-    use cmp_leakage::mem::BankArena;
     let live = Scenario::Mix(ScenarioSpec::producer_sharing());
-    let shared = live.record_shared(4, 42, INSTR, &mut BankArena::default());
+    let shared = live.record_shared_in(4, 42, INSTR, vec![Vec::new(); 4]);
     differential_over_techniques(shared, "shared_stream");
 }
 

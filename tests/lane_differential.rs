@@ -38,7 +38,7 @@ fn all_techniques() -> Vec<Technique> {
 fn differential_over_techniques(scenario: Scenario, tag: &str) {
     let mut scratch = ExperimentScratch::default();
     let stream = if scenario.generates_live() {
-        scenario.record_shared(4, SEED, INSTR, scratch.stream_arena())
+        scenario.record_shared_in(4, SEED, INSTR, vec![Vec::new(); 4])
     } else {
         scenario.clone()
     };

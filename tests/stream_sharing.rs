@@ -15,7 +15,6 @@
 use cmp_leakage::core::experiment::{run_experiment, ExperimentConfig};
 use cmp_leakage::core::sweep::{run_sweep, run_sweep_reference, SweepConfig};
 use cmp_leakage::core::{Scenario, Technique, WorkloadSpec};
-use cmp_leakage::mem::BankArena;
 use cmp_leakage::workloads::ScenarioSpec;
 
 const INSTR: u64 = 25_000;
@@ -29,7 +28,7 @@ fn all_techniques() -> Vec<Technique> {
 /// Every technique run from a shared recording must match its
 /// live-generation twin in whole-struct equality.
 fn differential_over_techniques(live: Scenario, tag: &str) {
-    let shared = live.record_shared(4, 42, INSTR, &mut BankArena::default());
+    let shared = live.record_shared_in(4, 42, INSTR, vec![Vec::new(); 4]);
     for technique in all_techniques() {
         let mut live_cfg = ExperimentConfig::paper_scenario(live.clone(), technique, 1);
         live_cfg.instructions_per_core = INSTR;
