@@ -21,6 +21,7 @@ use cmpleak_core::figures::FigureSet;
 use cmpleak_core::metrics::TechniqueMetrics;
 use cmpleak_core::sweep::{run_sweep, SweepConfig, SweepResults};
 use cmpleak_core::{Technique, WorkloadSpec};
+use std::num::NonZeroU64;
 use std::time::Instant;
 
 struct Opts {
@@ -54,7 +55,9 @@ fn parse_opts() -> Opts {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--instr" => opts.instr = value(&a, &mut it),
+            // A zero budget would simulate empty cells and print
+            // meaningless 100 % figures.
+            "--instr" => opts.instr = value::<NonZeroU64>(&a, &mut it).get(),
             "--size" => {
                 // Refused here, not after minutes of sweeping: the figures
                 // and the headline only exist at the sweep's sizes.

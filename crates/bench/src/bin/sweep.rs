@@ -18,6 +18,7 @@ use cmpleak_store::ResultStore;
 use cmpleak_system::MAX_CORES;
 use cmpleak_workloads::ScenarioSpec;
 use serde::Serialize;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,7 +49,7 @@ fn parse_serve_opts(args: &[String]) -> ServeOpts {
         match a.as_str() {
             "--store" => opts.store = value(a, &mut it),
             "--requests" => opts.requests = Some(value(a, &mut it)),
-            "--instr" => opts.instr = value(a, &mut it),
+            "--instr" => opts.instr = value::<NonZeroU64>(a, &mut it).get(),
             "--seed" => opts.seed = value(a, &mut it),
             "--n-cores" => {
                 opts.n_cores = value(a, &mut it);
@@ -199,9 +200,12 @@ fn serve(args: &[String]) {
             skipped += 1;
             continue;
         };
-        let instr = parts.next().map_or(Ok(opts.instr), str::parse);
+        // A budget of 0 would answer with an empty cell.
+        let instr = parts.next().map_or(Ok(opts.instr), |v| v.parse().map(NonZeroU64::get));
         let (Ok(size_mb), Ok(instr)) = (size.parse::<usize>(), instr) else {
-            eprintln!("line {line_no}: bad size/instr in `{line}` — skipped");
+            eprintln!(
+                "line {line_no}: bad size/instr in `{line}` (instr must be positive) — skipped"
+            );
             skipped += 1;
             continue;
         };

@@ -22,6 +22,7 @@ use cmpleak_core::{Scenario, Technique};
 use cmpleak_cpu::TraceOp;
 use cmpleak_system::MAX_CORES;
 use cmpleak_trace::MemTrace;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::exit;
 use std::sync::Arc;
 
@@ -66,8 +67,9 @@ fn parse_opts() -> Opts {
             "--out" => opts.file_out = Some(val()),
             "--scenario" => opts.scenario = Some(val()),
             "--technique" => opts.technique = Some(val()),
-            "--instr" => opts.instr = val().parse().unwrap_or_else(|_| usage()),
-            "--cores" => opts.cores = val().parse().unwrap_or_else(|_| usage()),
+            // An empty trace or a zero-core one cannot be replayed.
+            "--instr" => opts.instr = val().parse().map_or_else(|_| usage(), NonZeroU64::get),
+            "--cores" => opts.cores = val().parse().map_or_else(|_| usage(), NonZeroUsize::get),
             "--seed" => opts.seed = val().parse().unwrap_or_else(|_| usage()),
             "--size" => opts.size_mb = val().parse().unwrap_or_else(|_| usage()),
             "--ops" => opts.ops = val().parse().unwrap_or_else(|_| usage()),

@@ -1,5 +1,4 @@
-//! Shared helpers for the benchmark harness (`repro` binary + criterion
-//! benches).
+//! Shared helpers for the `repro` binary and the smoke tests.
 
 #![forbid(unsafe_code)]
 
@@ -11,7 +10,7 @@ pub fn paper_sweep(instructions_per_core: u64) -> SweepResults {
     run_sweep(&SweepConfig::paper(instructions_per_core))
 }
 
-/// A reduced grid for smoke tests and criterion benches.
+/// A reduced grid for smoke tests.
 pub fn smoke_sweep(instructions_per_core: u64) -> SweepResults {
     run_sweep(&SweepConfig::smoke(instructions_per_core))
 }

@@ -34,8 +34,9 @@ fn repro_headline_runs_at_a_small_budget() {
     assert!(stdout.contains("Headline (paper §VII), 4MB total L2"), "{stdout}");
 }
 
-/// A flag whose value is missing or not a number prints usage and exits
-/// 2 instead of panicking.
+/// A flag whose value is missing or not a number, or a zero instruction
+/// budget, prints usage and exits 2 instead of panicking or sweeping
+/// empty cells.
 #[test]
 fn repro_rejects_malformed_flags_with_usage() {
     for args in [
@@ -43,6 +44,7 @@ fn repro_rejects_malformed_flags_with_usage() {
         &["headline", "--threads", "x"],
         &["headline", "--seed", "x"],
         &["headline", "--instr"],
+        &["headline", "--instr", "0"],
         &["headline", "--bogus"],
     ] {
         let out =

@@ -6,7 +6,8 @@ use std::process::Command;
 
 /// A size outside the paper's 1/2/4/8 MB axis would trip
 /// `CmpConfig::paper_system`'s assert inside a pool worker and kill the
-/// whole run, so parsing must reject it.
+/// whole run, so parsing must reject it. A budget of 0 instructions
+/// would answer with an empty cell, so it is skipped too.
 #[test]
 fn serve_skips_sizes_outside_the_paper_axis() {
     let dir = std::env::temp_dir().join(format!("cmpleak-serve-sizes-{}", std::process::id()));
@@ -18,7 +19,8 @@ fn serve_skips_sizes_outside_the_paper_axis() {
         "WATER-NS protocol 1 5000\n\
          WATER-NS protocol 3 5000\n\
          WATER-NS protocol 0 5000\n\
-         WATER-NS protocol 100000 5000\n",
+         WATER-NS protocol 100000 5000\n\
+         WATER-NS protocol 1 0\n",
     )
     .expect("queue written");
     let report = dir.join("report.json");
@@ -35,7 +37,10 @@ fn serve_skips_sizes_outside_the_paper_axis() {
     assert!(out.status.success(), "serve failed:\n{}", String::from_utf8_lossy(&out.stderr));
     let json = std::fs::read_to_string(&report).expect("report written");
     assert!(json.contains("\"requests\": 1"), "the 1 MB request is answered: {json}");
-    assert!(json.contains("\"skipped\": 3"), "the three bad sizes are skipped: {json}");
+    assert!(
+        json.contains("\"skipped\": 4"),
+        "the three bad sizes and the zero budget are skipped: {json}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -75,7 +80,8 @@ fn serve_rejects_core_counts_outside_1_to_64() {
     }
 }
 
-/// Bad or missing flags are usage errors (exit 2); an unreadable request
+/// Bad or missing flags, including a zero `--instr`, are usage errors
+/// (exit 2); an unreadable request
 /// file or an unusable store root is an error (exit 1). Never a panic.
 #[test]
 fn serve_refuses_bad_command_lines_without_panicking() {
@@ -89,10 +95,11 @@ fn serve_refuses_bad_command_lines_without_panicking() {
     let (requests, a_file) = (requests.to_str().unwrap(), a_file.to_str().unwrap());
     let store = dir.join("store");
     let store = store.to_str().unwrap();
-    let cases: [(&[&str], i32); 7] = [
+    let cases: [(&[&str], i32); 8] = [
         (&["--bogus"], 2),
         (&["--requests", requests, "--store"], 2),
         (&["--store", store, "--requests", requests, "--instr", "x"], 2),
+        (&["--store", store, "--requests", requests, "--instr", "0"], 2),
         (&["--store", store, "--requests", requests, "--threads"], 2),
         (&["--store", store, "--requests", requests, "--seed", "x"], 2),
         (&["--store", store, "--requests", "/nonexistent/queue.txt"], 1),

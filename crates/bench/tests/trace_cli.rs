@@ -1,6 +1,6 @@
-//! `trace replay` and `trace inspect` end to end: a trace the simulator
-//! cannot run, or a damaged one, is refused with a message, never a
-//! panic.
+//! `trace` end to end: `record` refuses a budget or core count it could
+//! not replay, and `replay`/`inspect` refuse a trace the simulator
+//! cannot run, or a damaged one, with a message, never a panic.
 
 use std::process::Command;
 
@@ -63,6 +63,30 @@ fn damaged_stream_bytes_are_refused_at_load() {
             assert!(stderr.contains("core 3 (FMM)"), "{cmd}, fill {fill:#04x}: {stderr}");
             assert!(!stderr.contains("panicked"), "{cmd}, fill {fill:#04x}: {stderr}");
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An empty trace would replay as a zero-cycle run that `--verify`
+/// calls a pass, and a zero-core one is refused by `replay`: `record`
+/// prints usage and exits 2 on either, before writing anything.
+#[test]
+fn record_refuses_zero_budgets_and_zero_cores() {
+    let dir = std::env::temp_dir().join(format!("cmpleak-trace-zero-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for flag in ["--instr", "--cores"] {
+        let trace = dir.join("zero.cmpt");
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(["record", "--scenario", "WATER-NS", flag, "0", "--out"])
+            .arg(&trace)
+            .output()
+            .expect("trace runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0:\n{stderr}");
+        assert!(stderr.contains("usage:"), "{flag} 0: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} 0: {stderr}");
+        assert!(!trace.exists(), "{flag} 0 must not write a trace");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -25,6 +25,10 @@
 //! regions 256 lines per comparison instead of testing two `Vec<bool>`s
 //! line by line.
 //!
+//! The simulator advances the clock on every tick's own cycle, so each
+//! [`DecayBank::advance`] call there performs one tick; a caller that
+//! jumps over several ticks gets them one after another.
+//!
 //! Slots are the flat slot ids of `cmpleak_mem::SetAssocArray`.
 
 use crate::bank::LineStateBank;
@@ -142,8 +146,7 @@ impl DecayBank {
     ///
     /// Multiple pending ticks (if the caller advanced time coarsely) are
     /// processed in order; per-tick semantics are identical to hardware
-    /// scanning all counters on the tick edge. This is the sequential
-    /// reference that [`DecayBank::advance_to`] must match exactly.
+    /// scanning all counters on the tick edge.
     pub fn advance(&mut self, st: &mut LineStateBank, now: u64, decayed: &mut Vec<usize>) {
         while self.next_tick <= now {
             self.tick(st, decayed);
@@ -151,66 +154,17 @@ impl DecayBank {
         }
     }
 
-    /// Advance to `now` in closed form: all `k` due ticks are applied in
-    /// one pass over the counters instead of `k` sequential scans.
-    ///
-    /// Per slot, `k` ticks increment a live, armed counter `c` by
-    /// `min(k, sat − c)` — increments stop at saturation — and the slot
-    /// decays on tick number `sat − c`, at which point it stops being
-    /// live. `DecayStats` accounting (`ticks`, `increments`, `decays`)
-    /// and the decayed-slot emission order — `(tick, slot)`
-    /// lexicographic, because each sequential tick scans slots in index
-    /// order — are identical to [`DecayBank::advance`]; the equivalence
-    /// is property-tested in `tests/properties.rs`.
-    pub fn advance_to(&mut self, st: &mut LineStateBank, now: u64, decayed: &mut Vec<usize>) {
-        if self.next_tick > now {
-            return;
-        }
-        let period = self.cfg.tick_period();
-        let k = (now - self.next_tick) / period + 1;
-        self.next_tick += k * period;
-        if k == 1 {
-            // Common case (the caller advances every cycle or wakes at
-            // each tick): one ordinary tick, no sort needed.
-            self.tick(st, decayed);
-            return;
-        }
-        self.stats.ticks += k;
-        let sat = self.cfg.saturation();
-        let mut newly: Vec<(u64, usize)> = Vec::new();
-        self.scan_tickable(st, |this, st, slot| {
-            let c = st.counter(slot);
-            if c >= sat {
-                return;
-            }
-            let room = u64::from(sat - c);
-            let applied = room.min(k);
-            st.set_counter(slot, c + applied as u8);
-            this.stats.increments += applied;
-            if applied == room {
-                st.clear_live(slot);
-                this.stats.decays += 1;
-                newly.push((room, slot));
-            }
-        });
-        // Stable sort by decay tick: slots visited in index order, so
-        // ties keep index order — the per-tick scan's emission order.
-        newly.sort_by_key(|&(tick_no, _)| tick_no);
-        decayed.extend(newly.into_iter().map(|(_, slot)| slot));
-    }
-
     /// Perform one global tick: increment every live, armed counter;
     /// saturated counters decay their line.
     ///
-    /// The hot path of every decay simulation: hand-specialised over the
-    /// packed words rather than routed through
-    /// [`DecayBank::scan_tickable`]'s callback. Fully tickable words
-    /// take a slice fast path that splits the counter walk (a branchless
-    /// `+1` over 64 bytes — live∧armed implies unsaturated, an invariant
-    /// this bank maintains itself) from saturation detection (a separate
-    /// equality scan), so both passes auto-vectorize and the 100 %-live
-    /// corner beats the naive per-line loop instead of trailing it —
-    /// semantics identical to the sequential per-slot scan.
+    /// The hot path of every decay simulation, hand-specialised over the
+    /// packed words. Fully tickable words take a slice fast path that
+    /// splits the counter walk (a branchless `+1` over 64 bytes —
+    /// live∧armed implies unsaturated, an invariant this bank maintains
+    /// itself) from saturation detection (a separate equality scan), so
+    /// both passes auto-vectorize and the 100 %-live corner beats the
+    /// naive per-line loop instead of trailing it — semantics identical
+    /// to the sequential per-slot scan.
     fn tick(&mut self, st: &mut LineStateBank, decayed: &mut Vec<usize>) {
         self.stats.ticks += 1;
         let sat = self.cfg.saturation();
@@ -276,50 +230,6 @@ impl DecayBank {
                             self.stats.decays += 1;
                             decayed.push(slot);
                         }
-                    }
-                }
-            }
-            w = end;
-        }
-    }
-
-    /// Visit every `live & armed` slot in ascending order, walking the
-    /// packed words in `u64×4` chunks so fully idle regions cost one OR
-    /// per 256 lines. Clearing the visited slot's live bit inside `f`
-    /// does not disturb the iteration (each word is snapshotted), which
-    /// is exactly the per-tick hardware semantics: the scan mask is
-    /// sampled at the tick edge.
-    fn scan_tickable(
-        &mut self,
-        st: &mut LineStateBank,
-        mut f: impl FnMut(&mut Self, &mut LineStateBank, usize),
-    ) {
-        let nw = st.word_count();
-        let mut w = 0;
-        while w < nw {
-            let end = (w + 4).min(nw);
-            let mut any = 0u64;
-            for i in w..end {
-                any |= st.tickable_word(i);
-            }
-            if any != 0 {
-                for i in w..end {
-                    let mut bits = st.tickable_word(i);
-                    if bits == !0u64 {
-                        // Dense fast path: a fully tickable word visits
-                        // its 64 slots directly, skipping the per-bit
-                        // extraction chain. `f` may clear live bits; the
-                        // snapshot semantics are unchanged (every slot of
-                        // the sampled mask is visited exactly once).
-                        for slot in i * 64..i * 64 + 64 {
-                            f(self, st, slot);
-                        }
-                        continue;
-                    }
-                    while bits != 0 {
-                        let slot = i * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        f(self, st, slot);
                     }
                 }
             }
@@ -440,42 +350,12 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_matches_sequential_ticks_including_order() {
-        let cfg = DecayConfig::fixed(4000); // tick every 1000
-        let mut seq = fx(8, cfg);
-        let mut bulk = fx(8, cfg);
-        // Stagger accesses so slots saturate on different ticks, and
-        // disarm one slot to exercise the armed gate.
-        for (slot, t) in [(3usize, 0u64), (1, 0), (6, 1000), (0, 2000)] {
-            let mut v = Vec::new();
-            seq.bank.advance(&mut seq.st, t, &mut v);
-            let mut w = Vec::new();
-            bulk.bank.advance_to(&mut bulk.st, t, &mut w);
-            assert_eq!(v, w);
-            seq.access(slot);
-            bulk.access(slot);
-        }
-        seq.st.disarm(1);
-        bulk.st.disarm(1);
-        let mut v = Vec::new();
-        seq.bank.advance(&mut seq.st, 20_000, &mut v);
-        let mut w = Vec::new();
-        bulk.bank.advance_to(&mut bulk.st, 20_000, &mut w);
-        assert_eq!(v, w, "bulk advance must emit the same slots in the same order");
-        assert_eq!(seq.bank.stats(), bulk.bank.stats());
-        assert_eq!(seq.bank.next_tick_at(), bulk.bank.next_tick_at());
-        assert_eq!(v, vec![3, 6, 0], "earlier-accessed slots decay on earlier ticks");
-    }
-
-    #[test]
     fn advance_to_same_tick_ties_emit_in_slot_order() {
         let mut f = fx(5, DecayConfig::fixed(4000));
         for slot in [4usize, 2, 0] {
             f.access(slot);
         }
-        let mut v = Vec::new();
-        f.bank.advance_to(&mut f.st, 50_000, &mut v);
-        assert_eq!(v, vec![0, 2, 4], "ties broken by slot index, like the per-tick scan");
+        assert_eq!(f.drain(50_000), vec![0, 2, 4], "ties are emitted in slot order");
     }
 
     #[test]

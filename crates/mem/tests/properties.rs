@@ -138,47 +138,6 @@ proptest! {
         prop_assert_eq!(fired, vec![0usize], "line must decay after going idle");
     }
 
-    /// Decay bank: the closed-form bulk advance (`advance_to`) is
-    /// indistinguishable from sequential per-tick advancing — same
-    /// decayed slots in the same emission order, same counter values,
-    /// same `DecayStats` — under arbitrary interleavings of accesses,
-    /// arm/disarm flips, line turn-offs and coarse time jumps.
-    #[test]
-    fn decay_bulk_advance_equals_sequential_ticks(
-        ops in proptest::collection::vec((0u64..8, 0u64..5000u64, 0u8..4), 1..80),
-        decay_exp in 9u32..14,
-        bits in 1u32..4,
-    ) {
-        let cfg = DecayConfig { decay_cycles: 1 << decay_exp, counter_bits: bits };
-        let mut seq = DecayBank::new(cfg);
-        let mut seq_st = LineStateBank::new(8);
-        let mut bulk = DecayBank::new(cfg);
-        let mut bulk_st = LineStateBank::new(8);
-        let mut now = 0u64;
-        for (slot, dt, op) in ops {
-            now += dt;
-            let slot = slot as usize;
-            // Sequential reference ticks one by one; bulk jumps straight
-            // to `now` in closed form. Fired slots must match exactly.
-            let mut a = Vec::new();
-            seq.advance(&mut seq_st, now, &mut a);
-            let mut b = Vec::new();
-            bulk.advance_to(&mut bulk_st, now, &mut b);
-            prop_assert_eq!(&a, &b, "divergent decay emission at t={}", now);
-            prop_assert_eq!(seq.stats(), bulk.stats());
-            prop_assert_eq!(seq.next_tick_at(), bulk.next_tick_at());
-            match op {
-                0 => { seq.on_access(&mut seq_st, slot); bulk.on_access(&mut bulk_st, slot); }
-                1 => { seq_st.arm(slot); bulk_st.arm(slot); }
-                2 => { seq_st.disarm(slot); bulk_st.disarm(slot); }
-                _ => { seq.on_line_off(&mut seq_st, slot); bulk.on_line_off(&mut bulk_st, slot); }
-            }
-            prop_assert_eq!(seq_st.is_live(slot), bulk_st.is_live(slot));
-            prop_assert_eq!(seq_st.is_armed(slot), bulk_st.is_armed(slot));
-            prop_assert_eq!(seq_st.counter(slot), bulk_st.counter(slot));
-        }
-    }
-
     /// MSHR: merged targets always come back complete and in insertion
     /// order; capacity is respected.
     #[test]

@@ -121,11 +121,8 @@ impl SharedBus {
     /// transaction, so queue-head readiness and retry backoff both fold
     /// into `busy_until`.
     ///
-    /// The value only changes at the bus mutation points — `push` (MAX →
-    /// finite) and `try_grant` (horizon advances by the new occupancy, or
-    /// to MAX when the queue drains) — so the cycle loop may cache it
-    /// across cycles and skip arbitration entirely while
-    /// `now < next_possible_grant()`.
+    /// The skip kernel's bus wake edge: a jump never passes it. Stepped
+    /// cycles call `try_grant` directly, which makes the same test.
     pub fn next_possible_grant(&self) -> u64 {
         if self.queue.is_empty() {
             u64::MAX

@@ -56,7 +56,8 @@ pub struct L2Config {
     /// MSHR entries.
     pub mshr_entries: usize,
     /// Cycles to invalidate the upper-level copy (the TC/TD Grant
-    /// delay).
+    /// delay). [`CmpConfig::validate`] refuses a value above the fastest
+    /// fill (`min(bus.c2c_latency, mem.latency)`, at least 1).
     pub upper_inval_latency: u64,
     /// Operations the L2 accepts per cycle (read probes + write drains).
     pub ports: u32,
@@ -124,8 +125,8 @@ impl Default for MemConfig {
     }
 }
 
-/// The most cores a system may have: the per-core masks of the cycle
-/// engine (active set, L2 ports-idle bits) are one `u64` each.
+/// The most cores a system may have: the worklist engine's active set
+/// is one `u64`.
 pub const MAX_CORES: usize = 64;
 
 /// Which cycle kernel drives the simulation.
@@ -140,8 +141,9 @@ pub enum SimKernel {
     /// set is empty (every core asleep), time jumps directly to the
     /// next wake edge (event, bus grant, decay deadline, bus drain,
     /// interval close, cycle cap) instead of stepping cycle by cycle.
-    /// The full scan has no active set, so under
-    /// [`CycleEngine::FullScan`] this kernel steps every cycle.
+    /// That wake edge is the simulator's one horizon. The full scan has
+    /// no active set, so under [`CycleEngine::FullScan`] this kernel
+    /// steps every cycle.
     #[default]
     QuiescenceSkip,
     /// The classic one-`step_cycle`-per-cycle loop, kept as the
@@ -165,14 +167,17 @@ pub enum CycleEngine {
     /// port loops and core ticks to cores that can make progress;
     /// provably blocked cores sleep and are bulk-charged their stall
     /// and retry statistics when a wake edge (own event, bus grant,
-    /// decay deadline) re-activates them, and the powered-lines
-    /// integral advances as value × span between working cycles. The
-    /// active set is one `u64`, which is why systems are capped at
-    /// [`MAX_CORES`].
+    /// decay deadline) re-activates them. An awake core's L2 phase is
+    /// skipped while its ports are idle and no decay tick is due, and
+    /// each interval's powered-line cycles are read off the line-state
+    /// banks' on-cycle books. The active set is one `u64`, which is why
+    /// systems are capped at [`MAX_CORES`].
     #[default]
     Worklist,
-    /// The classic full scan — every stepped cycle walks all cores —
-    /// kept as the differential reference arm.
+    /// The classic full scan, kept as the differential reference arm
+    /// with no shortcut: every stepped cycle arbitrates the bus, runs
+    /// every core's L2 phase and tick, and sums every cache's powered
+    /// lines.
     FullScan,
 }
 
@@ -200,10 +205,6 @@ pub struct CmpConfig {
     /// Cycles per activity-sampling interval (the paper dumps its power
     /// trace every 10 000 cycles).
     pub sample_interval: u64,
-    /// Whether to maintain the always-on shadow directory that
-    /// classifies technique-induced misses (small simulation overhead;
-    /// measurement-only).
-    pub shadow_tags: bool,
     /// Cycle kernel (default: quiescence-skipping; both are
     /// bit-identical, see [`SimKernel`]).
     pub kernel: SimKernel,
@@ -225,7 +226,6 @@ impl Default for CmpConfig {
             instructions_per_core: 1_000_000,
             max_cycles: 500_000_000,
             sample_interval: 10_000,
-            shadow_tags: true,
             kernel: SimKernel::default(),
             engine: CycleEngine::default(),
         }
@@ -261,6 +261,16 @@ impl CmpConfig {
             "inclusive L2 must not be smaller than L1"
         );
         assert!(self.sample_interval > 0);
+        // A write re-issued after its fill must not meet its line in
+        // TC/TD (see the `DataReady` arm of `CmpSystem::handle_event`):
+        // the upper-level invalidation may last no longer than the
+        // fastest fill, a cache-to-cache supply or a memory access.
+        let shortest_fill = self.bus.c2c_latency.min(self.mem.latency).max(1);
+        assert!(
+            self.l2.upper_inval_latency <= shortest_fill,
+            "upper_inval_latency = {} exceeds the shortest fill ({shortest_fill} cycles)",
+            self.l2.upper_inval_latency
+        );
         let _ = self.l1.geometry();
         let _ = self.l2.geometry();
     }

@@ -186,7 +186,8 @@ pub struct L2Cache {
     /// Global decay clock + tick policy (per-line state lives in
     /// [`L2Cache::state`]).
     decay: Option<DecayBank>,
-    shadow: Option<ShadowTags>,
+    /// Baseline-equivalent tag directory for induced-miss classification.
+    shadow: ShadowTags,
     /// Columnar per-line state: powered/armed/live bitsets, decay
     /// counters, on-time accounting — one arena-backed bank.
     state: LineStateBank,
@@ -198,19 +199,14 @@ pub struct L2Cache {
 
 impl L2Cache {
     /// Build one private L2 under `technique`, allocating fresh storage.
-    pub fn new(cfg: &L2Config, technique: Technique, shadow: bool) -> Self {
-        Self::new_in(cfg, technique, shadow, &mut BankArena::default())
+    pub fn new(cfg: &L2Config, technique: Technique) -> Self {
+        Self::new_in(cfg, technique, &mut BankArena::default())
     }
 
     /// Like [`L2Cache::new`], with every per-line column (line-state
     /// bank, tag array, shadow directory) checked out of `arena` so
     /// back-to-back simulations reuse the multi-MB allocations.
-    pub fn new_in(
-        cfg: &L2Config,
-        technique: Technique,
-        shadow: bool,
-        arena: &mut BankArena,
-    ) -> Self {
+    pub fn new_in(cfg: &L2Config, technique: Technique, arena: &mut BankArena) -> Self {
         let geom = cfg.geometry();
         let lines = geom.lines();
         let decay = technique.decay_cycles().map(|d| {
@@ -227,7 +223,7 @@ impl L2Cache {
             mshr: Mshr::new(cfg.mshr_entries, cfg.mshr_entries * 4),
             flags: Vec::new(),
             decay,
-            shadow: shadow.then(|| ShadowTags::new_in(geom, arena)),
+            shadow: ShadowTags::new_in(geom, arena),
             state,
             deferred_turnoffs: Vec::new(),
             stats: L2Stats::default(),
@@ -240,9 +236,7 @@ impl L2Cache {
     pub fn release_storage(&mut self, arena: &mut BankArena) {
         self.state.release_into(arena);
         self.tags.release_into(arena);
-        if let Some(sh) = self.shadow.as_mut() {
-            sh.release_into(arena);
-        }
+        self.shadow.release_into(arena);
     }
 
     /// Geometry of the tag array.
@@ -361,13 +355,14 @@ impl L2Cache {
 
     /// Advance the decay clock to `now`, returning slots whose lines
     /// decayed this call. The system feeds them to [`L2Cache::turn_off`]
-    /// with the pending-write context. Coarse advances apply all due
-    /// ticks in closed form ([`DecayBank::advance_to`]) with per-tick
-    /// semantics.
+    /// with the pending-write context. The system calls this on every
+    /// tick's own cycle, so a call performs at most one tick; a caller
+    /// that advances by hand over several ticks gets them in order
+    /// ([`DecayBank::advance`]).
     pub fn take_decayed(&mut self, now: u64) -> Vec<usize> {
         self.decay_scratch.clear();
         if let Some(d) = self.decay.as_mut() {
-            d.advance_to(&mut self.state, now, &mut self.decay_scratch);
+            d.advance(&mut self.state, now, &mut self.decay_scratch);
         }
         std::mem::take(&mut self.decay_scratch)
     }
@@ -425,10 +420,8 @@ impl L2Cache {
                 }
                 if t.protocol_invalidation {
                     self.stats.snoop_invalidations += 1;
-                    if let Some(sh) = self.shadow.as_mut() {
-                        // Baseline would experience this invalidation too.
-                        sh.invalidate(line);
-                    }
+                    // Baseline would experience this invalidation too.
+                    self.shadow.invalidate(line);
                     if self.technique.gates_on_protocol_invalidation() {
                         self.stats.turnoffs_protocol += 1;
                         self.power_off(slot, now);
@@ -457,7 +450,7 @@ impl L2Cache {
                 }
                 self.tags.touch(slot);
                 self.decay_access(slot);
-                self.shadow_access(line);
+                self.shadow.access(line);
                 self.stats.reads += 1;
                 self.stats.read_hits += 1;
                 L2ReadOutcome::Hit
@@ -470,7 +463,7 @@ impl L2Cache {
                 }
                 MshrAlloc::Secondary => {
                     self.stats.reads += 1;
-                    self.shadow_access(line);
+                    self.shadow.access(line);
                     L2ReadOutcome::MissSecondary
                 }
                 MshrAlloc::Full => {
@@ -494,7 +487,7 @@ impl L2Cache {
                     MesiState::Modified => {
                         self.tags.touch(slot);
                         self.decay_access(slot);
-                        self.shadow_access(line);
+                        self.shadow.access(line);
                         self.stats.writes += 1;
                         self.stats.write_hits += 1;
                         L2WriteOutcome::Done
@@ -505,7 +498,7 @@ impl L2Cache {
                         self.tags.update_meta(slot, |m| m.state = MesiState::Modified);
                         self.apply_arming(slot, MesiState::Modified);
                         self.decay_access(slot);
-                        self.shadow_access(line);
+                        self.shadow.access(line);
                         self.stats.writes += 1;
                         self.stats.write_hits += 1;
                         L2WriteOutcome::Done
@@ -514,14 +507,14 @@ impl L2Cache {
                         MshrAlloc::Primary => {
                             self.tags.touch(slot);
                             self.decay_access(slot);
-                            self.shadow_access(line);
+                            self.shadow.access(line);
                             self.stats.writes += 1;
                             self.stats.write_hits += 1;
                             L2WriteOutcome::UpgradeIssued
                         }
                         MshrAlloc::Secondary => {
                             self.stats.writes += 1;
-                            self.shadow_access(line);
+                            self.shadow.access(line);
                             L2WriteOutcome::MissSecondary
                         }
                         MshrAlloc::Full => {
@@ -541,7 +534,7 @@ impl L2Cache {
                 }
                 MshrAlloc::Secondary => {
                     self.stats.writes += 1;
-                    self.shadow_access(line);
+                    self.shadow.access(line);
                     L2WriteOutcome::MissSecondary
                 }
                 MshrAlloc::Full => {
@@ -605,18 +598,10 @@ impl L2Cache {
     /// directory *before* updating it.
     fn note_miss(&mut self, line: LineAddr) {
         self.stats.misses += 1;
-        if let Some(sh) = self.shadow.as_mut() {
-            if sh.would_hit(line) {
-                self.stats.induced_misses += 1;
-            }
-            sh.access(line);
+        if self.shadow.would_hit(line) {
+            self.stats.induced_misses += 1;
         }
-    }
-
-    fn shadow_access(&mut self, line: LineAddr) {
-        if let Some(sh) = self.shadow.as_mut() {
-            sh.access(line);
-        }
+        self.shadow.access(line);
     }
 
     // ---- bus-side ---------------------------------------------------------
@@ -809,12 +794,8 @@ impl L2Cache {
                 // cost, not a technique cost.
                 fx.upper_invals.push((vline, false));
             }
-            if let Some(sh) = self.shadow.as_mut() {
-                // The shadow evicts by its own LRU; nothing to do here —
-                // divergence between the two is exactly what the induced
-                // metric measures.
-                let _ = sh;
-            }
+            // The shadow evicts by its own LRU: divergence between the
+            // two is exactly what the induced metric measures.
         }
         self.tags.fill(slot, line, L2Meta { state, in_l1: false });
         self.power_on(slot, now);
@@ -867,7 +848,7 @@ mod tests {
     }
 
     fn l2(technique: Technique) -> L2Cache {
-        L2Cache::new(&cfg(), technique, true)
+        L2Cache::new(&cfg(), technique)
     }
 
     fn fill_line(c: &mut L2Cache, line: LineAddr, exclusive: bool, now: u64) {

@@ -7,8 +7,8 @@
 //!    grants),
 //! 2. grant at most one bus transaction (the bus serialises coherence),
 //!    performing the snoop across all other L2s at grant time,
-//! 3. per core: advance decay clocks, retry deferred turn-offs, serve the
-//!    L2 ports (L1 read misses first, then write-buffer drains),
+//! 3. per core: advance the decay clock, retry deferred turn-offs, serve
+//!    the L2 ports (L1 read misses first, then write-buffer drains),
 //! 4. tick the cores (dispatch instructions, issue loads/stores into the
 //!    L1 / write buffer through [`CorePort`] adapters),
 //! 5. sample the activity trace.
@@ -32,9 +32,8 @@
 //!   stepped cycle) and the cycle cap. The kernel jumps `now` straight
 //!   to that edge. The cores stay asleep through the jump, so their
 //!   stall and retry charges are settled when they wake, like any other
-//!   sleep, and the powered-lines integral stays lazy (value × span). A
-//!   stepped cycle with every core asleep and no edge due only samples,
-//!   so the jump is exact; bit-identity is enforced by
+//!   sleep. A stepped cycle with every core asleep and no edge due only
+//!   samples, so the jump is exact; bit-identity is enforced by
 //!   `tests/kernel_differential.rs` and the golden sweep snapshot. The
 //!   full scan has no active set, so it steps every cycle under either
 //!   kernel.
@@ -44,9 +43,11 @@
 //! Orthogonally to the kernel, two *engines* execute a stepped cycle
 //! ([`CycleEngine`]), again bit-identical:
 //!
-//! * **full scan** — phases 3 and 4 walk every core, the reference;
-//! * **worklist** (default) — an awake-core bitmask limits both phases
-//!   to cores that can make progress. A core leaves the active set at
+//! * **full scan** — the reference, with no shortcut: every stepped
+//!   cycle arbitrates the bus, runs every core's L2 phase and tick, and
+//!   sums every cache's powered lines into the interval trace;
+//! * **worklist** (default) — an awake-core bitmask limits phases 3 and
+//!   4 to cores that can make progress. A core leaves the active set at
 //!   the end of a cycle when its phases are provably no-ops until a
 //!   wake edge ([`CmpSystem::sleep_state`]: drained, window-blocked, or
 //!   spinning on a provably refused load/store; any L2 queue head
@@ -61,40 +62,31 @@
 //!   equivalence, and the edges above cover every channel that can
 //!   unblock a core. Debug builds check this at every kernel jump: each
 //!   sleeping core's state must still match what it recorded when it
-//!   fell asleep. The engine also integrates the powered-lines trace as
-//!   value × span between *working* cycles (powered counts only flip
-//!   on cycles that report work) instead of re-summing every cycle.
-//!   Equivalence is enforced by `tests/cycle_engine_differential.rs`
-//!   and the golden sweep snapshot.
+//!   fell asleep. The interval trace's powered-lines integral is read
+//!   from the line-state banks' on-cycle books at each interval close,
+//!   so the engine differentials compare those books with the full
+//!   scan's per-cycle sums on every interval. Equivalence is enforced
+//!   by `tests/cycle_engine_differential.rs` and the golden sweep
+//!   snapshot.
 //!
 //! # Spine gating
 //!
-//! Even with sleeping cores skipped, phases 1–3 used to be consulted on
-//! *every stepped cycle* — the residual "spine" cost. Two spine
-//! components are instead gated behind a timestamped horizon that says
-//! when they can next possibly act, and each horizon is re-derived only
-//! at the mutation points that can move it:
+//! Two checks skip per-cycle work that provably does nothing. Both read
+//! the component that owns the fact, on the spot:
 //!
-//! * **bus arbitration** (both engines) — skipped while
-//!   `now < SharedBus::next_possible_grant()`: `u64::MAX` with an
-//!   empty request queue, else the occupancy horizon of the holding
-//!   transaction. The queue is FIFO with no per-request readiness and a
-//!   NACK-retry re-enqueue is itself an occupancy-charged grant, so the
-//!   horizon only moves at `push` and `try_grant` — both of which the
-//!   cycle loop observes directly.
-//! * **L2 port loops** (both engines) — an awake core's phase-3 walk is
-//!   skipped while its `ports_idle` bit is set and `now` is before its
-//!   cached decay deadline (`l2_decay_due`). The bit means "read queue,
-//!   write-retry queue and write buffer are empty, and no deferred
-//!   turn-offs are parked", a state only the core itself can leave; it
-//!   is cleared at exactly the three enqueue points
-//!   ([`PortAdapter`] `try_load` miss, `try_store` accept, and the
-//!   write-probe retry push) and recomputed after every executed
-//!   [`L2Cache::l2_cycle`] (the only place decay/deferred state moves).
+//! * **bus arbitration** (both engines) — every stepped cycle calls
+//!   `SharedBus::try_grant`, which returns `None` while the bus is
+//!   occupied or its queue is empty.
+//!   [`SharedBus::next_possible_grant`] is only the skip kernel's bus
+//!   wake edge.
+//! * **L2 port loops** (worklist only) — an awake core's L2 phase is
+//!   skipped while its read queue and write buffer are empty, no
+//!   turn-off is parked and `now` is before its L2's next decay
+//!   deadline. The full scan runs every core's L2 phase every cycle.
 //!
-//! Both are pure skip-conditions: no statistic, event, or state
-//! transition is deferred past its reference cycle, so bit-identity is
-//! preserved and enforced by the same differential matrix.
+//! The only state the worklist engine caches is its sleep set (with
+//! `next_core_wake`). Debug builds assert that no decay tick is left
+//! past its deadline whenever an L2 phase runs.
 
 use crate::bus::{BusReq, BusReqKind, SharedBus};
 use crate::config::{CmpConfig, CycleEngine, SimKernel};
@@ -105,7 +97,7 @@ use cmpleak_coherence::bus::SnoopKind;
 use cmpleak_cpu::{CoreModel, CorePort, ProgressState, StallKind, TraceOp, Workload};
 use cmpleak_mem::{ArenaStats, BankArena, Geometry, LineAddr, WriteBuffer};
 use cmpleak_trace::MemTraceCursor;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EvKind {
@@ -207,8 +199,8 @@ struct CoreSleep {
     /// The L2 read queue head is present and provably retried: one L2
     /// retry per cycle.
     read_jam: bool,
-    /// The write drain head (retry queue, then write buffer) is present
-    /// and provably retried: one L2 retry per cycle.
+    /// The write buffer head is present and provably retried: one L2
+    /// retry per cycle.
     write_jam: bool,
     /// The L2's next decay deadline at sleep time (frozen while
     /// asleep): the core must be back in the active set by then so its
@@ -239,12 +231,12 @@ pub struct CycleProfile {
     /// Per-core phases suppressed by the worklist engine (the core was
     /// outside the active set).
     pub core_phases_suppressed: u64,
-    /// Stepped cycles whose bus arbitration was skipped because the
-    /// grant horizon ([`SharedBus::next_possible_grant`]) proved no
-    /// grant possible this cycle.
+    /// Stepped cycles where bus arbitration found nothing to grant
+    /// (the bus was occupied or its queue empty).
     pub grant_checks_skipped: u64,
-    /// Awake-core L2 port loops skipped because the per-core
-    /// `ports_idle` bit proved the whole phase a no-op.
+    /// Awake-core L2 port loops the worklist engine skipped because the
+    /// core's queues were empty, no turn-off was parked and no decay
+    /// tick was due (always 0 under the full scan).
     pub port_loops_skipped: u64,
     /// Always 0; kept because perfbench reads it.
     pub cycles_batched: u64,
@@ -377,56 +369,6 @@ impl EventQueue {
     }
 }
 
-/// The write-retry queue of one core: FIFO order plus an exact multiset
-/// index so the decay machinery's membership test
-/// ([`CmpSystem::try_turn_off`]'s pending-write check) is O(log n)
-/// instead of a linear scan that degrades on deep retry queues. The
-/// index is a `BTreeMap`, not a `HashMap`: nothing iterates it today,
-/// but simulation state must never hold a structure whose iteration
-/// order could silently leak into results (determinism audit policy).
-#[derive(Debug, Default)]
-struct RetryQueue {
-    queue: VecDeque<LineAddr>,
-    members: BTreeMap<LineAddr, u32>,
-}
-
-impl RetryQueue {
-    fn push_back(&mut self, line: LineAddr) {
-        *self.members.entry(line).or_insert(0) += 1;
-        self.queue.push_back(line);
-    }
-
-    fn front(&self) -> Option<LineAddr> {
-        self.queue.front().copied()
-    }
-
-    fn pop_front(&mut self) -> Option<LineAddr> {
-        let line = self.queue.pop_front()?;
-        match self.members.get_mut(&line) {
-            Some(1) => {
-                self.members.remove(&line);
-            }
-            Some(n) => *n -= 1,
-            // audit:allow(unwrap-in-lib, push_back increments the index entry for every queued line, so pop_front always finds one)
-            None => unreachable!("membership index tracks the queue exactly"),
-        }
-        Some(line)
-    }
-
-    fn contains(&self, line: LineAddr) -> bool {
-        self.members.contains_key(&line)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.queue.clear();
-        self.members.clear();
-    }
-}
-
 /// How a batch of L2 side effects reached the system, deciding the
 /// transport of write-backs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -448,11 +390,6 @@ struct PortAdapter<'a> {
     wb: &'a mut WriteBuffer,
     read_queue: &'a mut VecDeque<LineAddr>,
     events: &'a mut EventQueue,
-    /// The system's per-core ports-idle mask: feeding the read queue or
-    /// the write buffer arms the core's L2 port loops, so the tick must
-    /// clear the bit at exactly these enqueue points (the invalidation
-    /// half of the `ports_idle` contract; see `refresh_ports_idle`).
-    ports_idle: &'a mut u64,
 }
 
 impl CorePort for PortAdapter<'_> {
@@ -468,7 +405,6 @@ impl CorePort for PortAdapter<'_> {
             }
             L1LoadOutcome::MissPrimary => {
                 self.read_queue.push_back(line);
-                *self.ports_idle &= !(1u64 << self.core);
                 true
             }
             L1LoadOutcome::MissSecondary => true,
@@ -481,7 +417,6 @@ impl CorePort for PortAdapter<'_> {
         if !self.wb.push(line) {
             return false;
         }
-        *self.ports_idle &= !(1u64 << self.core);
         self.l1.access_store(line);
         true
     }
@@ -512,7 +447,6 @@ pub struct SimScratch {
     events: EventQueue,
     fx: SideEffects,
     read_queues: Vec<VecDeque<LineAddr>>,
-    write_retries: Vec<RetryQueue>,
     arena: BankArena,
     profile: CycleProfile,
 }
@@ -554,7 +488,6 @@ pub struct CmpSystem {
     l1_geom: Geometry,
     events: EventQueue,
     read_queues: Vec<VecDeque<LineAddr>>,
-    write_retries: Vec<RetryQueue>,
     fx: SideEffects,
     /// Owns the caches' per-line columns between runs; adopted from the
     /// scratch at construction, handed back (with the columns released)
@@ -567,7 +500,11 @@ pub struct CmpSystem {
     upper_invalidations: u64,
     trace: Vec<IntervalActivity>,
     last_snap: Snapshot,
+    /// The full scan's per-cycle Σ powered lines over the open interval.
     interval_powered: u64,
+    /// The worklist engine's Σ on-cycles of the banks at the open
+    /// interval's start ([`CmpSystem::on_line_cycles`]).
+    interval_on_at_start: u64,
     interval_start: u64,
     /// Dirty bit over the *structural* half of [`CmpSystem::done`]
     /// (queues, cores, events — everything but the time-dependent bus
@@ -591,33 +528,11 @@ pub struct CmpSystem {
     /// are processed exactly on time. May be stale-low after a wake —
     /// the scan then recomputes it.
     next_core_wake: u64,
-    /// Σ `powered_lines()` over all L2s as of the last working cycle
-    /// (powered counts only flip on cycles that report work).
-    powered_cache: u64,
-    /// First cycle not yet charged into `interval_powered`; cycles
-    /// `[powered_synced_at, t)` are charged at `powered_cache` each by
-    /// [`CmpSystem::sync_powered_to`].
-    powered_synced_at: u64,
     /// Σ lines over all L2s, cached at construction (pure geometry).
     lines_total: u64,
     /// Cycle-cost attribution (no-op unless the `cycle-profile` feature
     /// is on).
     profile: CycleProfile,
-    // ---- spine gating (see the module docs, "Spine gating") ----
-    /// One bit per core: set while that core's whole L2 port phase
-    /// ([`CmpSystem::l2_cycle`]) is provably a no-op — read queue, write
-    /// retry queue and write buffer all empty, no deferred turn-off
-    /// pending — *except* for decay clock work, which is gated separately
-    /// by `l2_decay_due`. Refreshed after every `l2_cycle` run; cleared
-    /// at the only points that can arm the phase (tick enqueues through
-    /// [`PortAdapter`], event-path write retries).
-    ports_idle: u64,
-    /// Per-core decay deadline cache (`u64::MAX` when the technique has
-    /// no decay clock): `l2_cycle` must run at this cycle even with
-    /// `ports_idle` set, so decay ticks are processed exactly on time.
-    /// The deadline only moves inside `l2_cycle` (`take_decayed` →
-    /// `advance_to`), so refreshing it there keeps the cache exact.
-    l2_decay_due: Vec<u64>,
 }
 
 impl std::fmt::Debug for CmpSystem {
@@ -658,20 +573,14 @@ impl CmpSystem {
         let mut arena = std::mem::take(&mut scratch.arena);
         let l1s = (0..cfg.n_cores).map(|_| L1Cache::new_in(&cfg.l1, &mut arena)).collect();
         let wbs = (0..cfg.n_cores).map(|_| WriteBuffer::new(cfg.l1.write_buffer)).collect();
-        let l2s: Vec<L2Cache> = (0..cfg.n_cores)
-            .map(|_| L2Cache::new_in(&cfg.l2, cfg.technique, cfg.shadow_tags, &mut arena))
-            .collect();
+        let l2s: Vec<L2Cache> =
+            (0..cfg.n_cores).map(|_| L2Cache::new_in(&cfg.l2, cfg.technique, &mut arena)).collect();
         let bus = SharedBus::new(cfg.bus, cfg.mem, cfg.l2.line_bytes);
         let worklist = cfg.engine == CycleEngine::Worklist;
         // `validate` bounds `n_cores` to `1..=MAX_CORES` (64): every core
         // mask is one machine word.
         let all_mask = u64::MAX >> (64 - cfg.n_cores);
         let lines_total = l2s.iter().map(|l| l.geometry().lines() as u64).sum();
-        let powered_cache = l2s.iter().map(|l| l.powered_lines()).sum();
-        // All ports-idle bits start clear: the first cycle runs every
-        // core's L2 phase once and the refresh takes over from there.
-        let l2_decay_due =
-            l2s.iter().map(|l| l.next_decay_deadline().unwrap_or(u64::MAX)).collect();
         let mut events = std::mem::take(&mut scratch.events);
         events.reset();
         let mut fx = std::mem::take(&mut scratch.fx);
@@ -679,9 +588,6 @@ impl CmpSystem {
         let mut read_queues = std::mem::take(&mut scratch.read_queues);
         read_queues.iter_mut().for_each(VecDeque::clear);
         read_queues.resize_with(cfg.n_cores, VecDeque::new);
-        let mut write_retries = std::mem::take(&mut scratch.write_retries);
-        write_retries.iter_mut().for_each(RetryQueue::clear);
-        write_retries.resize_with(cfg.n_cores, RetryQueue::default);
         Self {
             now: 0,
             cores,
@@ -693,7 +599,6 @@ impl CmpSystem {
             l1_geom: cfg.l1.geometry(),
             events,
             read_queues,
-            write_retries,
             fx,
             loads_completed: 0,
             load_latency_sum: 0,
@@ -702,6 +607,7 @@ impl CmpSystem {
             trace: Vec::new(),
             last_snap: Snapshot::default(),
             interval_powered: 0,
+            interval_on_at_start: 0,
             interval_start: 0,
             struct_dirty: true,
             struct_quiet: false,
@@ -710,12 +616,8 @@ impl CmpSystem {
             all_mask,
             sleep: vec![CoreSleep::default(); cfg.n_cores],
             next_core_wake: u64::MAX,
-            powered_cache,
-            powered_synced_at: 0,
             lines_total,
             profile: CycleProfile::default(),
-            ports_idle: 0,
-            l2_decay_due,
             arena,
             cfg,
         }
@@ -774,7 +676,6 @@ impl CmpSystem {
         if self.struct_dirty {
             self.struct_quiet = self.cores.iter().all(|c| c.drained())
                 && self.wbs.iter().all(|w| w.is_empty())
-                && self.write_retries.iter().all(|q| q.is_empty())
                 && self.read_queues.iter().all(|q| q.is_empty())
                 && self.l1s.iter().all(|l| l.outstanding_misses() == 0)
                 && self.l2s.iter().all(|l| !l.busy())
@@ -793,10 +694,9 @@ impl CmpSystem {
         }
     }
 
-    /// The reference engine: every stepped cycle walks every core.
-    /// ("Reference" for the worklist's active set, not for spine gating:
-    /// the grant-horizon and ports-idle gates skip provable no-ops and
-    /// apply to both engines alike.)
+    /// The reference engine, with no shortcut: every stepped cycle
+    /// arbitrates the bus, runs every core's L2 phase and tick, and sums
+    /// the powered lines of every cache.
     fn step_cycle_scan(&mut self) {
         let mut work = false;
         while let Some(ev) = self.events.pop_due(self.now) {
@@ -804,16 +704,14 @@ impl CmpSystem {
             self.handle_event(ev);
             work = true;
         }
-        if self.now >= self.bus.next_possible_grant() {
-            if self.bus_grant() {
-                self.profile.on_grant();
-                work = true;
-            }
+        if self.bus_grant() {
+            self.profile.on_grant();
+            work = true;
         } else {
             self.profile.on_grant_skip();
         }
         for core in 0..self.cfg.n_cores {
-            work |= self.l2_phase(core);
+            work |= self.l2_cycle(core);
         }
         for core in 0..self.cfg.n_cores {
             work |= self.tick_core(core);
@@ -844,12 +742,10 @@ impl CmpSystem {
         // other cores' L1s — the only cross-core mutation channel — so
         // any grant (including a conflict NACK-retry) wakes everyone.
         // Spurious wakes are harmless; missed ones would not be.
-        if self.now >= self.bus.next_possible_grant() {
-            if self.bus_grant() {
-                self.profile.on_grant();
-                self.wake_all();
-                work = true;
-            }
+        if self.bus_grant() {
+            self.profile.on_grant();
+            self.wake_all();
+            work = true;
         } else {
             self.profile.on_grant_skip();
         }
@@ -859,8 +755,7 @@ impl CmpSystem {
         if self.now >= self.next_core_wake {
             self.wake_due_decays();
         }
-        let awake = self.awake;
-        let mut pending = awake;
+        let mut pending = self.awake;
         while pending != 0 {
             let core = pending.trailing_zeros() as usize;
             pending &= pending - 1;
@@ -874,17 +769,6 @@ impl CmpSystem {
         }
         let run = self.awake.count_ones() as u64;
         self.profile.on_step(run, self.cfg.n_cores as u64 - run);
-        // Powered-lines integral, value × span form: powered counts
-        // flip only on cycles that report work (a no-work cycle touches
-        // no L2 state), so on a working cycle the elapsed span is
-        // charged at the old value and the new value covers this cycle.
-        if work {
-            self.sync_powered_to(self.now);
-            let p: u64 = self.l2s.iter().map(|l| l.powered_lines()).sum();
-            self.powered_cache = p;
-            self.interval_powered += p;
-            self.powered_synced_at = self.now + 1;
-        }
         let mut pending = self.awake;
         while pending != 0 {
             let core = pending.trailing_zeros() as usize;
@@ -1014,7 +898,7 @@ impl CmpSystem {
             }
             None => false,
         };
-        let write_jam = match self.write_retries[core].front().or_else(|| self.wbs[core].head()) {
+        let write_jam = match self.wbs[core].head() {
             Some(line) => {
                 if !self.l2s[core].write_would_retry(line) {
                     return None;
@@ -1041,68 +925,22 @@ impl CmpSystem {
         }
     }
 
-    // ---- spine gating -----------------------------------------------------
-
-    /// The ports-idle predicate, recomputed from scratch: whether
-    /// `core`'s next [`CmpSystem::l2_cycle`] is provably a no-op apart
-    /// from decay work (gated separately via `l2_decay_due`). Empty
-    /// queues mean both port loops break before probing anything, so a
-    /// skipped phase charges no statistic and consumes nothing.
-    #[inline]
-    fn ports_idle_now(&self, core: usize) -> bool {
-        self.read_queues[core].is_empty()
-            && self.write_retries[core].is_empty()
-            && self.wbs[core].head().is_none()
-            && !self.l2s[core].has_deferred_turnoffs()
-    }
-
-    /// Recompute `core`'s ports-idle bit and decay-deadline cache. Runs
-    /// after every `l2_cycle`, which is the only place the phase's
-    /// *internal* arming state can change (deferred turn-offs are pushed
-    /// only by `turn_off`, reachable only from `l2_cycle`; the decay
-    /// clock advances only in `take_decayed`). External arming — tick
-    /// enqueues, event-path write retries — clears the bit at the
-    /// mutation point instead ([`PortAdapter`], `issue_write_probe`).
-    #[inline]
-    fn refresh_ports_idle(&mut self, core: usize) {
-        let bit = 1u64 << core;
-        if self.ports_idle_now(core) {
-            self.ports_idle |= bit;
-        } else {
-            self.ports_idle &= !bit;
-        }
-        self.l2_decay_due[core] = self.l2s[core].next_decay_deadline().unwrap_or(u64::MAX);
-    }
-
-    /// One core's L2 phase with the ports-idle gate applied: skip the
-    /// whole phase when the bit proves it a no-op and no decay deadline
-    /// is due, otherwise run it and refresh the bit.
+    /// An awake core's L2 phase in the worklist engine: skipped while
+    /// its port loops would break before probing anything (empty read
+    /// queue and write buffer, no parked turn-off) and its next decay
+    /// tick lies ahead, so the skipped phase would charge no statistic
+    /// and consume nothing.
     #[inline]
     fn l2_phase(&mut self, core: usize) -> bool {
-        if self.ports_idle & (1u64 << core) != 0 && self.now < self.l2_decay_due[core] {
-            debug_assert!(
-                self.ports_idle_now(core)
-                    && self.l2_decay_due[core]
-                        == self.l2s[core].next_decay_deadline().unwrap_or(u64::MAX),
-                "stale ports_idle bit: a mutation point failed to clear it"
-            );
+        if self.read_queues[core].is_empty()
+            && self.wbs[core].head().is_none()
+            && !self.l2s[core].has_deferred_turnoffs()
+            && self.l2s[core].next_decay_deadline().is_none_or(|t| self.now < t)
+        {
             self.profile.on_ports_skip();
             return false;
         }
-        let work = self.l2_cycle(core);
-        self.refresh_ports_idle(core);
-        work
-    }
-
-    /// Charge cycles `[powered_synced_at, t)` into the interval's
-    /// powered-lines integral at the cached (provably constant over
-    /// that span) value.
-    #[inline]
-    fn sync_powered_to(&mut self, t: u64) {
-        if t > self.powered_synced_at {
-            self.interval_powered += self.powered_cache * (t - self.powered_synced_at);
-            self.powered_synced_at = t;
-        }
+        self.l2_cycle(core)
     }
 
     // ---- quiescence skipping ----------------------------------------------
@@ -1127,8 +965,7 @@ impl CmpSystem {
 
     /// Jump time to `target` with every core asleep. Nothing is charged
     /// here: the cores stay asleep, so [`CmpSystem::settle_core`] charges
-    /// the span when they wake, and the powered-lines integral stays
-    /// lazy (the value is frozen without working cycles).
+    /// the span when they wake.
     fn jump_to(&mut self, target: u64) {
         debug_assert!(
             (0..self.cfg.n_cores).all(|c| {
@@ -1165,7 +1002,26 @@ impl CmpSystem {
                     self.deliver_to_l1(core, line);
                 }
                 if writes > 0 {
-                    self.issue_write_probe(core, line);
+                    // Re-issue the stores of a demoted or doomed fill.
+                    // `fill` has just freed this line's MSHR entry, so the
+                    // probe finds room; only a copy of the line still in
+                    // TC/TD could refuse it. Such a copy entered TC/TD on
+                    // a cycle before this fill's bus grant: the grant
+                    // found the line absent or no longer Shared, nothing
+                    // but this fill installs it, and TC/TD is entered
+                    // only by a snoop (one grant per cycle) or a turn-off
+                    // (after the bus phase). Its Grant event is due
+                    // within `upper_inval_latency` of that cycle, and the
+                    // data arrives at least the fastest fill after the
+                    // grant; `CmpConfig::validate` keeps the first no
+                    // longer than the second. Checked in release builds
+                    // too: a refusal here would lose the store.
+                    let outcome = self.issue_write_probe(core, line);
+                    assert_ne!(
+                        outcome,
+                        L2WriteOutcome::Retry,
+                        "a write re-issued after its fill was refused"
+                    );
                 }
             }
             EvKind::Grant { core, slot, line } => {
@@ -1291,6 +1147,12 @@ impl CmpSystem {
     // ---- per-core L2 cycle --------------------------------------------------
 
     fn l2_cycle(&mut self, core: usize) -> bool {
+        // Every engine runs this phase no later than the L2's decay
+        // deadline, so each tick is processed on its own cycle.
+        debug_assert!(
+            self.l2s[core].next_decay_deadline().is_none_or(|t| t >= self.now),
+            "a decay tick was left past its deadline"
+        );
         // Decay clock and turn-off processing.
         let decayed = self.l2s[core].take_decayed(self.now);
         let mut work = !decayed.is_empty();
@@ -1333,28 +1195,17 @@ impl CmpSystem {
             ops += 1;
         }
         while ops < self.cfg.l2.ports {
-            let (line, from_retry) = if let Some(line) = self.write_retries[core].front() {
-                (line, true)
-            } else if let Some(line) = self.wbs[core].head() {
-                (line, false)
-            } else {
+            let Some(line) = self.wbs[core].head() else {
                 break;
             };
-            let outcome = self.issue_write_probe_inner(core, line);
-            match outcome {
-                // A retried head changes nothing structural (one retry
-                // counter tick only): not reported as work, so the skip
-                // kernel gets to probe whether the blockage is provable.
-                L2WriteOutcome::Retry => break,
-                _ => {
-                    work = true;
-                    if from_retry {
-                        self.write_retries[core].pop_front();
-                    } else {
-                        self.wbs[core].pop();
-                    }
-                }
+            // A retried head changes nothing structural (one retry
+            // counter tick only): not reported as work, so the skip
+            // kernel gets to probe whether the blockage is provable.
+            if self.issue_write_probe(core, line) == L2WriteOutcome::Retry {
+                break;
             }
+            work = true;
+            self.wbs[core].pop();
             ops += 1;
         }
         work
@@ -1364,7 +1215,7 @@ impl CmpSystem {
         let Some(line) = self.l2s[core].line_at(slot) else {
             return;
         };
-        let pending = self.wbs[core].has_pending(line) || self.write_retries[core].contains(line);
+        let pending = self.wbs[core].has_pending(line);
         let mut fx = std::mem::take(&mut self.fx);
         fx.clear();
         self.l2s[core].turn_off(slot, self.now, pending, &mut fx);
@@ -1372,17 +1223,8 @@ impl CmpSystem {
         self.fx = fx;
     }
 
-    /// Probe a write that is no longer in the write buffer (re-issued
-    /// after a demoted/doomed fill); retries go to the retry queue —
-    /// arming the core's write-drain loop, so the ports-idle bit falls.
-    fn issue_write_probe(&mut self, core: usize, line: LineAddr) {
-        if self.issue_write_probe_inner(core, line) == L2WriteOutcome::Retry {
-            self.write_retries[core].push_back(line);
-            self.ports_idle &= !(1u64 << core);
-        }
-    }
-
-    fn issue_write_probe_inner(&mut self, core: usize, line: LineAddr) -> L2WriteOutcome {
+    /// Probe a write and queue the bus transaction it needs.
+    fn issue_write_probe(&mut self, core: usize, line: LineAddr) -> L2WriteOutcome {
         let outcome = self.l2s[core].probe_write(line);
         match outcome {
             L2WriteOutcome::Done | L2WriteOutcome::MissSecondary => {}
@@ -1412,7 +1254,6 @@ impl CmpSystem {
             wb: &mut self.wbs[core],
             read_queue: &mut self.read_queues[core],
             events: &mut self.events,
-            ports_idle: &mut self.ports_idle,
         };
         self.cores[core].tick(&mut self.sources[core], &mut port) > 0
     }
@@ -1443,6 +1284,7 @@ impl CmpSystem {
         s
     }
 
+    /// The full scan's powered-lines book: Σ powered lines, every cycle.
     fn sample_cycle(&mut self) {
         self.interval_powered += self.l2s.iter().map(|l| l.powered_lines()).sum::<u64>();
         let elapsed = self.now + 1 - self.interval_start;
@@ -1456,12 +1298,14 @@ impl CmpSystem {
         if elapsed == 0 {
             return;
         }
-        if self.worklist {
-            // Bring the lazily integrated powered-lines trace up to the
-            // boundary (the value is frozen since the last working
-            // cycle).
-            self.sync_powered_to(end);
-        }
+        // The worklist engine reads the interval's powered-line cycles
+        // off the banks' on-cycle books; the full scan summed them.
+        let powered = if self.worklist {
+            let on = self.on_line_cycles(end);
+            on - std::mem::replace(&mut self.interval_on_at_start, on)
+        } else {
+            std::mem::take(&mut self.interval_powered)
+        };
         let snap = self.counters();
         let lines_total = self.lines_total;
         self.trace.push(IntervalActivity {
@@ -1473,13 +1317,17 @@ impl CmpSystem {
             bus_transactions: snap.bus_transactions - self.last_snap.bus_transactions,
             bus_bytes: snap.bus_bytes - self.last_snap.bus_bytes,
             mem_bytes: snap.mem_bytes - self.last_snap.mem_bytes,
-            l2_powered_line_cycles: self.interval_powered,
+            l2_powered_line_cycles: powered,
             l2_total_line_cycles: lines_total * elapsed,
             decay_counter_events: snap.decay_events - self.last_snap.decay_events,
         });
         self.last_snap = snap;
-        self.interval_powered = 0;
         self.interval_start = end;
+    }
+
+    /// Σ on-cycles of every L2's lines up to `t` (the banks' books).
+    fn on_line_cycles(&self, t: u64) -> u64 {
+        self.l2s.iter().map(|l2| l2.finish_on_cycles(t)).sum()
     }
 
     /// Close the books and assemble the statistics. The caches' storage
@@ -1493,10 +1341,12 @@ impl CmpSystem {
         }
         self.close_interval(self.now);
         let now = self.now;
-        let on: u64 = self.l2s.iter().map(|l2| l2.finish_on_cycles(now)).sum();
+        let on = self.on_line_cycles(now);
         let lines_total = self.lines_total;
-        // Two independent books of the same integral: the banks' power
-        // on/off stamps, and the cycle loop's powered-count × span sums.
+        // Under the full scan, two independent books of the same
+        // integral: the banks' power on/off stamps, and the per-cycle
+        // powered sums. (The worklist engine's trace is read off the
+        // banks, so there the check holds by construction.)
         debug_assert_eq!(
             self.trace.iter().map(|iv| iv.l2_powered_line_cycles).sum::<u64>(),
             on,
@@ -1543,7 +1393,6 @@ impl CmpSystem {
         scratch.events = std::mem::take(&mut self.events);
         scratch.fx = std::mem::take(&mut self.fx);
         scratch.read_queues = std::mem::take(&mut self.read_queues);
-        scratch.write_retries = std::mem::take(&mut self.write_retries);
         scratch.profile = self.profile;
     }
 }
@@ -1885,6 +1734,49 @@ mod tests {
         assert_eq!(run_simulation(reference, wl()), stats);
     }
 
+    /// Two cores loading, then storing, the same 64 lines: upgrades race
+    /// invalidations, so fills arrive doomed or demoted and their stores
+    /// are re-issued from the fill path.
+    fn load_store_loops() -> Vec<Box<dyn Workload>> {
+        (0..2)
+            .map(|_| {
+                let ops: Vec<TraceOp> = (0..64)
+                    .flat_map(|i| {
+                        [
+                            TraceOp::Load(i * 64),
+                            TraceOp::Exec(1),
+                            TraceOp::Store(i * 64),
+                            TraceOp::Exec(1),
+                        ]
+                    })
+                    .collect();
+                Box::new(ReplayWorkload::cycle(ops)) as Box<dyn Workload>
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "upper_inval_latency = 2000 exceeds the shortest fill (12 cycles)")]
+    fn upper_invalidations_slower_than_a_fill_are_refused() {
+        // On the default bus this loop re-issued a store into a line
+        // still in TC/TD (lost in a release build): refused up front.
+        let mut cfg = tiny_cfg(Technique::Baseline);
+        cfg.l2.upper_inval_latency = 2_000;
+        run_simulation(cfg, load_store_loops());
+    }
+
+    #[test]
+    fn upper_invalidations_no_slower_than_a_fill_are_accepted() {
+        // The same latency with fills as slow: every store re-issued
+        // after its fill passes the fill path's debug assertion.
+        let mut cfg = tiny_cfg(Technique::Baseline);
+        cfg.l2.upper_inval_latency = 2_000;
+        cfg.bus.c2c_latency = 2_000;
+        cfg.mem.latency = 2_000;
+        let stats = run_simulation(cfg, load_store_loops());
+        assert_eq!(stats.instructions, 2 * cfg.instructions_per_core);
+    }
+
     #[cfg(feature = "cycle-profile")]
     #[test]
     fn skip_kernel_jumps_only_over_an_empty_active_set() {
@@ -1908,10 +1800,12 @@ mod tests {
         let p = scratch.cycle_profile();
         assert_eq!(p.cycles_skipped, 0, "the full scan has no active set to empty");
         assert_eq!(p.cycles_stepped, stats.cycles);
+        assert_eq!(p.port_loops_skipped, 0, "the full scan runs every L2 phase");
 
         let stats = run_feeds_with_scratch(cfg, live(wl()), &mut scratch);
         let p = scratch.cycle_profile();
         assert!(p.cycles_skipped > 0, "every core sleeps through the memory stalls");
+        assert!(p.port_loops_skipped > 0, "awake cores with idle ports skip their L2 phase");
         assert_eq!(p.cycles_batched, 0);
         assert_eq!(p.cycles_stepped + p.cycles_skipped, stats.cycles);
     }
@@ -2174,22 +2068,6 @@ mod tests {
                 prop_assert_eq!(q.stats().ring_pushes, pushes);
             }
         }
-    }
-
-    #[test]
-    fn retry_queue_membership_tracks_duplicates() {
-        let mut q = RetryQueue::default();
-        q.push_back(LineAddr(7));
-        q.push_back(LineAddr(9));
-        q.push_back(LineAddr(7));
-        assert!(q.contains(LineAddr(7)));
-        assert_eq!(q.pop_front(), Some(LineAddr(7)));
-        assert!(q.contains(LineAddr(7)), "second copy still queued");
-        assert_eq!(q.pop_front(), Some(LineAddr(9)));
-        assert!(!q.contains(LineAddr(9)));
-        assert_eq!(q.pop_front(), Some(LineAddr(7)));
-        assert!(!q.contains(LineAddr(7)));
-        assert!(q.is_empty());
     }
 
     #[test]

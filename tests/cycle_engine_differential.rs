@@ -182,8 +182,10 @@ fn engines_agree_nack_storm_under_grant_gating() {
     // Heavily shared write traffic: many in-flight fills to the same
     // lines, so bus grants repeatedly hit the split-transaction conflict
     // rule and NACK-retry — each retry re-enqueues after charging
-    // occupancy, reopening the grant horizon. The gate must never skip a
-    // cycle in which a retried request could be granted.
+    // occupancy. Every stepped cycle arbitrates, so the skip kernel's
+    // bus wake edge (`SharedBus::next_possible_grant`) is the one that
+    // must never jump past a cycle in which a retried request could be
+    // granted.
     let nack = WorkloadSpec {
         name: "nack_storm",
         class: BenchClass::Scientific,
