@@ -7,6 +7,9 @@
 //! pattern from the workspace's hpc-parallel guides) and reassembles
 //! results by index, so the output is identical for any thread count
 //! (pinned by the golden regression test in `tests/golden_sweep.rs`).
+//! The calling thread is the pool's first worker, running on the
+//! caller's scratch, and only `threads − 1` helpers are spawned, so a
+//! one-thread sweep starts no thread at all.
 //!
 //! Two entry points run the production path — [`run_sweep`] and
 //! [`run_sweep_with_telemetry`], which also returns the planner's work
@@ -42,6 +45,7 @@ use cmpleak_store::{CellKey, ResultStore};
 use cmpleak_workloads::{ScenarioSpec, WorkloadSpec};
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, OnceLock};
 
 /// Sweep parameters.
@@ -208,8 +212,9 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// records it while other workers proceed to other groups and block
 /// only on that group — so grid latency scales with cores even on
 /// recording-heavy sweeps. If a recording panics, a waiting worker
-/// records again and the thread scope re-raises the panic; nothing
-/// hangs.
+/// records again and the sweep panics — with the recording's own message
+/// when the calling thread's recording panicked, else with the thread
+/// scope's — so nothing hangs.
 ///
 /// **Persistent store** — when [`SweepConfig::store`] is set, each
 /// cell's content address ([`ExperimentConfig::store_key`]) is probed
@@ -229,8 +234,9 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
 /// [`run_sweep`] returning the planner's work counters alongside the
 /// results — how many cells were derived, how many stream groups were
 /// recorded in-pool, and how the persistent store split the grid into
-/// hits and misses. `scratch` becomes the first worker's scratch; the
-/// results are identical to [`run_sweep`]'s.
+/// hits and misses. The calling thread is the first worker and runs on
+/// `scratch` (its arena and queues are reused across the cells it takes);
+/// the results are identical to [`run_sweep`]'s.
 pub fn run_sweep_with_telemetry(
     cfg: &SweepConfig,
     scratch: &mut ExperimentScratch,
@@ -383,81 +389,62 @@ fn run_sweep_inner(
     .min(jobs.len().max(1));
 
     let order = largest_first(&jobs);
-    let mut results: Vec<Option<ExperimentResult>> = (0..jobs.len()).map(|_| None).collect();
-    // Per-worker scratch: queue and per-line-bank allocations are
-    // recycled across a worker's jobs. The caller's is the first one.
+    // Share-nothing worker pool on std primitives: an atomic cursor walks
+    // `order` handing out job indices, an mpsc channel collects results,
+    // and reassembly by index keeps the output identical for any thread
+    // count and execution order. Each worker owns a scratch, so queue and
+    // per-line-bank allocations are recycled across its jobs.
+    let next_job = AtomicUsize::new(0);
+    let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, ExperimentResult)>();
+    let work = |scratch: &mut ExperimentScratch, res_tx: Sender<(usize, ExperimentResult)>| {
+        while let Some(&u) = order.get(next_job.fetch_add(1, Ordering::Relaxed)) {
+            let job = &jobs[u];
+            if !job.simulate {
+                continue; // derived after the pool finishes
+            }
+            if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
+                if let Some(cell) = st.load(key) {
+                    store_hits.fetch_add(1, Ordering::Relaxed);
+                    // The receiver outlives the pool, so a send cannot fail.
+                    res_tx.send((u, result_from_stored(&job.cfg, cell))).ok();
+                    continue;
+                }
+            }
+            let original = &job.cfg.scenario;
+            let scenario = if share_streams && original.generates_live() {
+                streams[job.scenario_idx].get_or_init(|| {
+                    let trace = original.record(cfg.n_cores, cfg.seed, cfg.instructions_per_core);
+                    recorded.fetch_add(1, Ordering::Relaxed);
+                    Scenario::SharedStream { trace: Arc::new(trace) }
+                })
+            } else {
+                original
+            };
+            let run_cfg = ExperimentConfig { scenario: scenario.clone(), ..job.cfg.clone() };
+            let r = run_experiment_with_scratch(&run_cfg, scratch);
+            if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
+                store_misses.fetch_add(1, Ordering::Relaxed);
+                st.publish(key, &r.stats, &r.power).ok();
+            }
+            res_tx.send((u, r)).ok();
+        }
+    };
+    // The calling thread is the first worker, on the caller's scratch;
+    // `threads − 1` helpers run the same loop on scratch of their own.
     let mut spare: Vec<ExperimentScratch> =
         (1..threads).map(|_| ExperimentScratch::default()).collect();
-    {
-        // Share-nothing worker pool on std primitives: an atomic cursor
-        // walks `order` handing out job indices, an mpsc channel
-        // collects results, and reassembly by index keeps the output
-        // identical for any thread count and execution order.
-        let next_job = AtomicUsize::new(0);
-        let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, ExperimentResult)>();
-        std::thread::scope(|s| {
-            for scratch in std::iter::once(scratch).chain(spare.iter_mut()) {
-                let next_job = &next_job;
-                let order = &order;
-                let jobs = &jobs;
-                let keys = &keys;
-                let streams = &streams;
-                let store = &store;
-                let recorded = &recorded;
-                let store_hits = &store_hits;
-                let store_misses = &store_misses;
-                let res_tx = res_tx.clone();
-                s.spawn(move || {
-                    loop {
-                        let Some(&u) = order.get(next_job.fetch_add(1, Ordering::Relaxed)) else {
-                            return;
-                        };
-                        let job = &jobs[u];
-                        if !job.simulate {
-                            continue; // derived after the pool finishes
-                        }
-                        if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
-                            if let Some(cell) = st.load(key) {
-                                store_hits.fetch_add(1, Ordering::Relaxed);
-                                let r = result_from_stored(&job.cfg, cell);
-                                if res_tx.send((u, r)).is_err() {
-                                    return;
-                                }
-                                continue;
-                            }
-                        }
-                        let original = &job.cfg.scenario;
-                        let scenario = if share_streams && original.generates_live() {
-                            streams[job.scenario_idx].get_or_init(|| {
-                                let trace = original.record(
-                                    cfg.n_cores,
-                                    cfg.seed,
-                                    cfg.instructions_per_core,
-                                );
-                                recorded.fetch_add(1, Ordering::Relaxed);
-                                Scenario::SharedStream { trace: Arc::new(trace) }
-                            })
-                        } else {
-                            original
-                        };
-                        let run_cfg =
-                            ExperimentConfig { scenario: scenario.clone(), ..job.cfg.clone() };
-                        let r = run_experiment_with_scratch(&run_cfg, scratch);
-                        if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
-                            store_misses.fetch_add(1, Ordering::Relaxed);
-                            st.publish(key, &r.stats, &r.power).ok();
-                        }
-                        if res_tx.send((u, r)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-            for (i, r) in res_rx.iter() {
-                results[i] = Some(r);
-            }
-        });
+    std::thread::scope(|s| {
+        for helper in &mut spare {
+            let res_tx = res_tx.clone();
+            let work = &work;
+            s.spawn(move || work(helper, res_tx));
+        }
+        work(scratch, res_tx);
+    });
+    // Every sender went with its worker, so this drains and ends.
+    let mut results: Vec<Option<ExperimentResult>> = (0..jobs.len()).map(|_| None).collect();
+    for (i, r) in res_rx.iter() {
+        results[i] = Some(r);
     }
 
     // Derive the skipped baseline cells from their donors (a pure
@@ -560,18 +547,36 @@ mod tests {
         assert_eq!(res.cells.len(), 4);
     }
 
-    #[test]
-    #[should_panic(expected = "a scoped thread panicked")]
-    fn a_panicking_recording_fails_the_sweep_instead_of_hanging() {
-        // An empty assignment list (built past `ScenarioSpec::new`'s
-        // check) panics when its generators are built — inside the
-        // recording. Every worker waiting on that stream records again
-        // and panics too; the thread scope re-raises.
+    /// A sweep whose one scenario panics while it is recorded: an empty
+    /// assignment list (built past `ScenarioSpec::new`'s check) divides
+    /// by zero when its generators are built.
+    fn broken_recording(threads: usize) -> SweepConfig {
         let mut cfg = tiny();
         cfg.scenarios =
             vec![Scenario::Mix(ScenarioSpec { name: "broken".into(), assignments: vec![] })];
         cfg.sizes_mb = vec![1, 2];
-        run_sweep(&cfg);
+        cfg.threads = threads;
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "remainder with a divisor of zero")]
+    fn a_panicking_recording_fails_the_sweep_instead_of_hanging() {
+        // A one-thread sweep runs on the calling thread and spawns no
+        // helper, so the recording's own panic reaches the caller
+        // unwrapped.
+        run_sweep(&broken_recording(1));
+    }
+
+    #[test]
+    fn a_panicking_recording_fails_a_pooled_sweep_instead_of_hanging() {
+        // Which worker records first decides the message (the
+        // recording's own, or the thread scope's); every worker waiting
+        // on that stream records again and panics too, so the sweep
+        // fails rather than waiting forever.
+        let cfg = broken_recording(4);
+        let outcome = std::panic::catch_unwind(|| run_sweep(&cfg));
+        assert!(outcome.is_err(), "a panicking recording must fail the sweep");
     }
 
     #[test]

@@ -5,17 +5,40 @@
 //! metadata (`M::is_valid`), so the array itself never interprets the
 //! coherence state — it only provides lookup, touch and victim selection.
 //!
-//! Storage is **columnar**: tags, LRU stamps and metadata live in three
-//! parallel arrays instead of an array of per-line structs, so the probe
+//! Storage is **columnar**: tags, LRU stamps and metadata live in parallel
+//! per-line arrays instead of an array of per-line structs, so the probe
 //! loop walks a dense `u64` tag column (metadata is consulted only on a
-//! tag match) and **all three** columns are checked out of a
-//! [`BankArena`] and reused across simulations instead of being
-//! reallocated per sweep grid cell — the metadata column is held as one
-//! byte per line ([`LineMeta::to_byte`]/[`LineMeta::from_byte`]; every
-//! cache's per-line state in the workspace fits a byte), so it pools
-//! through the arena's `u8` buffers like the line-state bank's counter
-//! column. An invalid slot's tag is pinned to a sentinel so stale tags
-//! can never alias a probe.
+//! tag match), and every column is checked out of a [`BankArena`] and
+//! reused across simulations instead of being reallocated per sweep grid
+//! cell. The metadata column is held as one byte per line
+//! ([`LineMeta::to_byte`]/[`LineMeta::from_byte`]; every cache's per-line
+//! state in the workspace fits a byte), so it pools through the arena's
+//! `u8` buffers like the line-state bank's counter column. An invalid
+//! slot's tag is pinned to a sentinel so stale tags can never alias a
+//! probe.
+//!
+//! **LRU in one byte per line.** A stamp is only ever compared with the
+//! other ways of its own set, so each set keeps its own 8-bit clock (one
+//! byte per set) and each line an 8-bit stamp. A touch or fill advances
+//! the set's clock and stores the new value as the line's stamp. Before a
+//! clock would pass 255, its set is *renumbered*: each way's stamp
+//! becomes the number of ways in the set with a smaller stamp, and the
+//! clock restarts at `assoc − 1`, above every rank. This is exactly LRU,
+//! with no overflow:
+//!
+//! * victim choice reads only the order of stamps within one set, and
+//!   renumbering is strictly order-preserving (a smaller stamp always has
+//!   a smaller rank);
+//! * valid ways never tie, because every touch and fill hands out a fresh
+//!   clock value;
+//! * invalid ways may tie, but victim choice takes an invalid way before
+//!   it reads any stamp.
+//!
+//! Ranks run `0..assoc`, and the clock needs a value above every rank, so
+//! the array refuses associativity above 128. Tags stay `u64`: the
+//! generators' shared segment starts at 2^44 and trace-file addresses can
+//! be any `u64`, so a narrower tag would need an address bound that the
+//! trace format does not give.
 
 use crate::addr::{Geometry, LineAddr};
 use crate::bank::BankArena;
@@ -25,6 +48,11 @@ use std::marker::PhantomData;
 /// addresses shifted right by the offset bits, so `u64::MAX` is
 /// unreachable for any real line.
 const INVALID_TAG: u64 = u64::MAX;
+
+/// Largest associativity the 8-bit per-set LRU clocks support: a
+/// renumbered set's ranks run `0..assoc`, and its clock must then still
+/// have a value above every rank to hand out.
+const MAX_ASSOC: usize = 128;
 
 /// Per-line metadata contract. `Default` must produce an *invalid* line.
 ///
@@ -49,8 +77,10 @@ pub struct LineView<M> {
     /// Full line address of the resident block (meaningful only when
     /// `meta.is_valid()`).
     pub tag: LineAddr,
-    /// Monotonic last-use stamp for LRU.
-    pub lru: u64,
+    /// Last-use stamp from the set's 8-bit clock: smaller is older. Only
+    /// comparable with the stamps of other ways in the same set (sets
+    /// keep separate clocks and are renumbered independently).
+    pub lru: u8,
     /// Caller-owned metadata, decoded from the byte column.
     pub meta: M,
 }
@@ -65,33 +95,48 @@ pub enum LookupOutcome {
 }
 
 /// A set-associative array of lines carrying metadata `M`, stored as
-/// parallel tag / LRU / metadata-byte columns.
+/// parallel tag / LRU-stamp / metadata-byte columns plus one LRU clock
+/// per set.
 #[derive(Debug, Clone)]
 pub struct SetAssocArray<M> {
     geom: Geometry,
+    /// `log2(assoc)`: a slot's set is `slot >> way_bits`.
+    way_bits: u32,
     tags: Vec<u64>,
-    lru: Vec<u64>,
+    /// Per-line last-use stamps, drawn from the set's clock.
+    stamps: Vec<u8>,
+    /// Per-set LRU clocks: the last stamp each set handed out.
+    clocks: Vec<u8>,
     meta: Vec<u8>,
-    stamp: u64,
     _marker: PhantomData<M>,
 }
 
 impl<M: LineMeta> SetAssocArray<M> {
     /// Allocate an array with all lines invalid.
+    ///
+    /// # Panics
+    /// Panics if `geom.assoc` exceeds 128, the LRU clocks' limit.
     pub fn new(geom: Geometry) -> Self {
         Self::new_in(geom, &mut BankArena::default())
     }
 
-    /// Like [`SetAssocArray::new`], with every column — tags, LRU and
-    /// the byte-packed metadata — checked out of `arena`.
+    /// Like [`SetAssocArray::new`], with every column — tags, LRU
+    /// stamps and clocks, and the byte-packed metadata — checked out of
+    /// `arena`. The associativity is checked before anything is taken.
     pub fn new_in(geom: Geometry, arena: &mut BankArena) -> Self {
+        assert!(
+            geom.assoc <= MAX_ASSOC,
+            "associativity {} exceeds the LRU clocks' limit of {MAX_ASSOC} ways",
+            geom.assoc
+        );
         let lines = geom.lines();
         Self {
             geom,
+            way_bits: geom.assoc.trailing_zeros(),
             tags: arena.take_u64(lines, INVALID_TAG),
-            lru: arena.take_u64(lines, 0),
+            stamps: arena.take_u8(lines, 0),
+            clocks: arena.take_u8(geom.sets(), 0),
             meta: arena.take_u8(lines, M::default().to_byte()),
-            stamp: 0,
             _marker: PhantomData,
         }
     }
@@ -99,7 +144,8 @@ impl<M: LineMeta> SetAssocArray<M> {
     /// Return the arena-backed columns (the array becomes empty).
     pub fn release_into(&mut self, arena: &mut BankArena) {
         arena.give_u64(std::mem::take(&mut self.tags));
-        arena.give_u64(std::mem::take(&mut self.lru));
+        arena.give_u8(std::mem::take(&mut self.stamps));
+        arena.give_u8(std::mem::take(&mut self.clocks));
         arena.give_u8(std::mem::take(&mut self.meta));
     }
 
@@ -150,21 +196,48 @@ impl<M: LineMeta> SetAssocArray<M> {
     /// Mark a slot most-recently-used.
     #[inline]
     pub fn touch(&mut self, slot: usize) {
-        self.stamp += 1;
-        self.lru[slot] = self.stamp;
+        self.stamps[slot] = self.advance_clock(self.set_of_slot(slot));
+    }
+
+    /// Advance `set`'s clock and return its new value, renumbering the
+    /// set first if the clock would pass 255.
+    #[inline]
+    fn advance_clock(&mut self, set: usize) -> u8 {
+        let mut clock = self.clocks[set];
+        if clock == u8::MAX {
+            self.renumber(set);
+            // Ranks run 0..assoc (≤ MAX_ASSOC), so this stays below 255.
+            clock = (self.geom.assoc - 1) as u8;
+        }
+        clock += 1;
+        self.clocks[set] = clock;
+        clock
+    }
+
+    /// Replace each of `set`'s stamps by its rank: the number of ways in
+    /// the set with a smaller stamp. Strictly order-preserving, so LRU
+    /// order within the set is unchanged.
+    #[cold]
+    fn renumber(&mut self, set: usize) {
+        let base = set << self.way_bits;
+        let ways = &mut self.stamps[base..base + self.geom.assoc];
+        let mut ranks = [0u8; MAX_ASSOC];
+        for (rank, &s) in ranks.iter_mut().zip(ways.iter()) {
+            *rank = ways.iter().filter(|&&t| t < s).count() as u8;
+        }
+        ways.copy_from_slice(&ranks[..ways.len()]);
     }
 
     /// Choose a victim slot in `line`'s set: an invalid way if one exists,
     /// otherwise the least-recently-used way. Does not modify the slot.
     pub fn victim(&self, line: LineAddr) -> usize {
-        let mut best = usize::MAX;
-        let mut best_lru = u64::MAX;
-        for idx in self.set_range(line) {
+        let range = self.set_range(line);
+        let mut best = range.start;
+        for idx in range {
             if !M::from_byte(self.meta[idx]).is_valid() {
                 return idx;
             }
-            if self.lru[idx] < best_lru {
-                best_lru = self.lru[idx];
+            if self.stamps[idx] < self.stamps[best] {
                 best = idx;
             }
         }
@@ -177,10 +250,9 @@ impl<M: LineMeta> SetAssocArray<M> {
     pub fn fill(&mut self, slot: usize, line: LineAddr, meta: M) -> Option<(LineAddr, M)> {
         let old = M::from_byte(self.meta[slot]);
         let prev = old.is_valid().then(|| (LineAddr(self.tags[slot]), old));
-        self.stamp += 1;
         self.tags[slot] = line.0;
         self.meta[slot] = meta.to_byte();
-        self.lru[slot] = self.stamp;
+        self.touch(slot);
         prev
     }
 
@@ -189,7 +261,7 @@ impl<M: LineMeta> SetAssocArray<M> {
     pub fn slot(&self, slot: usize) -> LineView<M> {
         LineView {
             tag: LineAddr(self.tags[slot]),
-            lru: self.lru[slot],
+            lru: self.stamps[slot],
             meta: M::from_byte(self.meta[slot]),
         }
     }
@@ -234,7 +306,7 @@ impl<M: LineMeta> SetAssocArray<M> {
     /// Set index a flat slot id belongs to.
     #[inline]
     pub fn set_of_slot(&self, slot: usize) -> usize {
-        slot / self.geom.assoc
+        slot >> self.way_bits
     }
 }
 
@@ -340,6 +412,62 @@ mod tests {
         // probe l0 (no LRU update): l0 stays LRU and must be evicted next.
         assert_eq!(a.probe(l0), LookupOutcome::Hit(v0));
         assert_eq!(a.victim(l2), v0);
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 256 exceeds the LRU clocks' limit of 128 ways")]
+    fn associativity_above_the_clock_limit_is_refused() {
+        let _: SetAssocArray<V> = SetAssocArray::new(Geometry::new(256 * 64, 64, 256));
+    }
+
+    #[test]
+    fn the_widest_set_still_tracks_lru_across_clock_wraps() {
+        // 128 ways: a renumbered set's clock restarts at 127, leaving
+        // 128 fresh values before the next wrap.
+        let geom = Geometry::new(MAX_ASSOC * 64, 64, MAX_ASSOC);
+        let mut a: SetAssocArray<V> = SetAssocArray::new(geom);
+        let lines: Vec<LineAddr> = (0..MAX_ASSOC as u64).map(|i| geom.line_of(i * 64)).collect();
+        for &l in &lines {
+            let v = a.victim(l);
+            a.fill(v, l, V(true));
+        }
+        // Touch every line but the first, oldest first, three times over.
+        for _ in 0..3 {
+            for &l in &lines[1..] {
+                a.lookup(l);
+            }
+        }
+        assert_eq!(a.slot(a.victim(lines[0])).tag, lines[0], "untouched line stays LRU");
+        a.lookup(lines[0]);
+        assert_eq!(a.slot(a.victim(lines[0])).tag, lines[1]);
+    }
+
+    #[test]
+    fn clock_wraps_keep_lru_order() {
+        // One 4-way set touched far past 255 stamps: renumbering must
+        // keep the order, so evictions follow last use exactly.
+        let geom = Geometry::new(4 * 64, 64, 4);
+        let mut a: SetAssocArray<V> = SetAssocArray::new(geom);
+        let lines: Vec<LineAddr> = (0..4).map(|i| geom.line_of(i * 64)).collect();
+        for &l in &lines {
+            let v = a.victim(l);
+            a.fill(v, l, V(true));
+        }
+        // Line 3 is never touched again. The fills took stamps 1–4, so
+        // the last three touches (lines 2, 0 and 1) are the 256th to
+        // 258th clock values: a clock that wrapped without renumbering
+        // would rank them below line 3.
+        for round in 0..254 {
+            a.lookup(lines[round % 3]);
+        }
+        let evicted: Vec<LineAddr> = (4..8)
+            .map(|i| {
+                let l = geom.line_of(i * 64);
+                let v = a.victim(l);
+                a.fill(v, l, V(true)).expect("full set evicts").0
+            })
+            .collect();
+        assert_eq!(evicted, [lines[3], lines[2], lines[0], lines[1]]);
     }
 
     #[test]

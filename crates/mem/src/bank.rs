@@ -268,6 +268,11 @@ impl LineStateBank {
     /// Σ on. The sums wrap, so the result is exact whenever the total
     /// itself fits in a `u64` (it is at most `lines × now`).
     pub fn finish_on_cycles(&self, now: u64) -> u64 {
+        debug_assert_eq!(
+            self.powered_count,
+            self.powered.count_ones(),
+            "the powered-line count disagrees with the powered bitset"
+        );
         self.off_stamps
             .wrapping_add(self.powered_count.wrapping_mul(now))
             .wrapping_sub(self.on_stamps)

@@ -32,19 +32,30 @@ struct RefCache {
 }
 
 impl RefCache {
-    fn access(&mut self, set: usize, line: u64) -> bool {
+    /// Access `line`: whether it hit, and the line evicted to make room.
+    fn access(&mut self, set: usize, line: u64) -> (bool, Option<u64>) {
         let q = self.sets.entry(set).or_default();
         if let Some(pos) = q.iter().position(|&l| l == line) {
             q.remove(pos);
             q.push_front(line);
-            true
+            (true, None)
         } else {
             q.push_front(line);
-            if q.len() > self.assoc {
-                q.pop_back();
-            }
-            false
+            let evicted = if q.len() > self.assoc { q.pop_back() } else { None };
+            (false, evicted)
         }
+    }
+
+    /// Whether `line` is resident (no LRU update).
+    fn contains(&self, set: usize, line: u64) -> bool {
+        self.sets.get(&set).is_some_and(|q| q.contains(&line))
+    }
+
+    /// Drop `line` if resident; returns whether it was.
+    fn invalidate(&mut self, set: usize, line: u64) -> bool {
+        let q = self.sets.entry(set).or_default();
+        let pos = q.iter().position(|&l| l == line);
+        pos.map(|p| q.remove(p)).is_some()
     }
 }
 
@@ -61,7 +72,7 @@ proptest! {
         for a in addrs {
             let line = geom.line_of(a * 64);
             let set = geom.set_index(line);
-            let model_hit = reference.access(set, line.0);
+            let (model_hit, _) = reference.access(set, line.0);
             let real_hit = match arr.lookup(line) {
                 LookupOutcome::Hit(_) => true,
                 LookupOutcome::Miss => {
@@ -71,6 +82,57 @@ proptest! {
                 }
             };
             prop_assert_eq!(model_hit, real_hit, "divergence at line {}", line.0);
+        }
+    }
+
+    /// The 8-bit per-set LRU clocks wrap every 252 touches of a 4-way
+    /// set: over 1–2 sets and up to 3,000 operations every clock wraps
+    /// several times. Lookups (filling the victim on a miss), probes and
+    /// invalidations are mixed; every hit or miss, and every line a fill
+    /// evicts, must match the reference LRU model.
+    #[test]
+    fn tag_array_matches_reference_lru_across_clock_wraps(
+        two_sets in any::<bool>(),
+        ops in proptest::collection::vec((0u64..24, 0u8..8), 1..3000)
+    ) {
+        let sets = if two_sets { 2 } else { 1 };
+        let geom = Geometry::new(sets * 4 * 64, 64, 4);
+        let mut arr: SetAssocArray<V> = SetAssocArray::new(geom);
+        let mut reference = RefCache { assoc: 4, ..Default::default() };
+        for (i, (a, kind)) in ops.into_iter().enumerate() {
+            let line = geom.line_of(a * 64);
+            let set = geom.set_index(line);
+            match kind {
+                0 => {
+                    let real = match arr.probe(line) {
+                        LookupOutcome::Hit(slot) => {
+                            arr.invalidate(slot);
+                            true
+                        }
+                        LookupOutcome::Miss => false,
+                    };
+                    prop_assert_eq!(real, reference.invalidate(set, line.0), "invalidate, op {}", i);
+                }
+                1 => {
+                    let real = matches!(arr.probe(line), LookupOutcome::Hit(_));
+                    prop_assert_eq!(real, reference.contains(set, line.0), "probe, op {}", i);
+                }
+                _ => {
+                    let (model_hit, model_evicted) = reference.access(set, line.0);
+                    let real_evicted = match arr.lookup(line) {
+                        LookupOutcome::Hit(_) => {
+                            prop_assert!(model_hit, "hit the model missed, op {}", i);
+                            None
+                        }
+                        LookupOutcome::Miss => {
+                            prop_assert!(!model_hit, "miss the model hit, op {}", i);
+                            let v = arr.victim(line);
+                            arr.fill(v, line, V(true)).map(|(l, _)| l.0)
+                        }
+                    };
+                    prop_assert_eq!(real_evicted, model_evicted, "victim, op {}", i);
+                }
+            }
         }
     }
 

@@ -103,6 +103,11 @@ impl L1Cache {
         matches!(self.tags.probe(line), LookupOutcome::Hit(_))
     }
 
+    /// Lines currently held (the inclusion check's L1 side).
+    pub(crate) fn valid_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.tags.iter().filter(|(_, l)| l.meta.valid).map(|(_, l)| l.tag)
+    }
+
     /// Whether a fill for `line` is outstanding.
     pub fn miss_pending(&self, line: LineAddr) -> bool {
         self.mshr.pending(line)

@@ -312,6 +312,21 @@ impl L2Cache {
         self.decay.as_ref().map(|d| d.stats()).unwrap_or_default()
     }
 
+    /// Whether `line` is resident with its `in_l1` bit set (the inclusion
+    /// check's L2 side).
+    pub(crate) fn marks_in_l1(&self, line: LineAddr) -> bool {
+        match self.tags.probe(line) {
+            LookupOutcome::Hit(slot) => self.tags.meta(slot).in_l1,
+            LookupOutcome::Miss => false,
+        }
+    }
+
+    /// Lines whose `in_l1` bit is set (an invalidated slot's metadata is
+    /// reset, so only resident lines carry it).
+    pub(crate) fn lines_in_l1(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.tags.iter().filter(|(_, l)| l.meta.in_l1).map(|(_, l)| l.tag)
+    }
+
     /// The L1 filled/evicted `line`: keep the inclusion bit exact.
     pub fn set_in_l1(&mut self, line: LineAddr, val: bool) {
         if let LookupOutcome::Hit(slot) = self.tags.probe(line) {
@@ -756,7 +771,7 @@ impl L2Cache {
     /// Victim slot among stationary lines (invalid first, then LRU);
     /// `None` if the whole set is transient.
     fn pick_victim(&self, line: LineAddr) -> Option<usize> {
-        let mut best: Option<(usize, u64)> = None;
+        let mut best: Option<(usize, u8)> = None;
         for slot in self.tags.set_slots(line) {
             let l = self.tags.slot(slot);
             if !l.meta.state.is_valid() {

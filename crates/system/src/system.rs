@@ -71,22 +71,15 @@
 //!
 //! # Spine gating
 //!
-//! Two checks skip per-cycle work that provably does nothing. Both read
-//! the component that owns the fact, on the spot:
-//!
-//! * **bus arbitration** (both engines) — every stepped cycle calls
-//!   `SharedBus::try_grant`, which returns `None` while the bus is
-//!   occupied or its queue is empty.
-//!   [`SharedBus::next_possible_grant`] is only the skip kernel's bus
-//!   wake edge.
-//! * **L2 port loops** (worklist only) — an awake core's L2 phase is
-//!   skipped while its read queue and write buffer are empty, no
-//!   turn-off is parked and `now` is before its L2's next decay
-//!   deadline. The full scan runs every core's L2 phase every cycle.
-//!
-//! The only state the worklist engine caches is its sleep set (with
-//! `next_core_wake`). Debug builds assert that no decay tick is left
-//! past its deadline whenever an L2 phase runs.
+//! No per-cycle phase is gated beyond the worklist's sleep set. Every
+//! stepped cycle calls `SharedBus::try_grant`, which returns `None` while
+//! the bus is occupied or its queue is empty
+//! ([`SharedBus::next_possible_grant`] is only the skip kernel's bus wake
+//! edge), and every awake core runs its L2 phase, whose port loops stop
+//! at the first empty queue. The only state the worklist engine caches
+//! is its sleep set (with `next_core_wake`). Debug builds assert that no
+//! decay tick is left past its deadline whenever an L2 phase runs, and
+//! check L1 ⊆ L2 inclusion at every interval close.
 
 use crate::bus::{BusReq, BusReqKind, SharedBus};
 use crate::config::{CmpConfig, CycleEngine, SimKernel};
@@ -234,9 +227,8 @@ pub struct CycleProfile {
     /// Stepped cycles where bus arbitration found nothing to grant
     /// (the bus was occupied or its queue empty).
     pub grant_checks_skipped: u64,
-    /// Awake-core L2 port loops the worklist engine skipped because the
-    /// core's queues were empty, no turn-off was parked and no decay
-    /// tick was due (always 0 under the full scan).
+    /// Always 0 (every awake core runs its L2 phase); kept because
+    /// perfbench reads it.
     pub port_loops_skipped: u64,
     /// Always 0; kept because perfbench reads it.
     pub cycles_batched: u64,
@@ -286,14 +278,6 @@ impl CycleProfile {
         #[cfg(feature = "cycle-profile")]
         {
             self.grant_checks_skipped += 1;
-        }
-    }
-
-    #[inline]
-    fn on_ports_skip(&mut self) {
-        #[cfg(feature = "cycle-profile")]
-        {
-            self.port_loops_skipped += 1;
         }
     }
 }
@@ -759,7 +743,7 @@ impl CmpSystem {
         while pending != 0 {
             let core = pending.trailing_zeros() as usize;
             pending &= pending - 1;
-            work |= self.l2_phase(core);
+            work |= self.l2_cycle(core);
         }
         let mut pending = self.awake;
         while pending != 0 {
@@ -923,24 +907,6 @@ impl CmpSystem {
         if let Some(t) = sleep.decay_at {
             self.next_core_wake = self.next_core_wake.min(t);
         }
-    }
-
-    /// An awake core's L2 phase in the worklist engine: skipped while
-    /// its port loops would break before probing anything (empty read
-    /// queue and write buffer, no parked turn-off) and its next decay
-    /// tick lies ahead, so the skipped phase would charge no statistic
-    /// and consume nothing.
-    #[inline]
-    fn l2_phase(&mut self, core: usize) -> bool {
-        if self.read_queues[core].is_empty()
-            && self.wbs[core].head().is_none()
-            && !self.l2s[core].has_deferred_turnoffs()
-            && self.l2s[core].next_decay_deadline().is_none_or(|t| self.now < t)
-        {
-            self.profile.on_ports_skip();
-            return false;
-        }
-        self.l2_cycle(core)
     }
 
     // ---- quiescence skipping ----------------------------------------------
@@ -1298,6 +1264,9 @@ impl CmpSystem {
         if elapsed == 0 {
             return;
         }
+        if cfg!(debug_assertions) {
+            self.check_inclusion();
+        }
         // The worklist engine reads the interval's powered-line cycles
         // off the banks' on-cycle books; the full scan summed them.
         let powered = if self.worklist {
@@ -1323,6 +1292,28 @@ impl CmpSystem {
         });
         self.last_snap = snap;
         self.interval_start = end;
+    }
+
+    /// L1 ⊆ L2 inclusion, both ways: every valid L1 line is resident in
+    /// its L2 with `in_l1` set, and every L2 line with `in_l1` set is
+    /// held by its L1. Back-invalidations and eviction notices are
+    /// applied on the spot, so this holds after every cycle; debug
+    /// builds check it at each interval close.
+    fn check_inclusion(&self) {
+        for (core, (l1, l2)) in self.l1s.iter().zip(&self.l2s).enumerate() {
+            for line in l1.valid_lines() {
+                assert!(
+                    l2.marks_in_l1(line),
+                    "core {core}: L1 holds {line:?}, but its L2 does not mark it in_l1"
+                );
+            }
+            for line in l2.lines_in_l1() {
+                assert!(
+                    l1.holds(line),
+                    "core {core}: L2 marks {line:?} in_l1, but the L1 lacks it"
+                );
+            }
+        }
     }
 
     /// Σ on-cycles of every L2's lines up to `t` (the banks' books).
@@ -1800,12 +1791,12 @@ mod tests {
         let p = scratch.cycle_profile();
         assert_eq!(p.cycles_skipped, 0, "the full scan has no active set to empty");
         assert_eq!(p.cycles_stepped, stats.cycles);
-        assert_eq!(p.port_loops_skipped, 0, "the full scan runs every L2 phase");
+        assert_eq!(p.port_loops_skipped, 0, "every awake core runs its L2 phase");
 
         let stats = run_feeds_with_scratch(cfg, live(wl()), &mut scratch);
         let p = scratch.cycle_profile();
         assert!(p.cycles_skipped > 0, "every core sleeps through the memory stalls");
-        assert!(p.port_loops_skipped > 0, "awake cores with idle ports skip their L2 phase");
+        assert_eq!(p.port_loops_skipped, 0, "every awake core runs its L2 phase");
         assert_eq!(p.cycles_batched, 0);
         assert_eq!(p.cycles_stepped + p.cycles_skipped, stats.cycles);
     }
