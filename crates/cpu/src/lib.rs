@@ -23,5 +23,5 @@
 pub mod model;
 pub mod trace;
 
-pub use model::{CoreConfig, CoreModel, CorePort, CoreStats, ProgressState, StallKind};
+pub use model::{CoreConfig, CoreModel, CorePort, CoreStats, ProgressState};
 pub use trace::{ReplayWorkload, TraceOp, Workload};

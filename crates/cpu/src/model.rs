@@ -57,13 +57,14 @@ pub trait CorePort {
     fn try_store(&mut self, addr: u64) -> bool;
 }
 
-/// What a core can do on its next tick — the quiescence-skipping kernel
-/// classifies cores with this to find spans where no core can dispatch.
+/// What a core can do on its next tick — the worklist engine lets a core
+/// sleep only in one of the two blocked states.
 ///
-/// The contract with [`CoreModel::tick`]: for every variant except
-/// `Ready`, a tick performs **no** workload or port call and mutates
-/// exactly the statistics that [`CoreModel::charge_stall_cycles`]
-/// charges, so `k` stalled ticks can be replaced by one bulk charge.
+/// The contract with [`CoreModel::tick`]: in a blocked state a tick
+/// performs **no** workload or port call; an `Idle` tick mutates
+/// nothing, and a `WindowBlocked` tick mutates exactly the statistics
+/// that [`CoreModel::charge_window_stalls`] charges, so `k` blocked
+/// ticks can be replaced by one bulk charge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgressState {
     /// Budget exhausted and no retry pending: a tick is a strict no-op
@@ -74,31 +75,12 @@ pub enum ProgressState {
     /// Each tick charges one active + one window-stall cycle; only a
     /// load completion can unblock it.
     WindowBlocked,
-    /// A load to this address was refused by the hierarchy and will be
-    /// re-presented every tick. Whether the core is truly blocked
-    /// depends on hierarchy state the core cannot see; the caller must
-    /// check that the port would keep refusing. While it does, each
-    /// tick charges one active + one reject-stall cycle.
-    RetryLoad(u64),
-    /// A store to this address was refused (write buffer full) and will
-    /// be re-presented every tick. As with `RetryLoad`, the caller must
-    /// check that the hierarchy would keep refusing; while it does, each
-    /// tick charges one active + one reject-stall cycle (plus one
-    /// write-buffer full-stall on the refused push, which the caller
-    /// bulk-charges alongside).
-    RetryStore(u64),
-    /// The core can dispatch (or must attempt a workload fetch whose
-    /// outcome the core cannot predict): it must be ticked.
+    /// The core can dispatch, must attempt a workload fetch whose
+    /// outcome the core cannot predict, or must re-present a refused
+    /// load or store to the port: it must be ticked. A tick that
+    /// dispatches nothing charges one active cycle and exactly one
+    /// reject or window stall.
     Ready,
-}
-
-/// Which stall statistic a bulk-charged span accrues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallKind {
-    /// Window/load-queue stall (`window_stall_cycles`).
-    Window,
-    /// Hierarchy-reject stall (`reject_stall_cycles`).
-    Reject,
 }
 
 /// Runtime statistics of one core.
@@ -163,21 +145,11 @@ impl CoreModel {
         self.stats
     }
 
-    /// The configured instruction budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
     /// All budgeted instructions dispatched and no load in flight.
     pub fn drained(&self) -> bool {
         self.stats.instructions >= self.budget
             && self.outstanding.is_empty()
             && self.retry.is_none()
-    }
-
-    /// Unique id for the next load (exposed for the system's bookkeeping).
-    pub fn peek_next_load_id(&self) -> u64 {
-        self.next_load_id
     }
 
     /// A load issued earlier completed.
@@ -203,39 +175,29 @@ impl CoreModel {
     }
 
     /// Classify what the next [`CoreModel::tick`] would do, mirroring its
-    /// dispatch gates exactly (budget/retry, window, load queue, retry
-    /// class) without mutating anything. See [`ProgressState`].
+    /// dispatch gates exactly (budget/retry, window, load queue) without
+    /// mutating anything. See [`ProgressState`].
     pub fn progress_state(&self) -> ProgressState {
         if self.stats.instructions >= self.budget && self.retry.is_none() {
             return ProgressState::Idle;
         }
-        if self.window_full() {
+        // A retried load meets a full load queue before the port is
+        // consulted (counted as a window stall, exactly as `tick` does).
+        if self.window_full()
+            || (matches!(self.retry, Some(TraceOp::Load(_)))
+                && self.outstanding.len() >= self.cfg.max_outstanding_loads)
+        {
             return ProgressState::WindowBlocked;
         }
-        match self.retry {
-            Some(TraceOp::Load(addr)) => {
-                // The tick would re-present this load. A full load queue
-                // blocks it before the port is consulted (counted as a
-                // window stall, exactly as `tick` does).
-                if self.outstanding.len() >= self.cfg.max_outstanding_loads {
-                    return ProgressState::WindowBlocked;
-                }
-                ProgressState::RetryLoad(addr)
-            }
-            Some(TraceOp::Store(addr)) => ProgressState::RetryStore(addr),
-            _ => ProgressState::Ready,
-        }
+        ProgressState::Ready
     }
 
-    /// Account `cycles` ticks spent in a stall state in one step: the
-    /// exact statistics `cycles` calls to [`CoreModel::tick`] would have
-    /// accrued in a state where dispatch cannot progress.
-    pub fn charge_stall_cycles(&mut self, kind: StallKind, cycles: u64) {
+    /// Account `cycles` window-blocked ticks in one step: the exact
+    /// statistics `cycles` calls to [`CoreModel::tick`] would have
+    /// accrued in [`ProgressState::WindowBlocked`].
+    pub fn charge_window_stalls(&mut self, cycles: u64) {
         self.stats.active_cycles += cycles;
-        match kind {
-            StallKind::Window => self.stats.window_stall_cycles += cycles,
-            StallKind::Reject => self.stats.reject_stall_cycles += cycles,
-        }
+        self.stats.window_stall_cycles += cycles;
     }
 
     #[inline]

@@ -43,8 +43,6 @@ pub struct Mshr<T> {
     entries: Vec<MshrEntry<T>>,
     capacity: usize,
     max_targets: usize,
-    /// Peak simultaneous occupancy, for reporting.
-    peak: usize,
 }
 
 impl<T> Mshr<T> {
@@ -52,7 +50,7 @@ impl<T> Mshr<T> {
     /// merged requests.
     pub fn new(capacity: usize, max_targets: usize) -> Self {
         assert!(capacity > 0 && max_targets > 0);
-        Self { entries: Vec::with_capacity(capacity), capacity, max_targets, peak: 0 }
+        Self { entries: Vec::with_capacity(capacity), capacity, max_targets }
     }
 
     /// Entries currently in flight.
@@ -73,12 +71,6 @@ impl<T> Mshr<T> {
         self.entries.len() >= self.capacity
     }
 
-    /// Peak occupancy observed.
-    #[inline]
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
     /// Whether a miss for `line` is already outstanding.
     pub fn pending(&self, line: LineAddr) -> bool {
         self.entries.iter().any(|e| e.line == line)
@@ -92,17 +84,6 @@ impl<T> Mshr<T> {
     /// Look up the entry for `line`, mutably.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut MshrEntry<T>> {
         self.entries.iter_mut().find(|e| e.line == line)
-    }
-
-    /// Whether [`Mshr::allocate`] for `line` would succeed (primary or
-    /// secondary) — the non-mutating mirror of its `Full` conditions, so
-    /// callers can prove a refused request will keep being refused until
-    /// an entry completes.
-    pub fn would_accept(&self, line: LineAddr) -> bool {
-        match self.get(line) {
-            Some(e) => e.targets.len() < self.max_targets,
-            None => !self.is_full(),
-        }
     }
 
     /// Record a miss for `line` carrying `target`. Merges into an existing
@@ -120,20 +101,7 @@ impl<T> Mshr<T> {
             return MshrAlloc::Full;
         }
         self.entries.push(MshrEntry { line, targets: vec![target], issued: false, exclusive });
-        self.peak = self.peak.max(self.entries.len());
         MshrAlloc::Primary
-    }
-
-    /// Next unissued entry, if any (FIFO order), marking it issued.
-    pub fn next_to_issue(&mut self) -> Option<&mut MshrEntry<T>> {
-        let entry = self.entries.iter_mut().find(|e| !e.issued)?;
-        entry.issued = true;
-        Some(entry)
-    }
-
-    /// Peek the next unissued entry without marking it.
-    pub fn peek_unissued(&self) -> Option<&MshrEntry<T>> {
-        self.entries.iter().find(|e| !e.issued)
     }
 
     /// The fill for `line` arrived: remove and return its entry.
@@ -185,26 +153,5 @@ mod tests {
         m.allocate(l, 0, false);
         m.allocate(l, 1, true); // store merges into read miss
         assert!(m.get(l).unwrap().exclusive);
-    }
-
-    #[test]
-    fn issue_order_is_fifo_and_once() {
-        let mut m: Mshr<u8> = Mshr::new(4, 4);
-        m.allocate(LineAddr(1), 0, false);
-        m.allocate(LineAddr(2), 0, false);
-        assert_eq!(m.next_to_issue().unwrap().line, LineAddr(1));
-        assert_eq!(m.next_to_issue().unwrap().line, LineAddr(2));
-        assert!(m.next_to_issue().is_none());
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut m: Mshr<u8> = Mshr::new(4, 4);
-        m.allocate(LineAddr(1), 0, false);
-        m.allocate(LineAddr(2), 0, false);
-        m.complete(LineAddr(1));
-        m.complete(LineAddr(2));
-        assert_eq!(m.peak(), 2);
-        assert!(m.is_empty());
     }
 }

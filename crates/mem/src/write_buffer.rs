@@ -74,22 +74,6 @@ impl WriteBuffer {
         self.fifo.contains(&line)
     }
 
-    /// Whether [`WriteBuffer::push`] for `line` would return `false` —
-    /// the non-mutating mirror of its rejection condition (full and not
-    /// coalescing). The quiescence-skipping kernel uses it to prove a
-    /// store-retrying core stays blocked while the buffer cannot drain.
-    pub fn store_would_refuse(&self, line: LineAddr) -> bool {
-        self.is_full() && !self.fifo.contains(&line)
-    }
-
-    /// Account `cycles` refused pushes in one step: the statistics that
-    /// many calls to [`WriteBuffer::push`] in a full, non-coalescing
-    /// state would have accrued (one full-stall each). Used when a
-    /// blocked span is skipped instead of stepped.
-    pub fn charge_full_stalls(&mut self, cycles: u64) {
-        self.stats.full_stalls += cycles;
-    }
-
     /// Try to accept a store to `line`. Returns `false` (and counts a
     /// stall) when the buffer is full and the store does not coalesce.
     pub fn push(&mut self, line: LineAddr) -> bool {

@@ -326,8 +326,8 @@ proptest! {
     /// MSHR allocation at the capacity boundary: entry-full and
     /// target-full both report `Full` without mutating state, secondary
     /// merges keep working while the file is entry-full, exclusivity is
-    /// sticky once any merged request asked for it, and issue order is
-    /// FIFO-once regardless of completion order.
+    /// sticky once any merged request asked for it, and entries completed
+    /// out of allocation order keep their targets.
     #[test]
     fn mshr_edge_cases_at_capacity(
         lines in proptest::collection::vec(0u64..6, 1..40),
@@ -365,20 +365,11 @@ proptest! {
                 }
             }
         }
-        // Issue order is FIFO over primaries, each issued exactly once.
-        let mut issued = Vec::new();
-        while let Some(e) = mshr.next_to_issue() {
-            issued.push(e.line.0);
-        }
-        prop_assert_eq!(&issued, &order, "FIFO issue order");
-        prop_assert!(mshr.next_to_issue().is_none(), "issue happens once");
-        prop_assert!(mshr.peek_unissued().is_none());
         // Complete in reverse order: targets and exclusivity intact.
         for line in order.iter().rev() {
             let e = mshr.complete(LineAddr(*line)).expect("entry present");
             prop_assert_eq!(&e.targets, targets.get(line).unwrap());
             prop_assert_eq!(e.exclusive, exclusive[line], "exclusivity must be sticky");
-            prop_assert!(e.issued);
         }
         prop_assert!(mshr.is_empty());
         prop_assert!(mshr.complete(LineAddr(0)).is_none(), "double complete is None");

@@ -83,24 +83,6 @@ impl SharedBus {
         self.queue.push_back(req);
     }
 
-    /// Requests waiting (including the one about to be granted).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the request queue is empty (the structural half of
-    /// [`SharedBus::idle`]; the busy horizons are the time-dependent
-    /// half, see [`SharedBus::quiesce_at`]).
-    pub fn queue_is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Cycle until which the bus is occupied by the granted transaction;
-    /// while `now < busy_until()` no grant can happen.
-    pub fn busy_until(&self) -> u64 {
-        self.busy_until
-    }
-
     /// First cycle at which both the bus and the memory channel will
     /// have drained their current occupancy. With an empty queue the bus
     /// is [`idle`](SharedBus::idle) from this cycle on.
@@ -277,7 +259,6 @@ mod tests {
         b.push(req(BusReqKind::ReadMiss));
         let before = b.next_possible_grant();
         // Read-only traffic between mutation points leaves it fixed.
-        let _ = b.pending();
         let _ = b.idle(3);
         assert_eq!(b.next_possible_grant(), before);
         // A grant advances it by the new occupancy; the drain returns MAX.

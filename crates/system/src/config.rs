@@ -164,12 +164,13 @@ pub enum SimKernel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CycleEngine {
     /// Worklist engine: an awake-core bitmask limits the per-cycle L2
-    /// port loops and core ticks to cores that can make progress;
-    /// provably blocked cores sleep and are bulk-charged their stall
-    /// and retry statistics when a wake edge (own event, bus grant,
-    /// decay deadline) re-activates them. An awake core's L2 phase is
-    /// skipped while its ports are idle and no decay tick is due, and
-    /// each interval's powered-line cycles are read off the line-state
+    /// phases and core ticks to cores that can make progress. A core
+    /// sleeps only while it is out of budget or window-blocked with an
+    /// empty L2 read queue, an empty write buffer and no deferred
+    /// turn-off; a window-blocked sleeper is bulk-charged its window
+    /// stalls when a wake edge (own event, bus grant, decay deadline)
+    /// re-activates it. Every awake core runs its L2 phase, and each
+    /// interval's powered-line cycles are read off the line-state
     /// banks' on-cycle books. The active set is one `u64`, which is why
     /// systems are capped at [`MAX_CORES`].
     #[default]

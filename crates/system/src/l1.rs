@@ -108,23 +108,6 @@ impl L1Cache {
         self.tags.iter().filter(|(_, l)| l.meta.valid).map(|(_, l)| l.tag)
     }
 
-    /// Whether a fill for `line` is outstanding.
-    pub fn miss_pending(&self, line: LineAddr) -> bool {
-        self.mshr.pending(line)
-    }
-
-    /// Whether [`L1Cache::access_load`] for `line` would return
-    /// [`L1LoadOutcome::Refused`], without performing the probe. Used by
-    /// the quiescence-skipping kernel: a refused load stays refused (and
-    /// the refusal is side-effect-free) until a fill or invalidation
-    /// changes this cache, both of which are event-driven.
-    pub fn load_would_refuse(&self, line: LineAddr) -> bool {
-        if matches!(self.tags.probe(line), LookupOutcome::Hit(_)) {
-            return false;
-        }
-        !self.mshr.would_accept(line)
-    }
-
     /// Probe for a load.
     pub fn access_load(&mut self, line: LineAddr, pending: PendingLoad) -> L1LoadOutcome {
         self.stats.loads += 1;

@@ -560,55 +560,6 @@ impl L2Cache {
         }
     }
 
-    /// Whether [`L2Cache::probe_read`] for `line` would return
-    /// [`L2ReadOutcome::Retry`] — the non-mutating mirror of its retry
-    /// conditions (transient line, or MSHR unable to accept). Used by
-    /// the quiescence-skipping kernel: while the head of a read queue
-    /// provably keeps retrying, the cache's state can only change
-    /// through events or bus grants — both wakeup sources — so a
-    /// read-burst span blocked on a saturated MSHR or a transient line
-    /// no longer forces per-cycle stepping.
-    pub fn read_would_retry(&self, line: LineAddr) -> bool {
-        match self.tags.probe(line) {
-            LookupOutcome::Hit(slot) => !self.tags.slot(slot).meta.state.is_stationary(),
-            LookupOutcome::Miss => !self.mshr.would_accept(line),
-        }
-    }
-
-    /// Whether [`L2Cache::probe_write`] for `line` would return
-    /// [`L2WriteOutcome::Retry`] — the non-mutating mirror of its retry
-    /// conditions (transient line, or MSHR unable to accept). Used by
-    /// the quiescence-skipping kernel: while the head of a write drain
-    /// provably keeps retrying, the cache's state can only change
-    /// through events or bus grants, which are wakeup sources, so the
-    /// blocked span can be skipped.
-    pub fn write_would_retry(&self, line: LineAddr) -> bool {
-        match self.tags.probe(line) {
-            LookupOutcome::Hit(slot) => {
-                let state = self.tags.slot(slot).meta.state;
-                if !state.is_stationary() {
-                    return true;
-                }
-                match state {
-                    // M hit / silent E→M upgrade always complete.
-                    MesiState::Modified | MesiState::Exclusive => false,
-                    // S hit needs an MSHR entry for the upgrade.
-                    MesiState::Shared => !self.mshr.would_accept(line),
-                    // audit:allow(unwrap-in-lib, the Invalid arm is excluded by the stationary-state check directly above)
-                    _ => unreachable!("stationary check above"),
-                }
-            }
-            LookupOutcome::Miss => !self.mshr.would_accept(line),
-        }
-    }
-
-    /// Account `cycles` retried probes in one step: the per-cycle loop
-    /// re-probes a blocked write head every cycle, counting one retry
-    /// each; a skipped blocked span charges them in bulk.
-    pub fn charge_retries(&mut self, cycles: u64) {
-        self.stats.retries += cycles;
-    }
-
     /// Account a primary miss, classifying it against the shadow
     /// directory *before* updating it.
     fn note_miss(&mut self, line: LineAddr) {

@@ -31,9 +31,9 @@
 //!   flip), the sampling interval's last cycle (its close runs in a
 //!   stepped cycle) and the cycle cap. The kernel jumps `now` straight
 //!   to that edge. The cores stay asleep through the jump, so their
-//!   stall and retry charges are settled when they wake, like any other
-//!   sleep. A stepped cycle with every core asleep and no edge due only
-//!   samples, so the jump is exact; bit-identity is enforced by
+//!   window stalls are settled when they wake, like any other sleep. A
+//!   stepped cycle with every core asleep and no edge due only samples,
+//!   so the jump is exact; bit-identity is enforced by
 //!   `tests/kernel_differential.rs` and the golden sweep snapshot. The
 //!   full scan has no active set, so it steps every cycle under either
 //!   kernel.
@@ -49,16 +49,18 @@
 //! * **worklist** (default) — an awake-core bitmask limits phases 3 and
 //!   4 to cores that can make progress. A core leaves the active set at
 //!   the end of a cycle when its phases are provably no-ops until a
-//!   wake edge ([`CmpSystem::sleep_state`]: drained, window-blocked, or
-//!   spinning on a provably refused load/store; any L2 queue head
-//!   provably retried; no deferred turn-off). It re-enters on its own
+//!   wake edge ([`CmpSystem::sleep_state`]: out of budget or
+//!   window-blocked, with an empty L2 read queue, an empty write buffer
+//!   and no deferred turn-off). A core spinning on a refused load or
+//!   store, or with anything queued for its L2, stays awake and is
+//!   stepped like the reference. A sleeping core re-enters on its own
 //!   events, on *any* bus grant (snoops and their side effects are the
 //!   only cross-core mutation channel), at its next decay deadline, and
-//!   at finalize; on wake it is bulk-charged the per-cycle stall and
-//!   retry statistics its skipped phases would have accrued. Waking a
-//!   core spuriously is always harmless — the reference runs every
-//!   core's phases every cycle, and a blocked core's phases change
-//!   nothing but those charges — so only a *missed* wake could break
+//!   at finalize; on wake a window-blocked core is bulk-charged the
+//!   window stalls its skipped ticks would have accrued. Waking a core
+//!   spuriously is always harmless — the reference runs every core's
+//!   phases every cycle, and a blocked core's phases change nothing
+//!   but that charge — so only a *missed* wake could break
 //!   equivalence, and the edges above cover every channel that can
 //!   unblock a core. Debug builds check this at every kernel jump: each
 //!   sleeping core's state must still match what it recorded when it
@@ -77,7 +79,8 @@
 //! ([`SharedBus::next_possible_grant`] is only the skip kernel's bus wake
 //! edge), and every awake core runs its L2 phase, whose port loops stop
 //! at the first empty queue. The only state the worklist engine caches
-//! is its sleep set (with `next_core_wake`). Debug builds assert that no
+//! is its sleep set (with `next_core_wake`); the drain check reads the
+//! components afresh on every loop iteration. Debug builds assert that no
 //! decay tick is left past its deadline whenever an L2 phase runs, and
 //! check L1 ⊆ L2 inclusion at every interval close.
 
@@ -87,7 +90,7 @@ use crate::l1::{L1Cache, L1LoadOutcome, PendingLoad};
 use crate::l2::{L2Cache, L2ReadOutcome, L2WriteOutcome, SideEffects, UpgradeResult};
 use crate::stats::{IntervalActivity, SimStats};
 use cmpleak_coherence::bus::SnoopKind;
-use cmpleak_cpu::{CoreModel, CorePort, ProgressState, StallKind, TraceOp, Workload};
+use cmpleak_cpu::{CoreModel, CorePort, ProgressState, TraceOp, Workload};
 use cmpleak_mem::{ArenaStats, BankArena, Geometry, LineAddr, WriteBuffer};
 use cmpleak_trace::MemTraceCursor;
 use std::collections::VecDeque;
@@ -162,25 +165,6 @@ impl Workload for CoreSource {
     }
 }
 
-/// What a sleeping core's skipped per-cycle ticks would have charged —
-/// fixed by its [`ProgressState`] at the moment it left the active set
-/// (and provably constant while it sleeps).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum SleepCharge {
-    /// Drained: nothing accrues.
-    #[default]
-    Idle,
-    /// Window-blocked behind an incomplete load: one window stall per
-    /// cycle.
-    Window,
-    /// Spinning on a load the L1 provably keeps refusing: one reject
-    /// stall per cycle.
-    RejectLoad,
-    /// Spinning on a store the write buffer provably keeps refusing:
-    /// one reject stall and one write-buffer full-stall per cycle.
-    RejectStore,
-}
-
 /// Deferred accounting for a core outside the active set. `since` is
 /// the first cycle whose phases were skipped; on wake at cycle `w`, the
 /// span `w - since` is bulk-charged what `w - since` stepped cycles of
@@ -188,13 +172,10 @@ enum SleepCharge {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct CoreSleep {
     since: u64,
-    charge: SleepCharge,
-    /// The L2 read queue head is present and provably retried: one L2
-    /// retry per cycle.
-    read_jam: bool,
-    /// The write buffer head is present and provably retried: one L2
-    /// retry per cycle.
-    write_jam: bool,
+    /// Window-blocked behind an incomplete load ([`ProgressState`] at
+    /// sleep time): one window stall per cycle. Otherwise the core is
+    /// out of budget and nothing accrues.
+    window: bool,
     /// The L2's next decay deadline at sleep time (frozen while
     /// asleep): the core must be back in the active set by then so its
     /// decay ticks are processed on time.
@@ -490,13 +471,6 @@ pub struct CmpSystem {
     /// interval's start ([`CmpSystem::on_line_cycles`]).
     interval_on_at_start: u64,
     interval_start: u64,
-    /// Dirty bit over the *structural* half of [`CmpSystem::done`]
-    /// (queues, cores, events — everything but the time-dependent bus
-    /// horizons): recomputed only after a cycle that did work, so the
-    /// per-cycle drain check stops rescanning every component on every
-    /// quiet cycle.
-    struct_dirty: bool,
-    struct_quiet: bool,
     // ---- worklist engine state (see the module docs, "Engines") ----
     /// Whether the configured engine is [`CycleEngine::Worklist`].
     worklist: bool,
@@ -593,8 +567,6 @@ impl CmpSystem {
             interval_powered: 0,
             interval_on_at_start: 0,
             interval_start: 0,
-            struct_dirty: true,
-            struct_quiet: false,
             worklist,
             awake: all_mask,
             all_mask,
@@ -652,22 +624,16 @@ impl CmpSystem {
         }
     }
 
-    /// Drain check. The structural half (queues, cores, events) only
-    /// changes on cycles that did work, so it is cached behind
-    /// `struct_dirty`; the bus/memory busy horizons are pure time
-    /// comparisons and are evaluated fresh.
-    fn done(&mut self) -> bool {
-        if self.struct_dirty {
-            self.struct_quiet = self.cores.iter().all(|c| c.drained())
-                && self.wbs.iter().all(|w| w.is_empty())
-                && self.read_queues.iter().all(|q| q.is_empty())
-                && self.l1s.iter().all(|l| l.outstanding_misses() == 0)
-                && self.l2s.iter().all(|l| !l.busy())
-                && self.bus.queue_is_empty()
-                && self.events.is_empty();
-            self.struct_dirty = false;
-        }
-        self.struct_quiet && self.bus.idle(self.now)
+    /// Drain check: every core drained, every queue empty, no event
+    /// pending, and the bus and memory channel idle.
+    fn done(&self) -> bool {
+        self.cores.iter().all(|c| c.drained())
+            && self.wbs.iter().all(|w| w.is_empty())
+            && self.read_queues.iter().all(|q| q.is_empty())
+            && self.l1s.iter().all(|l| l.outstanding_misses() == 0)
+            && self.l2s.iter().all(|l| !l.busy())
+            && self.events.is_empty()
+            && self.bus.idle(self.now)
     }
 
     fn step_cycle(&mut self) {
@@ -682,37 +648,32 @@ impl CmpSystem {
     /// arbitrates the bus, runs every core's L2 phase and tick, and sums
     /// the powered lines of every cache.
     fn step_cycle_scan(&mut self) {
-        let mut work = false;
         while let Some(ev) = self.events.pop_due(self.now) {
             self.profile.on_event();
             self.handle_event(ev);
-            work = true;
         }
         if self.bus_grant() {
             self.profile.on_grant();
-            work = true;
         } else {
             self.profile.on_grant_skip();
         }
         for core in 0..self.cfg.n_cores {
-            work |= self.l2_cycle(core);
+            self.l2_cycle(core);
         }
         for core in 0..self.cfg.n_cores {
-            work |= self.tick_core(core);
+            self.tick_core(core);
         }
         self.profile.on_step(self.cfg.n_cores as u64, 0);
         self.sample_cycle();
         self.now += 1;
-        self.struct_dirty |= work;
     }
 
     /// The worklist engine: phases 3 and 4 visit only the active set.
     /// Bit-identical to [`CmpSystem::step_cycle_scan`] — a core outside
-    /// the set would have contributed nothing but its per-cycle stall
-    /// and retry charges, which are settled in bulk when it wakes. See
-    /// the module docs ("Engines") for the invariants.
+    /// the set would have contributed nothing but its per-cycle window
+    /// stalls, which are settled in bulk when it wakes. See the module
+    /// docs ("Engines") for the invariants.
     fn step_cycle_worklist(&mut self) {
-        let mut work = false;
         // Every event is addressed to one core and mutates only that
         // core's state: wake it (settling its deferred charges) before
         // delivery.
@@ -720,7 +681,6 @@ impl CmpSystem {
             self.profile.on_event();
             self.wake(ev.core());
             self.handle_event(ev);
-            work = true;
         }
         // A grant snoops every other L2 and routes side effects into
         // other cores' L1s — the only cross-core mutation channel — so
@@ -729,7 +689,6 @@ impl CmpSystem {
         if self.bus_grant() {
             self.profile.on_grant();
             self.wake_all();
-            work = true;
         } else {
             self.profile.on_grant_skip();
         }
@@ -743,13 +702,13 @@ impl CmpSystem {
         while pending != 0 {
             let core = pending.trailing_zeros() as usize;
             pending &= pending - 1;
-            work |= self.l2_cycle(core);
+            self.l2_cycle(core);
         }
         let mut pending = self.awake;
         while pending != 0 {
             let core = pending.trailing_zeros() as usize;
             pending &= pending - 1;
-            work |= self.tick_core(core);
+            self.tick_core(core);
         }
         let run = self.awake.count_ones() as u64;
         self.profile.on_step(run, self.cfg.n_cores as u64 - run);
@@ -763,39 +722,18 @@ impl CmpSystem {
             self.close_interval(self.now + 1);
         }
         self.now += 1;
-        self.struct_dirty |= work;
     }
 
     // ---- worklist engine --------------------------------------------------
 
-    /// Charge a sleeping core the per-cycle statistics its skipped
-    /// phases would have accrued, over every skipped cycle — stepped
-    /// cycles it slept through and kernel jumps alike: one stall of its
-    /// blocking kind per cycle, one write-buffer full-stall per cycle
-    /// when spinning on a refused store, and one L2 retry per jammed
-    /// queue head per cycle.
+    /// Charge a sleeping core the per-cycle statistics its skipped ticks
+    /// would have accrued, over every skipped cycle — stepped cycles it
+    /// slept through and kernel jumps alike: one window stall per cycle
+    /// if it slept window-blocked, nothing if it slept out of budget.
     fn settle_core(&mut self, core: usize) {
         let s = self.sleep[core];
-        let span = self.now - s.since;
-        if span == 0 {
-            return;
-        }
-        match s.charge {
-            SleepCharge::Idle => {}
-            SleepCharge::Window => self.cores[core].charge_stall_cycles(StallKind::Window, span),
-            SleepCharge::RejectLoad => {
-                self.cores[core].charge_stall_cycles(StallKind::Reject, span)
-            }
-            SleepCharge::RejectStore => {
-                self.cores[core].charge_stall_cycles(StallKind::Reject, span);
-                self.wbs[core].charge_full_stalls(span);
-            }
-        }
-        if s.read_jam {
-            self.l2s[core].charge_retries(span);
-        }
-        if s.write_jam {
-            self.l2s[core].charge_retries(span);
+        if s.window {
+            self.cores[core].charge_window_stalls(self.now - s.since);
         }
     }
 
@@ -842,57 +780,25 @@ impl CmpSystem {
     }
 
     /// The sleep `core` would record if it left the active set now, or
-    /// `None` while its phases can still make progress: drained,
-    /// window-blocked, or spinning on a load/store the hierarchy provably
-    /// keeps refusing, with every L2 queue head provably retried and no
-    /// deferred turn-off. Each condition is frozen until a wake edge (own
-    /// event, bus grant, decay deadline), so a sleeping core's value is
-    /// constant apart from `since`.
+    /// `None` while its phases can still make progress: out of budget or
+    /// window-blocked, with an empty L2 read queue, an empty write
+    /// buffer and no deferred turn-off. Each condition is frozen until a
+    /// wake edge (own event, bus grant, decay deadline), so a sleeping
+    /// core's value is constant apart from `since`.
     fn sleep_state(&self, core: usize) -> Option<CoreSleep> {
-        let charge = match self.cores[core].progress_state() {
+        let window = match self.cores[core].progress_state() {
             ProgressState::Ready => return None,
-            ProgressState::Idle => SleepCharge::Idle,
-            ProgressState::WindowBlocked => SleepCharge::Window,
-            ProgressState::RetryLoad(addr) => {
-                // Sleepable only if the L1 provably keeps refusing the
-                // retried load (its state is frozen until an event).
-                let line = self.l1_geom.line_of(addr);
-                if !self.l1s[core].load_would_refuse(line) {
-                    return None;
-                }
-                SleepCharge::RejectLoad
-            }
-            ProgressState::RetryStore(addr) => {
-                let line = self.l1_geom.line_of(addr);
-                if !self.wbs[core].store_would_refuse(line) {
-                    return None;
-                }
-                SleepCharge::RejectStore
-            }
+            ProgressState::Idle => false,
+            ProgressState::WindowBlocked => true,
         };
-        if self.l2s[core].has_deferred_turnoffs() {
+        if !self.read_queues[core].is_empty()
+            || !self.wbs[core].is_empty()
+            || self.l2s[core].has_deferred_turnoffs()
+        {
             return None;
         }
-        let read_jam = match self.read_queues[core].front() {
-            Some(&line) => {
-                if !self.l2s[core].read_would_retry(line) {
-                    return None;
-                }
-                true
-            }
-            None => false,
-        };
-        let write_jam = match self.wbs[core].head() {
-            Some(line) => {
-                if !self.l2s[core].write_would_retry(line) {
-                    return None;
-                }
-                true
-            }
-            None => false,
-        };
         let decay_at = self.l2s[core].next_decay_deadline();
-        Some(CoreSleep { since: self.now + 1, charge, read_jam, write_jam, decay_at })
+        Some(CoreSleep { since: self.now + 1, window, decay_at })
     }
 
     /// Remove `core` from the active set if [`CmpSystem::sleep_state`]
@@ -1112,7 +1018,7 @@ impl CmpSystem {
 
     // ---- per-core L2 cycle --------------------------------------------------
 
-    fn l2_cycle(&mut self, core: usize) -> bool {
+    fn l2_cycle(&mut self, core: usize) {
         // Every engine runs this phase no later than the L2's decay
         // deadline, so each tick is processed on its own cycle.
         debug_assert!(
@@ -1120,18 +1026,15 @@ impl CmpSystem {
             "a decay tick was left past its deadline"
         );
         // Decay clock and turn-off processing.
-        let decayed = self.l2s[core].take_decayed(self.now);
-        let mut work = !decayed.is_empty();
-        for slot in decayed {
+        for slot in self.l2s[core].take_decayed(self.now) {
             self.try_turn_off(core, slot);
         }
-        let deferred = self.l2s[core].take_deferred_turnoffs();
-        work |= !deferred.is_empty();
-        for slot in deferred {
+        for slot in self.l2s[core].take_deferred_turnoffs() {
             self.try_turn_off(core, slot);
         }
 
-        // L2 ports: reads (latency-critical) first, then writes.
+        // L2 ports: reads (latency-critical) first, then writes. A
+        // retried head blocks its queue for the rest of the cycle.
         let mut ops = 0u32;
         while ops < self.cfg.l2.ports {
             let Some(&line) = self.read_queues[core].front() else {
@@ -1139,42 +1042,28 @@ impl CmpSystem {
             };
             match self.l2s[core].probe_read(line) {
                 L2ReadOutcome::Hit => {
-                    work = true;
-                    self.read_queues[core].pop_front();
                     let done = self.now + self.l2s[core].hit_latency();
                     self.events.push(done, EvKind::L2ReadDone { core, line });
                 }
                 L2ReadOutcome::MissPrimary => {
-                    work = true;
-                    self.read_queues[core].pop_front();
                     self.bus.push(BusReq { origin: core, line, kind: BusReqKind::ReadMiss });
                 }
-                L2ReadOutcome::MissSecondary => {
-                    work = true;
-                    self.read_queues[core].pop_front();
-                }
-                // A retried head changes nothing structural (one retry
-                // counter tick only): not reported as work, so the skip
-                // kernel gets to probe whether the blockage is provable.
+                L2ReadOutcome::MissSecondary => {}
                 L2ReadOutcome::Retry => break,
             }
+            self.read_queues[core].pop_front();
             ops += 1;
         }
         while ops < self.cfg.l2.ports {
             let Some(line) = self.wbs[core].head() else {
                 break;
             };
-            // A retried head changes nothing structural (one retry
-            // counter tick only): not reported as work, so the skip
-            // kernel gets to probe whether the blockage is provable.
             if self.issue_write_probe(core, line) == L2WriteOutcome::Retry {
                 break;
             }
-            work = true;
             self.wbs[core].pop();
             ops += 1;
         }
-        work
     }
 
     fn try_turn_off(&mut self, core: usize, slot: usize) {
@@ -1210,7 +1099,7 @@ impl CmpSystem {
     /// One core's tick phase: fetch through the core's enum-dispatched
     /// [`CoreSource`] (monomorphized) into a fresh [`PortAdapter`].
     #[inline]
-    fn tick_core(&mut self, core: usize) -> bool {
+    fn tick_core(&mut self, core: usize) {
         let mut port = PortAdapter {
             now: self.now,
             core,
@@ -1221,7 +1110,7 @@ impl CmpSystem {
             read_queue: &mut self.read_queues[core],
             events: &mut self.events,
         };
-        self.cores[core].tick(&mut self.sources[core], &mut port) > 0
+        self.cores[core].tick(&mut self.sources[core], &mut port);
     }
 
     // ---- sampling -----------------------------------------------------------
@@ -1326,8 +1215,8 @@ impl CmpSystem {
     /// strips it); the trace is moved out.
     fn finalize(&mut self) -> SimStats {
         if self.worklist {
-            // Settle every sleeping core's deferred stall/retry charges
-            // before the books close.
+            // Settle every sleeping core's deferred window stalls before
+            // the books close.
             self.wake_all();
         }
         self.close_interval(self.now);
@@ -1642,9 +1531,10 @@ mod tests {
     #[test]
     fn engines_bit_identical_through_blocked_write_bursts() {
         // Retry-storm: write buffers fill, drains jam on a saturated L2
-        // MSHR, cores spin on refused stores. The worklist engine must
-        // settle reject stalls, wb full-stalls and per-head L2 retries
-        // exactly as the per-cycle probes would have charged them.
+        // MSHR, cores spin on refused stores. Those cores never sleep
+        // (a retried store is `Ready`, and their write buffers are
+        // full), so the worklist engine steps them like the reference
+        // and must charge the same reject stalls and L2 retries.
         let wl = || -> Vec<Box<dyn Workload>> {
             (0..2)
                 .map(|c| {
@@ -1665,6 +1555,10 @@ mod tests {
 
     #[test]
     fn engines_bit_identical_through_blocked_read_bursts() {
+        // The L1 MSHRs outpace the L2 MSHRs behind a slow memory, so
+        // the L2 read queues jam on a retried head. A core with a
+        // non-empty read queue never sleeps: the worklist engine steps
+        // it like the reference and must charge the same L2 retries.
         let wl = || -> Vec<Box<dyn Workload>> {
             (0..2)
                 .map(|c| {
@@ -1901,10 +1795,11 @@ mod tests {
     fn kernels_bit_identical_through_blocked_write_bursts() {
         // Store bursts to distinct lines: the write buffer fills, its
         // drain jams on a full L2 MSHR behind slow memory, and the cores
-        // spin on refused stores. These spans used to force per-cycle
-        // stepping; they are now skipped, and every bulk-charged counter
-        // (reject stalls, L2 retries, wb full-stalls) must match the
-        // per-cycle reference exactly.
+        // spin on refused stores. Those cores stay awake (a retried
+        // store is `Ready`, and the write buffer is not empty), so the
+        // skip kernel steps these spans cycle by cycle; only the spans
+        // where every core sleeps with empty queues are jumped, and the
+        // reject stalls and L2 retries must match the reference.
         let wl = || -> Vec<Box<dyn Workload>> {
             (0..2)
                 .map(|c| {
@@ -1933,11 +1828,10 @@ mod tests {
     fn kernels_bit_identical_through_blocked_read_bursts() {
         // Load bursts to distinct lines: the L1 MSHRs outpace the L2
         // MSHRs behind a slow memory, so the L2 read queues jam on a
-        // head the cache provably keeps refusing. These spans used to
-        // force per-cycle stepping (a non-empty read queue vetoed
-        // skipping); they are now skipped, and every bulk-charged
-        // counter (window stalls, the read head's L2 retries) must match
-        // the per-cycle reference exactly.
+        // retried head. A core with a non-empty read queue stays awake,
+        // so the skip kernel steps these spans cycle by cycle; the window
+        // stalls settled after the queues drain and the read head's L2
+        // retries must match the reference.
         let wl = || -> Vec<Box<dyn Workload>> {
             (0..2)
                 .map(|c| {

@@ -8,9 +8,9 @@
 //! every scenario kind (homogeneous, heterogeneous mix, trace replay,
 //! shared-stream replay), a randomized grid, and the adversarial shapes
 //! that stress the active-set bookkeeping: a single core, cores that go
-//! idle early and sleep for the rest of the run, and retry storms where
-//! sleeping cores must be bulk-charged their stall/retry statistics on
-//! wake. Any divergence — a missed wake edge, a settle charged to the
+//! idle early and sleep for the rest of the run, and retry storms whose
+//! spinning cores must stay awake while window-blocked sleepers are
+//! bulk-charged their window stalls on wake. Any divergence — a missed wake edge, a settle charged to the
 //! wrong counter, a stale powered-line integral — is an engine bug by
 //! definition.
 //!
@@ -153,10 +153,11 @@ fn engines_agree_all_idle_tail() {
 #[test]
 fn engines_agree_retry_storm() {
     // Store-dominated streaming with no exec gaps: write buffers fill,
-    // L2 write queues jam, and cores spend most cycles asleep on
-    // refused stores. The settle path must reproduce the reject-stall,
-    // wb-full and L2-retry charges the full scan accrues cycle by
-    // cycle.
+    // L2 write queues jam, and cores spin on refused stores. Such a
+    // core never sleeps (a retried store is `Ready` and its write
+    // buffer is not empty), so the worklist engine must step it like
+    // the full scan and accrue the same reject-stall, wb-full and
+    // L2-retry counts cycle by cycle.
     let storm = WorkloadSpec {
         name: "retry_storm",
         class: BenchClass::Scientific,

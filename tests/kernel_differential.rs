@@ -65,10 +65,10 @@ fn kernels_agree_for_every_technique_mix() {
 fn kernels_agree_for_every_technique_read_burst() {
     // A read-burst stresser: pure-load streaming bursts with no exec
     // gaps, so the L1s fire misses into the L2 read queues as fast as
-    // dispatch allows. Spans where a jammed read head provably keeps
-    // retrying (transient line / saturated MSHR) are skippable since
-    // `L2Cache::read_would_retry`; this pins that the skip stays
-    // bit-identical through read-dominated phases for every technique.
+    // dispatch allows. A core with anything in its read queue stays
+    // awake and is stepped, so the skip kernel jumps only once the
+    // queues have drained; this pins that the skip stays bit-identical
+    // through read-dominated phases for every technique.
     // (The queue-jam microstructure itself — small MSHRs behind a slow
     // memory — is additionally pinned by the system crate's
     // `kernels_bit_identical_through_blocked_read_bursts` unit test.)
