@@ -418,6 +418,39 @@ mod tests {
     }
 
     #[test]
+    fn an_8mb_cell_after_a_1mb_cell_grows_the_pool_instead_of_widening_it() {
+        // A sweep worker may meet a small cell before a large one (a
+        // scenario-major pool with more workers than a group has cells):
+        // the 8 MB cell grows the 1 MB cell's buffers, so the pool keeps
+        // one buffer per column, exactly what an 8 MB cell alone leaves.
+        let cell = |technique, total_l2_mb| {
+            let mut cfg = ExperimentConfig::paper(WorkloadSpec::fmm(), technique, total_l2_mb);
+            cfg.instructions_per_core = 3_000;
+            cfg
+        };
+        let mut alone = ExperimentScratch::default();
+        run_experiment_with_scratch(&cell(Technique::Protocol, 8), &mut alone);
+        let columns = alone.arena_stats();
+        assert_eq!(columns.pooled, columns.checkouts, "every column went back to the pool");
+
+        let mut scratch = ExperimentScratch::default();
+        run_experiment_with_scratch(&cell(Technique::Protocol, 1), &mut scratch);
+        run_experiment_with_scratch(&cell(Technique::Protocol, 8), &mut scratch);
+        assert_eq!(scratch.arena_stats().pooled, columns.pooled, "one pooled buffer per column");
+        let grown = scratch.arena_stats().fresh_allocations;
+        run_experiment_with_scratch(
+            &cell(Technique::SelectiveDecay { decay_cycles: 64 * 1024 }, 8),
+            &mut scratch,
+        );
+        assert_eq!(
+            scratch.arena_stats().fresh_allocations,
+            grown,
+            "a second 8 MB cell allocated fresh columns"
+        );
+        assert_eq!(scratch.arena_stats().pooled, columns.pooled);
+    }
+
+    #[test]
     fn heterogeneous_mix_runs_with_per_core_breakdown() {
         let mut cfg = ExperimentConfig::paper_scenario(
             Scenario::Mix(ScenarioSpec::bursty_idle()),

@@ -373,6 +373,34 @@ mod tests {
     }
 
     #[test]
+    fn recording_never_grows_its_stream_buffers() {
+        // Every in-tree benchmark and mix, at budgets from a handful of
+        // instructions up: each stream fits the capacity hint it was
+        // allocated with, so recording is one allocation per core.
+        let mut scenarios: Vec<Scenario> =
+            WorkloadSpec::extended_suite().into_iter().map(Scenario::Homogeneous).collect();
+        scenarios.extend(ScenarioSpec::paper_mixes().into_iter().map(Scenario::Mix));
+        for budget in [10, 100, 1_000, 30_000, 300_000] {
+            let hint = MemTrace::stream_capacity_hint(budget);
+            for scenario in &scenarios {
+                for seed in [1, 42] {
+                    let mut trace = scenario.record(4, seed, budget);
+                    let mut arena = cmpleak_mem::BankArena::default();
+                    trace.release_into(&mut arena);
+                    for _ in 0..4 {
+                        assert_eq!(
+                            arena.take_u8_empty(0).capacity(),
+                            hint,
+                            "{} seed {seed} at {budget} instructions: a stream buffer grew",
+                            scenario.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "seed")]
     fn shared_stream_rejects_a_mismatched_seed() {
         let live = Scenario::Homogeneous(WorkloadSpec::fmm());

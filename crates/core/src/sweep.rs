@@ -21,17 +21,28 @@
 //! *recorded once* into a shared in-memory trace that every cell of the
 //! group replays instead of regenerating live (the grid runs 1 + sizes
 //! × techniques cells per scenario off one recording, made by the first
-//! worker to need it behind one `OnceLock` per scenario); and cells found
+//! worker to need it behind one slot per scenario); and cells found
 //! in the persistent result store ([`SweepConfig::store`]) are *loaded*
-//! instead of simulated. The reference arm applies none of them. The
-//! worker pool's unit of work is one cell, so even a single (scenario,
-//! size) group spreads over every thread. Workers take cells largest L2
-//! size first: a worker's first cell sizes its per-line arena and every
-//! later, smaller cell reuses those buffers, so each worker holds one
-//! largest cell's worth of per-line state. `tests/sweep_memoization.rs`,
-//! `tests/stream_sharing.rs` and `tests/store_differential.rs` pin the
-//! three optimizations against the reference arm and against each
-//! other; timing them is `perfbench/`'s job.
+//! instead of simulated. The reference arm applies none of them.
+//!
+//! The worker pool's unit of work is one cell, so even a single
+//! (scenario, size) group spreads over every thread. Workers take cells
+//! **scenario-major**, largest L2 size first within a scenario, so a
+//! scenario's cells run back to back and a recording is live only while
+//! its scenario's cells run: the worker that completes a scenario's last
+//! cell (a store hit counts; a derived baseline does not) empties its
+//! slot and hands the recording's stream buffers to the next recording.
+//! At most the scenarios a pool's workers are in at once hold a
+//! recording, one or two on the paper grid; at the paper's 6 M
+//! instructions per core each recording is 16–19 MiB. A worker's
+//! per-line columns stay at one largest cell's worth whatever order its
+//! cells arrive in, because the arena grows its largest pooled buffer
+//! when none fits instead of allocating beside it; largest-first within
+//! a scenario keeps that growth to a worker's first few cells.
+//! `tests/sweep_memoization.rs`, `tests/stream_sharing.rs` and
+//! `tests/store_differential.rs` pin the three optimizations against
+//! the reference arm and against each other; timing them is
+//! `perfbench/`'s job.
 
 use crate::experiment::{
     derive_baseline_cell, result_from_stored, run_experiment_with_scratch, ExperimentConfig,
@@ -40,13 +51,15 @@ use crate::experiment::{
 use crate::metrics::TechniqueMetrics;
 use crate::scenario::Scenario;
 use cmpleak_coherence::Technique;
+use cmpleak_mem::BankArena;
 use cmpleak_power::PowerParams;
 use cmpleak_store::{CellKey, ResultStore};
+use cmpleak_trace::MemTrace;
 use cmpleak_workloads::{ScenarioSpec, WorkloadSpec};
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -208,13 +221,17 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// hands every cell of the group a cheap replay cursor over the shared
 /// buffer, amortizing the generator work to one recording per group.
 /// The recording happens **inside the worker pool**, behind one
-/// [`OnceLock`] per scenario — the first worker to touch a group
+/// [`Mutex`] slot per scenario — the first worker to touch a group
 /// records it while other workers proceed to other groups and block
 /// only on that group — so grid latency scales with cores even on
-/// recording-heavy sweeps. If a recording panics, a waiting worker
-/// records again and the sweep panics — with the recording's own message
-/// when the calling thread's recording panicked, else with the thread
-/// scope's — so nothing hangs.
+/// recording-heavy sweeps. Workers take cells scenario-major, and the
+/// worker that completes a scenario's last cell empties its slot and
+/// pools the recording's stream buffers for the next recording, so a
+/// recording lives only while its scenario's cells run. If a recording
+/// panics, a waiting worker records again and
+/// the sweep panics — with the recording's own message when the calling
+/// thread's recording panicked, else with the thread scope's — so
+/// nothing hangs.
 ///
 /// **Persistent store** — when [`SweepConfig::store`] is set, each
 /// cell's content address ([`ExperimentConfig::store_key`]) is probed
@@ -278,15 +295,16 @@ struct Job {
     scenario_idx: usize,
 }
 
-/// The order the pool runs `jobs` in: a stable sort of job indices by
-/// descending L2 size. A worker's first cell is then one of its largest,
-/// so its arena's column set is sized once and every later, smaller cell
-/// is a best-fit pool hit; in job order it would meet 1, 2, 4 and 8 MB in
-/// turn and keep a column set for each. Largest-first is also
-/// longest-first scheduling, which shortens the pool's tail.
-fn largest_first(jobs: &[Job]) -> Vec<usize> {
+/// The order the pool runs `jobs` in: scenario-major, and within a
+/// scenario a stable sort by descending L2 size. Scenario-major lets a
+/// scenario's recording die as soon as its cells are done instead of at
+/// the end of the sweep. Largest-first within a scenario makes a
+/// worker's first cell one of its largest, so its arena's columns are
+/// sized once and later, smaller cells are best-fit pool hits; it is
+/// also longest-first scheduling, which shortens each scenario's tail.
+fn pool_order(jobs: &[Job]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&u| std::cmp::Reverse(jobs[u].cfg.total_l2_mb));
+    order.sort_by_key(|&u| (jobs[u].scenario_idx, std::cmp::Reverse(jobs[u].cfg.total_l2_mb)));
     order
 }
 
@@ -373,8 +391,18 @@ fn run_sweep_inner(
         jobs.iter().map(|_| None).collect()
     };
 
-    // One shared stream per scenario, recorded by its first toucher.
-    let streams: Vec<OnceLock<Scenario>> = cfg.scenarios.iter().map(|_| OnceLock::new()).collect();
+    // One shared-stream slot per scenario, filled by its first toucher
+    // and emptied by the worker that completes the scenario's last
+    // simulated-or-loaded cell (`remaining` counts them down).
+    let streams: Vec<Mutex<Option<Scenario>>> =
+        cfg.scenarios.iter().map(|_| Mutex::new(None)).collect();
+    let remaining: Vec<AtomicUsize> =
+        cfg.scenarios.iter().map(|_| AtomicUsize::new(simulated_per_group)).collect();
+    // Stream buffers of finished scenarios' recordings, taken by later
+    // recordings: however the workers' recordings interleave, the
+    // buffers of at most as many recordings as are live at once stay
+    // allocated, and none is left behind in a worker's malloc arena.
+    let stream_buffers = Mutex::new(BankArena::default());
     let recorded = AtomicUsize::new(0);
     let store_hits = AtomicUsize::new(0);
     let store_misses = AtomicUsize::new(0);
@@ -388,7 +416,7 @@ fn run_sweep_inner(
     }
     .min(jobs.len().max(1));
 
-    let order = largest_first(&jobs);
+    let order = pool_order(&jobs);
     // Share-nothing worker pool on std primitives: an atomic cursor walks
     // `order` handing out job indices, an mpsc channel collects results,
     // and reassembly by index keeps the output identical for any thread
@@ -396,37 +424,72 @@ fn run_sweep_inner(
     // per-line-bank allocations are recycled across its jobs.
     let next_job = AtomicUsize::new(0);
     let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, ExperimentResult)>();
+    // Record a scenario into stream buffers that finished scenarios
+    // released, and count the recording.
+    let record = |original: &Scenario| {
+        let hint = MemTrace::stream_capacity_hint(cfg.instructions_per_core);
+        let buffers = {
+            let mut pool = stream_buffers.lock().unwrap_or_else(PoisonError::into_inner);
+            (0..cfg.n_cores).map(|_| pool.take_u8_empty(hint)).collect()
+        };
+        let shared =
+            original.record_shared_in(cfg.n_cores, cfg.seed, cfg.instructions_per_core, buffers);
+        recorded.fetch_add(1, Ordering::Relaxed);
+        shared
+    };
+    // Empty a finished scenario's slot and pool its stream buffers.
+    let release = |scenario_idx: usize| {
+        let done = streams[scenario_idx].lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(Scenario::SharedStream { trace }) = done {
+            if let Ok(mut trace) = Arc::try_unwrap(trace) {
+                trace.release_into(
+                    &mut stream_buffers.lock().unwrap_or_else(PoisonError::into_inner),
+                );
+            }
+        }
+    };
     let work = |scratch: &mut ExperimentScratch, res_tx: Sender<(usize, ExperimentResult)>| {
         while let Some(&u) = order.get(next_job.fetch_add(1, Ordering::Relaxed)) {
             let job = &jobs[u];
             if !job.simulate {
                 continue; // derived after the pool finishes
             }
-            if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
-                if let Some(cell) = st.load(key) {
-                    store_hits.fetch_add(1, Ordering::Relaxed);
-                    // The receiver outlives the pool, so a send cannot fail.
-                    res_tx.send((u, result_from_stored(&job.cfg, cell))).ok();
-                    continue;
-                }
-            }
-            let original = &job.cfg.scenario;
-            let scenario = if share_streams && original.generates_live() {
-                streams[job.scenario_idx].get_or_init(|| {
-                    let trace = original.record(cfg.n_cores, cfg.seed, cfg.instructions_per_core);
-                    recorded.fetch_add(1, Ordering::Relaxed);
-                    Scenario::SharedStream { trace: Arc::new(trace) }
-                })
-            } else {
-                original
+            let stored = match (store.as_deref(), &keys[u]) {
+                (Some(st), Some(key)) => st.load(key),
+                _ => None,
             };
-            let run_cfg = ExperimentConfig { scenario: scenario.clone(), ..job.cfg.clone() };
-            let r = run_experiment_with_scratch(&run_cfg, scratch);
-            if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
-                store_misses.fetch_add(1, Ordering::Relaxed);
-                st.publish(key, &r.stats, &r.power).ok();
-            }
+            let r = if let Some(cell) = stored {
+                store_hits.fetch_add(1, Ordering::Relaxed);
+                result_from_stored(&job.cfg, cell)
+            } else {
+                let original = &job.cfg.scenario;
+                let scenario = if share_streams && original.generates_live() {
+                    // A slot left poisoned by a panicking recording is
+                    // still empty, so the next worker records again.
+                    let mut slot =
+                        streams[job.scenario_idx].lock().unwrap_or_else(PoisonError::into_inner);
+                    slot.get_or_insert_with(|| record(original)).clone()
+                } else {
+                    original.clone()
+                };
+                let r = run_experiment_with_scratch(
+                    &ExperimentConfig { scenario, ..job.cfg.clone() },
+                    scratch,
+                );
+                if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
+                    store_misses.fetch_add(1, Ordering::Relaxed);
+                    st.publish(key, &r.stats, &r.power).ok();
+                }
+                r
+            };
+            // The receiver outlives the pool, so a send cannot fail.
             res_tx.send((u, r)).ok();
+            // Every simulated cell is counted once and decremented once,
+            // after it finished, so the worker that takes the count to
+            // zero runs after the scenario's every other cell is done.
+            if remaining[job.scenario_idx].fetch_sub(1, Ordering::AcqRel) == 1 {
+                release(job.scenario_idx);
+            }
         }
     };
     // The calling thread is the first worker, on the caller's scratch;
@@ -441,6 +504,9 @@ fn run_sweep_inner(
         }
         work(scratch, res_tx);
     });
+    // No recording is left to take them: free the pooled stream buffers
+    // before the results are assembled.
+    drop(stream_buffers);
     // Every sender went with its worker, so this drains and ends.
     let mut results: Vec<Option<ExperimentResult>> = (0..jobs.len()).map(|_| None).collect();
     for (i, r) in res_rx.iter() {
@@ -589,7 +655,19 @@ mod tests {
                 scenario_idx: 0,
             })
             .collect();
-        assert_eq!(largest_first(&jobs), vec![1, 3, 4, 2, 6, 0, 5]);
+        assert_eq!(pool_order(&jobs), vec![1, 3, 4, 2, 6, 0, 5]);
+
+        // Several scenarios: scenario-major, then largest-first and stable
+        // within each scenario, whatever order the jobs were listed in.
+        let jobs: Vec<Job> = [(1, 1), (0, 2), (1, 8), (0, 8), (2, 1), (0, 2), (1, 8), (0, 1)]
+            .into_iter()
+            .map(|(scenario_idx, mb)| Job {
+                cfg: ExperimentConfig::paper(WorkloadSpec::mpeg2dec(), Technique::Protocol, mb),
+                simulate: true,
+                scenario_idx,
+            })
+            .collect();
+        assert_eq!(pool_order(&jobs), vec![3, 1, 5, 7, 2, 6, 0, 4]);
     }
 
     #[test]

@@ -365,11 +365,13 @@ pub struct ArenaStats {
     pub checkouts: u64,
     /// Requests served by a pooled buffer whose capacity sufficed.
     pub reuses: u64,
-    /// Requests that had to allocate (empty pool or no buffer large
-    /// enough).
+    /// Requests that had to allocate: a fresh buffer from an empty pool,
+    /// or the largest pooled buffer grown because none was large enough.
     pub fresh_allocations: u64,
     /// Buffers returned to the pool.
     pub returns: u64,
+    /// Buffers held in the pool right now (a gauge, not a counter).
+    pub pooled: u64,
 }
 
 /// Owns the large per-line allocations across simulations.
@@ -377,7 +379,10 @@ pub struct ArenaStats {
 /// Checked out per grid cell through `SimScratch`/`ExperimentScratch`:
 /// the first cell a sweep worker runs allocates, every later cell of
 /// compatible size reuses. Buffers are matched best-fit by capacity so a
-/// bitset word buffer is not burned on a full-length column.
+/// bitset word buffer is not burned on a full-length column. A checkout
+/// that no pooled buffer covers grows the largest pooled buffer rather
+/// than allocating beside it, so the pool never holds more buffers than
+/// the largest set checked out at once, whatever order sizes arrive in.
 #[derive(Debug, Default)]
 pub struct BankArena {
     u64_pool: Vec<Vec<u64>>,
@@ -385,27 +390,34 @@ pub struct BankArena {
     stats: ArenaStats,
 }
 
-/// Check a cleared buffer of capacity ≥ `cap` out of `pool`, best-fit
-/// (the smallest pooled buffer that covers `cap`); `None` if no pooled
-/// buffer is large enough. The single checkout routine behind every
-/// `take_*` flavour, so pool policy changes land in one place.
-fn checkout<T>(pool: &mut Vec<Vec<T>>, cap: usize) -> Option<Vec<T>> {
+/// Check a cleared buffer with capacity ≥ `cap` out of `pool`, and
+/// whether it was reused as is: best-fit (the smallest pooled buffer
+/// that covers `cap`), else the largest pooled buffer grown to `cap`;
+/// `None` only when the pool is empty. The single checkout routine
+/// behind every `take_*` flavour, so pool policy changes land in one
+/// place.
+fn checkout<T>(pool: &mut Vec<Vec<T>>, cap: usize) -> Option<(Vec<T>, bool)> {
     let mut best: Option<usize> = None;
+    let mut largest: Option<usize> = None;
     for (i, v) in pool.iter().enumerate() {
         if v.capacity() >= cap && best.is_none_or(|b| v.capacity() < pool[b].capacity()) {
             best = Some(i);
         }
+        if largest.is_none_or(|b| v.capacity() > pool[b].capacity()) {
+            largest = Some(i);
+        }
     }
-    let mut v = pool.swap_remove(best?);
+    let mut v = pool.swap_remove(best.or(largest)?);
     v.clear();
-    Some(v)
+    v.reserve_exact(cap);
+    Some((v, best.is_some()))
 }
 
 fn take_from_pool<T: Copy>(pool: &mut Vec<Vec<T>>, len: usize, fill: T) -> (Vec<T>, bool) {
     match checkout(pool, len) {
-        Some(mut v) => {
+        Some((mut v, reused)) => {
             v.resize(len, fill);
-            (v, true)
+            (v, reused)
         }
         None => (vec![fill; len], false),
     }
@@ -430,10 +442,8 @@ impl BankArena {
     /// `cap` elements — for append-style consumers (stream encoders)
     /// that would otherwise pay a fill memset just to clear it again.
     pub fn take_u8_empty(&mut self, cap: usize) -> Vec<u8> {
-        let (v, reused) = match checkout(&mut self.u8_pool, cap) {
-            Some(v) => (v, true),
-            None => (Vec::with_capacity(cap), false),
-        };
+        let (v, reused) =
+            checkout(&mut self.u8_pool, cap).unwrap_or_else(|| (Vec::with_capacity(cap), false));
         self.note(reused);
         v
     }
@@ -463,9 +473,9 @@ impl BankArena {
         }
     }
 
-    /// Accumulated allocation counters.
+    /// Accumulated allocation counters, and the pool's current size.
     pub fn stats(&self) -> ArenaStats {
-        self.stats
+        ArenaStats { pooled: (self.u64_pool.len() + self.u8_pool.len()) as u64, ..self.stats }
     }
 }
 
@@ -552,5 +562,18 @@ mod tests {
         assert!(big.capacity() >= 4096);
         assert_eq!(big[3999], 1);
         assert_eq!(arena.stats().reuses, 2);
+    }
+
+    #[test]
+    fn arena_grows_its_largest_buffer_when_none_fits() {
+        let mut arena = BankArena::default();
+        arena.give_u8(Vec::with_capacity(16));
+        arena.give_u8(Vec::with_capacity(256));
+        let grown = arena.take_u8(1000, 7);
+        assert!(grown.capacity() >= 1000 && grown.iter().all(|&b| b == 7));
+        let stats = arena.stats();
+        assert_eq!((stats.reuses, stats.fresh_allocations), (0, 1), "a grown buffer allocates");
+        assert_eq!(stats.pooled, 1, "the 256-cap buffer was grown, not kept beside the new one");
+        assert_eq!(arena.take_u8_empty(8).capacity(), 16, "the small buffer is still pooled");
     }
 }

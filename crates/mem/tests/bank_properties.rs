@@ -7,9 +7,9 @@
 //! vectors. Every simulation result in the workspace now rests on that
 //! claim, so it is pinned here under random operation sequences. The
 //! word-chunked decay tick is pinned the same way against a per-line
-//! counter scan.
+//! counter scan, and the arena's pool bound under random checkout sizes.
 
-use cmpleak_mem::{BitSet, DecayBank, DecayConfig, LineStateBank};
+use cmpleak_mem::{BankArena, BitSet, DecayBank, DecayConfig, LineStateBank};
 use proptest::prelude::*;
 
 /// Naive model of the three bit columns plus power accounting.
@@ -275,5 +275,52 @@ proptest! {
         }
         prop_assert_eq!(st.live_count(), 0, "a full decay sequence leaves nothing live");
         prop_assert!(naive.live.iter().all(|&l| !l));
+    }
+
+    /// The arena's pool never holds more buffers than one checkout set:
+    /// for any sequence of sets (each a list of `u64`, `u8` and empty-`u8`
+    /// checkouts of any size, all returned before the next set), a
+    /// checkout no pooled buffer covers grows one instead of adding one,
+    /// so after each set the pool holds exactly the most buffers of each
+    /// element type that any set so far checked out at once. Every
+    /// checkout is still cleared to its requested length and fill.
+    #[test]
+    fn arena_pool_never_outgrows_one_checkout_set(
+        sets in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, 1usize..5_000, any::<u8>()), 0..12),
+            1..12,
+        ),
+    ) {
+        let mut arena = BankArena::default();
+        let (mut most_u64, mut most_u8) = (0u64, 0u64);
+        for set in sets {
+            let (mut words, mut bytes) = (Vec::new(), Vec::new());
+            for (kind, len, fill) in set {
+                match kind {
+                    0 => {
+                        let v = arena.take_u64(len, u64::from(fill));
+                        prop_assert!(v.len() == len && v.iter().all(|&w| w == u64::from(fill)));
+                        words.push(v);
+                    }
+                    1 => {
+                        let v = arena.take_u8(len, fill);
+                        prop_assert!(v.len() == len && v.iter().all(|&b| b == fill));
+                        bytes.push(v);
+                    }
+                    _ => {
+                        let v = arena.take_u8_empty(len);
+                        prop_assert!(v.is_empty() && v.capacity() >= len);
+                        bytes.push(v);
+                    }
+                }
+            }
+            most_u64 = most_u64.max(words.len() as u64);
+            most_u8 = most_u8.max(bytes.len() as u64);
+            words.into_iter().for_each(|v| arena.give_u64(v));
+            bytes.into_iter().for_each(|v| arena.give_u8(v));
+            let stats = arena.stats();
+            prop_assert_eq!(stats.pooled, most_u64 + most_u8, "the pool outgrew one checkout set");
+            prop_assert_eq!(stats.checkouts, stats.reuses + stats.fresh_allocations);
+        }
     }
 }

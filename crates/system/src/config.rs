@@ -168,11 +168,11 @@ pub enum CycleEngine {
     /// sleeps only while it is out of budget or window-blocked with an
     /// empty L2 read queue, an empty write buffer and no deferred
     /// turn-off; a window-blocked sleeper is bulk-charged its window
-    /// stalls when a wake edge (own event, bus grant, decay deadline)
-    /// re-activates it. Every awake core runs its L2 phase, and each
-    /// interval's powered-line cycles are read off the line-state
-    /// banks' on-cycle books. The active set is one `u64`, which is why
-    /// systems are capped at [`MAX_CORES`].
+    /// stalls when a wake edge (own event, decay deadline) re-activates
+    /// it, and a bus grant wakes no core. Every awake core runs its L2
+    /// phase, and each interval's powered-line cycles are read off the
+    /// line-state banks' on-cycle books. The active set is one `u64`,
+    /// which is why systems are capped at [`MAX_CORES`].
     #[default]
     Worklist,
     /// The classic full scan, kept as the differential reference arm

@@ -54,17 +54,21 @@
 //!   and no deferred turn-off). A core spinning on a refused load or
 //!   store, or with anything queued for its L2, stays awake and is
 //!   stepped like the reference. A sleeping core re-enters on its own
-//!   events, on *any* bus grant (snoops and their side effects are the
-//!   only cross-core mutation channel), at its next decay deadline, and
-//!   at finalize; on wake a window-blocked core is bulk-charged the
-//!   window stalls its skipped ticks would have accrued. Waking a core
-//!   spuriously is always harmless — the reference runs every core's
-//!   phases every cycle, and a blocked core's phases change nothing
-//!   but that charge — so only a *missed* wake could break
-//!   equivalence, and the edges above cover every channel that can
-//!   unblock a core. Debug builds check this at every kernel jump: each
-//!   sleeping core's state must still match what it recorded when it
-//!   fell asleep. The interval trace's powered-lines integral is read
+//!   events, at its next decay deadline, and at finalize; on wake a
+//!   window-blocked core is bulk-charged the window stalls its skipped
+//!   ticks would have accrued. A bus grant wakes no core: its snoops
+//!   touch only the snooped cores' tags, MSHR race flags, line
+//!   power/decay state and stats, and emit write-backs, L1
+//!   back-invalidations and `Grant` events (an own event of the snooped
+//!   core), and the origin's upgrade or fill start touches only its own
+//!   L2 and pushes its own `DataReady` — none of them an input of a
+//!   sleeping core's `sleep_state`. Waking a core spuriously is always
+//!   harmless — the reference runs every core's phases every cycle, and
+//!   a blocked core's phases change nothing but that charge — so only a
+//!   *missed* wake could break equivalence. Debug builds check this at
+//!   every kernel jump and after every bus grant: each sleeping core's
+//!   state must still match what it recorded when it fell asleep. The
+//!   interval trace's powered-lines integral is read
 //!   from the line-state banks' on-cycle books at each interval close,
 //!   so the engine differentials compare those books with the full
 //!   scan's per-cycle sums on every interval. Equivalence is enforced
@@ -682,13 +686,11 @@ impl CmpSystem {
             self.wake(ev.core());
             self.handle_event(ev);
         }
-        // A grant snoops every other L2 and routes side effects into
-        // other cores' L1s — the only cross-core mutation channel — so
-        // any grant (including a conflict NACK-retry) wakes everyone.
-        // Spurious wakes are harmless; missed ones would not be.
+        // A grant wakes no core: nothing it touches is an input of a
+        // sleeping core's `sleep_state` (module docs, "Engines").
         if self.bus_grant() {
             self.profile.on_grant();
-            self.wake_all();
+            self.debug_check_frozen_sleeps();
         } else {
             self.profile.on_grant_skip();
         }
@@ -747,7 +749,7 @@ impl CmpSystem {
         }
     }
 
-    /// Wake every sleeping core (bus grant, finalize).
+    /// Wake every sleeping core (finalize).
     fn wake_all(&mut self) {
         let mut sleeping = self.all_mask & !self.awake;
         while sleeping != 0 {
@@ -783,8 +785,8 @@ impl CmpSystem {
     /// `None` while its phases can still make progress: out of budget or
     /// window-blocked, with an empty L2 read queue, an empty write
     /// buffer and no deferred turn-off. Each condition is frozen until a
-    /// wake edge (own event, bus grant, decay deadline), so a sleeping
-    /// core's value is constant apart from `since`.
+    /// wake edge (own event, decay deadline), so a sleeping core's value
+    /// is constant apart from `since`.
     fn sleep_state(&self, core: usize) -> Option<CoreSleep> {
         let window = match self.cores[core].progress_state() {
             ProgressState::Ready => return None,
@@ -835,18 +837,27 @@ impl CmpSystem {
         wake.min(self.cfg.max_cycles)
     }
 
-    /// Jump time to `target` with every core asleep. Nothing is charged
-    /// here: the cores stay asleep, so [`CmpSystem::settle_core`] charges
-    /// the span when they wake.
-    fn jump_to(&mut self, target: u64) {
+    /// Debug builds: every sleeping core's [`CmpSystem::sleep_state`]
+    /// still equals the sleep it recorded, apart from `since`. Checked
+    /// before every kernel jump and after every bus grant, the two
+    /// places where sleeping cores stay asleep while time or other
+    /// cores' state moves.
+    fn debug_check_frozen_sleeps(&self) {
         debug_assert!(
-            (0..self.cfg.n_cores).all(|c| {
+            (0..self.cfg.n_cores).filter(|&c| self.awake & (1u64 << c) == 0).all(|c| {
                 let recorded = self.sleep[c];
                 self.sleep_state(c).map(|s| CoreSleep { since: recorded.since, ..s })
                     == Some(recorded)
             }),
             "a sleeping core's state moved without a wake edge"
         );
+    }
+
+    /// Jump time to `target` with every core asleep. Nothing is charged
+    /// here: the cores stay asleep, so [`CmpSystem::settle_core`] charges
+    /// the span when they wake.
+    fn jump_to(&mut self, target: u64) {
+        self.debug_check_frozen_sleeps();
         self.profile.on_skip(target - self.now);
         self.now = target;
     }

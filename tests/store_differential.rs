@@ -7,7 +7,9 @@
 //! thread count, with the in-pool stream recording active. This suite
 //! pins that end to end, plus the telemetry invariants that make the
 //! cache honest (a cold pass hits nothing; a fully-warm pass neither
-//! simulates nor records anything).
+//! simulates nor records anything; a scenario with anything to simulate
+//! is recorded exactly once, however its cells are spread over the pool
+//! and the store).
 
 use cmp_leakage::core::sweep::{run_sweep, run_sweep_with_telemetry, SweepConfig, SweepTelemetry};
 use cmp_leakage::core::{ExperimentScratch, Scenario, Technique, WorkloadSpec};
@@ -146,4 +148,51 @@ fn derived_baselines_survive_the_store_round_trip() {
     assert_eq!(cold, warm, "derivation over store hits diverged from cold derivation");
     assert_eq!(t_warm.derived, 4, "warm pass stopped deriving baselines");
     std::fs::remove_dir_all(root).ok();
+}
+
+/// Each live-generating scenario with a cell left to simulate is
+/// recorded exactly once, at 1–16 threads, cold and against a partly
+/// warm store: a recording is dropped only after its scenario's last
+/// cell (store hits included), so no cell finds its slot emptied and
+/// records again. The replayed scenario is never recorded.
+#[test]
+fn each_live_scenario_is_recorded_once_at_any_thread_count() {
+    const INSTR: u64 = 5_000;
+    let replay = Scenario::Homogeneous(WorkloadSpec::mpeg2dec()).record_shared_in(
+        4,
+        42,
+        INSTR,
+        vec![Vec::new(); 4],
+    );
+    let sweep = |scenarios: Vec<Scenario>, sizes_mb: Vec<usize>, threads, store| SweepConfig {
+        scenarios,
+        sizes_mb,
+        techniques: vec![Technique::Protocol, Technique::Decay { decay_cycles: 64 * 1024 }],
+        instructions_per_core: INSTR,
+        seed: 42,
+        n_cores: 4,
+        threads,
+        store: Some(store),
+    };
+    let (water, bursty, volrend) = (
+        Scenario::Homogeneous(WorkloadSpec::water_ns()),
+        Scenario::Mix(ScenarioSpec::bursty_idle()),
+        Scenario::Homogeneous(WorkloadSpec::volrend()),
+    );
+    let all = vec![water.clone(), bursty.clone(), volrend, replay];
+    for threads in [1usize, 2, 4, 8, 16] {
+        let (root, store) = temp_store(&format!("recorded-cold{threads}"));
+        let (_, cold) = run(&sweep(all.clone(), vec![1, 2], threads, Arc::clone(&store)));
+        assert_eq!(cold.recorded, 3, "cold pass at {threads} thread(s)");
+        std::fs::remove_dir_all(root).ok();
+
+        // Partly warm: WATER-NS stored whole, the mix at 2 MB only.
+        let (root, store) = temp_store(&format!("recorded-warm{threads}"));
+        run(&sweep(vec![water.clone()], vec![1, 2], 1, Arc::clone(&store)));
+        run(&sweep(vec![bursty.clone()], vec![2], 1, Arc::clone(&store)));
+        let (_, warm) = run(&sweep(all.clone(), vec![1, 2], threads, Arc::clone(&store)));
+        assert_eq!(warm.store_hits, 4 + 2, "partly warm pass at {threads} thread(s)");
+        assert_eq!(warm.recorded, 2, "partly warm pass at {threads} thread(s)");
+        std::fs::remove_dir_all(root).ok();
+    }
 }
