@@ -16,7 +16,7 @@ use crate::rules::{Finding, LAYERING};
 /// crates with a strictly smaller layer number.
 ///
 /// ```text
-///   0  vendor/* (serde, serde_derive, serde_json, proptest, criterion)
+///   0  vendor/* (serde, serde_derive, serde_json, proptest)
 ///   1  cmpleak-mem   cmpleak-cpu   cmpleak-coherence     cmpleak-audit
 ///   2  cmpleak-workloads (cpu)     cmpleak-trace (cpu, mem)
 ///   3  cmpleak-system (mem, coherence, cpu, workloads)
@@ -30,7 +30,6 @@ pub const LAYERS: &[(&str, u8)] = &[
     ("serde_derive", 0),
     ("serde_json", 0),
     ("proptest", 0),
-    ("criterion", 0),
     ("cmpleak-mem", 1),
     ("cmpleak-cpu", 1),
     ("cmpleak-coherence", 1),

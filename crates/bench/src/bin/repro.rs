@@ -15,6 +15,7 @@
 //!          --threads N (default: all)   --seed S (default 42)
 //! ```
 
+use cmpleak_bench::paper_size_or_exit;
 use cmpleak_core::adaptive::{oracle_advantage, oracle_pick};
 use cmpleak_core::experiment::{run_experiment, ExperimentConfig};
 use cmpleak_core::figures::FigureSet;
@@ -58,19 +59,8 @@ fn parse_opts() -> Opts {
             // A zero budget would simulate empty cells and print
             // meaningless 100 % figures.
             "--instr" => opts.instr = value::<NonZeroU64>(&a, &mut it).get(),
-            "--size" => {
-                // Refused here, not after minutes of sweeping: the figures
-                // and the headline only exist at the sweep's sizes.
-                let sizes = SweepConfig::paper(0).sizes_mb;
-                opts.size_mb = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|mb| sizes.contains(mb))
-                    .unwrap_or_else(|| {
-                        eprintln!("--size takes one of the paper's L2 sizes {sizes:?} (MB)");
-                        std::process::exit(2);
-                    })
-            }
+            // Refused here, not after minutes of sweeping.
+            "--size" => opts.size_mb = paper_size_or_exit(it.next()),
             "--threads" => opts.threads = value(&a, &mut it),
             "--seed" => opts.seed = value(&a, &mut it),
             cmd if !cmd.starts_with("--") => opts.cmd = cmd.to_string(),
@@ -153,7 +143,9 @@ fn cores_scaling(opts: &Opts) {
             scenario: cmpleak_core::Scenario::Homogeneous(WorkloadSpec::water_ns()),
             technique,
             total_l2_mb: opts.size_mb,
-            instructions_per_core: opts.instr / 2,
+            // Half the budget, rounded up: `--instr 1` must not become
+            // the empty cells that refusing `--instr 0` prevents.
+            instructions_per_core: opts.instr.div_ceil(2),
             seed: opts.seed,
             n_cores,
             power: Default::default(),

@@ -17,6 +17,7 @@
 //! * `inspect` prints the header, per-core stream summaries and the
 //!   first `--ops` decoded ops of core 0.
 
+use cmpleak_bench::paper_size_or_exit;
 use cmpleak_core::experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 use cmpleak_core::{Scenario, Technique};
 use cmpleak_cpu::TraceOp;
@@ -71,7 +72,8 @@ fn parse_opts() -> Opts {
             "--instr" => opts.instr = val().parse().map_or_else(|_| usage(), NonZeroU64::get),
             "--cores" => opts.cores = val().parse().map_or_else(|_| usage(), NonZeroUsize::get),
             "--seed" => opts.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--size" => opts.size_mb = val().parse().unwrap_or_else(|_| usage()),
+            // Refused here, not as a panic in the simulator's config.
+            "--size" => opts.size_mb = paper_size_or_exit(it.next()),
             "--ops" => opts.ops = val().parse().unwrap_or_else(|_| usage()),
             "--verify" => opts.verify = true,
             _ => usage(),

@@ -1,13 +1,19 @@
-//! Shared helpers for the `repro` binary and the smoke tests.
+//! Shared helpers for the binaries and the smoke tests.
 
 #![forbid(unsafe_code)]
 
 use cmpleak_core::sweep::{run_sweep, SweepConfig, SweepResults};
 
-/// The paper's full evaluation grid (6 benchmarks × 4 sizes × 7
-/// techniques + baselines) at a given per-core instruction count.
-pub fn paper_sweep(instructions_per_core: u64) -> SweepResults {
-    run_sweep(&SweepConfig::paper(instructions_per_core))
+/// The value of a `--size` flag: one of the paper's L2 sizes (MB).
+/// Anything else, or no value, prints the sizes and exits 2 before any
+/// simulation: the figures, the headline and the paper's system exist
+/// only at the sweep's sizes.
+pub fn paper_size_or_exit(value: Option<String>) -> usize {
+    let sizes = SweepConfig::paper(0).sizes_mb;
+    value.and_then(|v| v.parse().ok()).filter(|mb| sizes.contains(mb)).unwrap_or_else(|| {
+        eprintln!("--size takes one of the paper's L2 sizes {sizes:?} (MB)");
+        std::process::exit(2);
+    })
 }
 
 /// A reduced grid for smoke tests.

@@ -1,6 +1,6 @@
 //! `repro` end to end: an L2 size the paper sweep does not cover, or a
-//! malformed flag, is refused before the sweep starts, and a small full
-//! run succeeds.
+//! malformed flag, is refused before the sweep starts, and small runs of
+//! the commands succeed and print their tables.
 
 use std::process::Command;
 
@@ -55,4 +55,55 @@ fn repro_rejects_malformed_flags_with_usage() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(!stderr.contains("[sweep:"), "{args:?} must fail before sweeping");
     }
+}
+
+/// `repro moesi` prints the MOESI turn-off table (paper §III): one row
+/// per state, with the sharer invalidation an O line's turn-off costs.
+#[test]
+fn repro_moesi_prints_the_turn_off_table() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro")).arg("moesi").output().expect("repro runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "repro moesi failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("invalidate sharers"), "{stdout}");
+    let owned = stdout.lines().find(|l| l.trim_start().starts_with("O ")).expect("an O row");
+    assert!(owned.contains("yes (extra bus op)"), "{owned}");
+}
+
+/// `repro adaptive` compares fixed against oracle-adaptive decay for
+/// both decay families, each closing with its mean oracle advantage.
+#[test]
+fn repro_adaptive_reports_both_families() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["adaptive", "--instr", "3000"])
+        .output()
+        .expect("repro runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "repro adaptive failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let families: Vec<&str> = stdout.split("Oracle adaptive ").skip(1).collect();
+    assert_eq!(families.len(), 2, "{stdout}");
+    for (section, family) in families.iter().zip(["decay ", "sel_decay "]) {
+        assert!(section.starts_with(family), "{section}");
+        assert_eq!(section.matches("mean oracle advantage").count(), 1, "{section}");
+    }
+}
+
+/// `repro cores` halves the budget rounding up: `--instr 1` still runs
+/// one instruction per core, so no row reads the 100 % occupation of
+/// an empty run.
+#[test]
+fn repro_cores_keeps_a_budget_of_one_non_empty() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["cores", "--instr", "1", "--size", "1"])
+        .output()
+        .expect("repro runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "repro cores failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    let rows: Vec<&str> =
+        stdout.lines().filter(|l| l.contains("protocol") || l.contains("decay")).collect();
+    assert_eq!(rows.len(), 6, "{stdout}");
+    assert!(rows.iter().all(|r| !r.contains("100.0%")), "{stdout}");
 }

@@ -1,6 +1,7 @@
 //! `trace` end to end: `record` refuses a budget or core count it could
-//! not replay, and `replay`/`inspect` refuse a trace the simulator
-//! cannot run, or a damaged one, with a message, never a panic.
+//! not replay, `replay` refuses an L2 size outside the paper's, and
+//! `replay`/`inspect` refuse a trace the simulator cannot run, or a
+//! damaged one, with a message, never a panic.
 
 use std::process::Command;
 
@@ -87,6 +88,38 @@ fn record_refuses_zero_budgets_and_zero_cores() {
         assert!(stderr.contains("usage:"), "{flag} 0: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag} 0: {stderr}");
         assert!(!trace.exists(), "{flag} 0 must not write a trace");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The paper's system exists only at 1/2/4/8 MB of total L2: any other
+/// `--size`, or none after the flag, is a usage error (exit 2, naming
+/// the sizes) before the trace is simulated, not a panic in the
+/// simulator's config.
+#[test]
+fn replay_refuses_sizes_outside_the_paper_axis() {
+    let dir = std::env::temp_dir().join(format!("cmpleak-trace-size-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("water.cmpt");
+    let record = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["record", "--scenario", "WATER-NS", "--instr", "2000", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("trace runs");
+    assert!(record.status.success(), "record failed:\n{}", String::from_utf8_lossy(&record.stderr));
+    for size in [&["--size", "3"][..], &["--size", "0"], &["--size"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+            .args(["replay", "--in"])
+            .arg(&trace)
+            .args(size)
+            .output()
+            .expect("trace runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{size:?}:\n{stderr}");
+        assert!(stderr.contains("[1, 2, 4, 8]"), "{size:?}: the message names the sizes: {stderr}");
+        assert!(!stderr.contains("panicked"), "{size:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{size:?} printed a replay");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

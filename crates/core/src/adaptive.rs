@@ -10,8 +10,8 @@
 //!   (and size), pick the fixed decay interval that minimises relative
 //!   energy-delay product. This upper-bounds any global adaptive scheme
 //!   (AMC converges toward this choice at best);
-//! * [`relative_edp`] — the selection metric, also used by the
-//!   `adaptive_vs_fixed` bench.
+//! * [`relative_edp`] — the selection metric, also printed per technique
+//!   by `examples/technique_shootout`.
 
 use crate::metrics::TechniqueMetrics;
 use crate::sweep::SweepResults;

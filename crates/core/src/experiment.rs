@@ -5,7 +5,7 @@ use cmpleak_coherence::Technique;
 use cmpleak_power::{evaluate_energy, PowerParams, PowerReport};
 use cmpleak_store::{CellKey, KeyHasher, StoredCell};
 use cmpleak_system::{
-    run_feeds_with_scratch, CmpConfig, CycleEngine, SimKernel, SimScratch, SimStats, MAX_CORES,
+    run_feeds_with_scratch, CmpConfig, CycleEngine, SimKernel, SimStats, MAX_CORES,
 };
 use cmpleak_workloads::WorkloadSpec;
 
@@ -156,25 +156,10 @@ pub struct ExperimentResult {
 }
 
 /// Reusable allocation pools for back-to-back experiments (one per
-/// sweep worker thread): wraps the simulator's [`SimScratch`] so event
-/// and port queue capacities — and, via the bank arena, the multi-MB
-/// per-line columns of every cache — stay warm across grid cells.
-#[derive(Debug, Default)]
-pub struct ExperimentScratch {
-    sim: SimScratch,
-}
-
-impl ExperimentScratch {
-    /// Allocation counters of the per-line-state arena.
-    pub fn arena_stats(&self) -> cmpleak_system::ArenaStats {
-        self.sim.arena_stats()
-    }
-
-    /// Event-queue push counters from the most recent run.
-    pub fn event_queue_stats(&self) -> cmpleak_system::EventQueueStats {
-        self.sim.event_queue_stats()
-    }
-}
+/// sweep worker thread): the simulator's own scratch, so event and port
+/// queue capacities — and, via the bank arena, the multi-MB per-line
+/// columns of every cache — stay warm across grid cells.
+pub use cmpleak_system::SimScratch as ExperimentScratch;
 
 /// Run the experiment: build per-core workloads, simulate, integrate
 /// energy.
@@ -191,7 +176,7 @@ pub fn run_experiment_with_scratch(
     let cmp = cfg.cmp_config();
     let feeds = cfg.scenario.build_feeds(cfg.n_cores, cfg.seed, cfg.instructions_per_core);
     let bank_bytes = cmp.l2.size_bytes;
-    let stats = run_feeds_with_scratch(cmp, feeds, &mut scratch.sim);
+    let stats = run_feeds_with_scratch(cmp, feeds, scratch);
     let power = evaluate_energy(cfg.power, cfg.technique, cfg.n_cores, bank_bytes, &stats);
     ExperimentResult {
         benchmark: cfg.scenario.label(),

@@ -19,9 +19,9 @@
 //!   of thread count;
 //! * [`figures`] — builders that regenerate every figure of the paper's
 //!   §VI from sweep results, as printable tables;
-//! * [`adaptive`] — beyond-the-paper extensions: Kaxiras-style adaptive
-//!   per-line decay and AMC-style global adaptive decay, for the
-//!   ablation benches.
+//! * [`adaptive`] — a beyond-the-paper extension: the per-benchmark
+//!   oracle choice of decay interval, an upper bound on Kaxiras-style
+//!   per-line and AMC-style global adaptive decay (`repro adaptive`).
 //!
 //! The seven technique configurations of the paper are
 //! [`Technique::paper_set`]; the six benchmarks are

@@ -272,12 +272,6 @@ impl<M: LineMeta> SetAssocArray<M> {
         M::from_byte(self.meta[slot])
     }
 
-    /// Overwrite a slot's metadata (tag and LRU untouched).
-    #[inline]
-    pub fn set_meta(&mut self, slot: usize, meta: M) {
-        self.meta[slot] = meta.to_byte();
-    }
-
     /// Update a slot's metadata in place (decode → mutate → re-encode).
     #[inline]
     pub fn update_meta(&mut self, slot: usize, f: impl FnOnce(&mut M)) {

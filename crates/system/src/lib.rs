@@ -16,9 +16,11 @@
 //! The simulation is single-threaded and bit-deterministic; parallelism
 //! belongs one level up (experiment sweeps in `cmpleak-core`).
 //!
-//! Entry point: [`CmpSystem::run`] (or the [`run_simulation`]
-//! convenience), producing [`SimStats`] plus a 10K-cycle activity trace
-//! for the power/thermal models.
+//! Entry points: [`run_feeds_with_scratch`], which runs per-core
+//! [`CoreSource`] feeds through a reusable [`SimScratch`], and the
+//! [`run_simulation`] convenience over live generators. Both produce
+//! [`SimStats`] plus a 10K-cycle activity trace for the power/thermal
+//! models.
 
 #![forbid(unsafe_code)]
 
@@ -37,8 +39,7 @@ pub use l1::{L1Cache, L1LoadOutcome};
 pub use l2::{L2Cache, L2ReadOutcome, L2Target, L2WriteOutcome};
 pub use stats::{IntervalActivity, L1Stats, L2Stats, SimStats};
 pub use system::{
-    run_feeds_with_scratch, run_simulation, CmpSystem, CoreSource, CycleProfile, EventQueueStats,
-    SimScratch,
+    run_feeds_with_scratch, run_simulation, CoreSource, CycleProfile, EventQueueStats, SimScratch,
 };
 
 // Re-exported so scratch-pool consumers can read arena counters without

@@ -229,11 +229,6 @@ impl SimStats {
             self.cores[core].instructions as f64 / self.cycles as f64
         }
     }
-
-    /// External-memory traffic in bytes (the figure-4a quantity).
-    pub fn memory_traffic_bytes(&self) -> u64 {
-        self.mem_bytes
-    }
 }
 
 #[cfg(test)]

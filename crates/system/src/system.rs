@@ -441,8 +441,8 @@ impl SimScratch {
     }
 }
 
-/// The simulated CMP.
-pub struct CmpSystem {
+/// The simulated CMP, built and run by [`run_feeds_with_scratch`].
+struct CmpSystem {
     cfg: CmpConfig,
     now: u64,
     cores: Vec<CoreModel>,
@@ -497,37 +497,12 @@ pub struct CmpSystem {
     profile: CycleProfile,
 }
 
-impl std::fmt::Debug for CmpSystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Workloads are trait objects; summarize instead of deriving.
-        f.debug_struct("CmpSystem")
-            .field("now", &self.now)
-            .field("n_cores", &self.cores.len())
-            .field("cfg", &self.cfg)
-            .finish_non_exhaustive()
-    }
-}
-
 impl CmpSystem {
-    /// Build a system running one live workload generator per core.
-    ///
-    /// # Panics
-    /// Panics unless exactly `cfg.n_cores` workloads are supplied, or if
-    /// the configuration is invalid.
-    pub fn new(cfg: CmpConfig, workloads: Vec<Box<dyn Workload>>) -> Self {
-        let feeds = workloads.into_iter().map(CoreSource::Live).collect();
-        Self::with_feeds(cfg, feeds, &mut SimScratch::default())
-    }
-
     /// Build a system over per-core [`CoreSource`] feeds, adopting the
-    /// reusable pools of `scratch` (emptied, allocations kept). Pair
-    /// with [`run_feeds_with_scratch`], which returns them when the run
+    /// reusable pools of `scratch` (emptied, allocations kept);
+    /// [`CmpSystem::reclaim_scratch`] returns them when the run
     /// finishes.
-    ///
-    /// # Panics
-    /// Panics unless exactly `cfg.n_cores` feeds are supplied, or if
-    /// the configuration is invalid.
-    pub fn with_feeds(cfg: CmpConfig, sources: Vec<CoreSource>, scratch: &mut SimScratch) -> Self {
+    fn with_feeds(cfg: CmpConfig, sources: Vec<CoreSource>, scratch: &mut SimScratch) -> Self {
         assert_eq!(sources.len(), cfg.n_cores, "one op source per core");
         cfg.validate();
         let cores =
@@ -583,35 +558,8 @@ impl CmpSystem {
         }
     }
 
-    /// Current cycle.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Read-only access to an L2 (tests/examples).
-    pub fn l2(&self, core: usize) -> &L2Cache {
-        &self.l2s[core]
-    }
-
     /// Run to completion (all cores drained, all queues empty) or to the
-    /// configured cycle cap, and return the statistics.
-    pub fn run(mut self) -> SimStats {
-        self.run_loop();
-        self.finalize()
-    }
-
-    /// Event-queue push counters (diagnostics; see
-    /// [`EventQueueStats`]).
-    pub fn event_queue_stats(&self) -> EventQueueStats {
-        self.events.stats()
-    }
-
-    /// Cycle-cost attribution counters (all zero unless the
-    /// `cycle-profile` feature is enabled; see [`CycleProfile`]).
-    pub fn cycle_profile(&self) -> CycleProfile {
-        self.profile
-    }
-
+    /// configured cycle cap.
     fn run_loop(&mut self) {
         // Only the worklist engine has an active set to be empty; the
         // full scan steps every cycle under either kernel.
@@ -1288,9 +1236,16 @@ impl CmpSystem {
     }
 }
 
-/// Convenience: build and run a system of live generators in one call.
+/// Run a system of live generators, one per core, to completion (or to
+/// the configured cycle cap) and return the statistics: a convenience
+/// over [`run_feeds_with_scratch`] with fresh pools.
+///
+/// # Panics
+/// Panics unless exactly `cfg.n_cores` workloads are supplied, or if
+/// the configuration is invalid.
 pub fn run_simulation(cfg: CmpConfig, workloads: Vec<Box<dyn Workload>>) -> SimStats {
-    CmpSystem::new(cfg, workloads).run()
+    let feeds = workloads.into_iter().map(CoreSource::Live).collect();
+    run_feeds_with_scratch(cfg, feeds, &mut SimScratch::default())
 }
 
 /// Build and run a system over per-core [`CoreSource`] feeds, borrowing
@@ -1298,6 +1253,10 @@ pub fn run_simulation(cfg: CmpConfig, workloads: Vec<Box<dyn Workload>>) -> SimS
 /// the run finishes — callers that run many simulations back to back
 /// (sweep workers, benchmarks) keep the event and port queue capacities
 /// and the per-line columns warm across runs.
+///
+/// # Panics
+/// Panics unless exactly `cfg.n_cores` feeds are supplied, or if the
+/// configuration is invalid.
 pub fn run_feeds_with_scratch(
     cfg: CmpConfig,
     feeds: Vec<CoreSource>,

@@ -87,11 +87,6 @@ impl GenerationalWorkload {
         &self.spec
     }
 
-    /// Memory operations generated so far (drives sharing epochs).
-    pub fn mem_ops_generated(&self) -> u64 {
-        self.mem_ops
-    }
-
     #[inline]
     fn private_base(&self, region: u64) -> u64 {
         ((self.core as u64 + 1) << 36) + region * self.spec.region_bytes as u64

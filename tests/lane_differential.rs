@@ -1,19 +1,21 @@
-//! The technique-lane differential oracle.
+//! A group's cells, run back to back from one recording through one
+//! scratch, equal their solo runs.
 //!
 //! Every (scenario, size) group of the grid runs one op stream under
-//! the baseline and the seven paper techniques; each technique's cell
-//! is a *lane* of the group. The sweep records the group's stream once
-//! and hands every lane to the worker pool as its own unit, so a lane
-//! may run on any worker, and a worker that draws several lanes of one
-//! group runs them back to back through one `ExperimentScratch`. The
-//! claim pinned here is that neither choice shows in the results: a
-//! lane run that way is bit-identical to the solo run of its
-//! configuration — same `SimStats` (every counter, every per-core
-//! breakdown, every sampled interval) and the same `PowerReport`.
-//! Coverage: baseline + all seven paper techniques × homogeneous /
-//! heterogeneous-mix / trace-replay scenarios, plus the sweep surface
-//! (lanes spread over four workers against one worker running every
-//! lane in order, serialized cell-for-cell).
+//! the baseline and the seven paper techniques. The sweep records the
+//! group's stream once and hands every cell to the worker pool as its
+//! own unit, so a cell may run on any worker, and a worker that draws
+//! several cells of one group runs them back to back through one
+//! `ExperimentScratch`. The claim pinned here is that neither choice
+//! shows in the results: a cell run that way is bit-identical to the
+//! solo run of its configuration (live generation, fresh scratch) —
+//! same `SimStats` (every counter, every per-core breakdown, every
+//! sampled interval) and the same `PowerReport`. Coverage: baseline +
+//! all seven paper techniques × homogeneous / heterogeneous-mix /
+//! trace-replay scenarios, plus the sweep surface (cells spread over
+//! four workers against one worker running every cell in order,
+//! serialized cell for cell). The test names keep the word "lane" from
+//! a per-group engine since deleted.
 
 use cmp_leakage::core::experiment::{
     run_experiment, run_experiment_with_scratch, ExperimentConfig, ExperimentScratch,
@@ -31,9 +33,9 @@ fn all_techniques() -> Vec<Technique> {
     v
 }
 
-/// Run baseline + the full paper set as the lanes of one group — one
+/// Run baseline + the full paper set as the cells of one group — one
 /// stream (recorded once unless the scenario already replays a shared
-/// buffer), one scratch, lane after lane — and match every lane against
+/// buffer), one scratch, cell after cell — and match every cell against
 /// the solo run of its configuration in whole-struct equality.
 fn differential_over_techniques(scenario: Scenario, tag: &str) {
     let mut scratch = ExperimentScratch::default();
@@ -46,19 +48,19 @@ fn differential_over_techniques(scenario: Scenario, tag: &str) {
         let mut cfg = ExperimentConfig::paper_scenario(scenario.clone(), technique, 1);
         cfg.instructions_per_core = INSTR;
         cfg.seed = SEED;
-        let lane_cfg = ExperimentConfig { scenario: stream.clone(), ..cfg.clone() };
-        let lane = run_experiment_with_scratch(&lane_cfg, &mut scratch);
+        let shared_cfg = ExperimentConfig { scenario: stream.clone(), ..cfg.clone() };
+        let shared = run_experiment_with_scratch(&shared_cfg, &mut scratch);
         let solo = run_experiment(&cfg);
-        assert_eq!(lane.benchmark, solo.benchmark, "{tag}: lanes keep the scenario label");
+        assert_eq!(shared.benchmark, solo.benchmark, "{tag}: the recording keeps the label");
         assert_eq!(
-            lane.stats, solo.stats,
-            "{tag}/{}: lane SimStats diverged from the solo run",
-            lane.technique
+            shared.stats, solo.stats,
+            "{tag}/{}: SimStats from the shared recording diverged from the solo run",
+            shared.technique
         );
         assert_eq!(
-            lane.power, solo.power,
-            "{tag}/{}: lane PowerReport diverged from the solo run",
-            lane.technique
+            shared.power, solo.power,
+            "{tag}/{}: PowerReport from the shared recording diverged from the solo run",
+            shared.technique
         );
     }
 }
@@ -86,9 +88,9 @@ fn lanes_agree_for_every_technique_trace_replay() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The sweep surface: the lanes of every group spread over four
-/// workers against a single worker running every lane in grid order,
-/// serialized cell-for-cell.
+/// The sweep surface: the cells of every group spread over four workers
+/// against a single worker running every cell in pool order, serialized
+/// cell for cell.
 #[test]
 fn laned_sweep_is_byte_identical_to_sequential_sweep() {
     let cfg = SweepConfig {
@@ -104,9 +106,9 @@ fn laned_sweep_is_byte_identical_to_sequential_sweep() {
         threads: 4,
         store: None,
     };
-    let laned = run_sweep(&cfg);
+    let spread = run_sweep(&cfg);
     let sequential = run_sweep(&SweepConfig { threads: 1, ..cfg.clone() });
-    let a = serde_json::to_string(&laned).expect("serializable");
+    let a = serde_json::to_string(&spread).expect("serializable");
     let b = serde_json::to_string(&sequential).expect("serializable");
-    assert_eq!(a, b, "spreading a group's lanes over workers changed the sweep");
+    assert_eq!(a, b, "spreading a group's cells over workers changed the sweep");
 }
