@@ -9,11 +9,15 @@
 //! technique size_mb [instr]`; `#` comments), answers every cell already
 //! in the persistent result store from disk, batches the misses into
 //! grouped sweep grids that publish back to the store, and reports
-//! per-request hit/miss and load latency. See the "Persistent result
-//! store" section of the README. Simulator timing lives in `perfbench/`.
+//! per-request hit/miss and load latency. A missed request the store
+//! still cannot answer after its batch (the batch could not publish it)
+//! is reported as unanswered, the other requests are still served, and
+//! `serve` then exits 1. See the "Persistent result store" section of
+//! the README. Simulator timing lives in `perfbench/`.
 
-use cmpleak_core::sweep::{run_sweep, SweepConfig};
-use cmpleak_core::{ExperimentConfig, Scenario, Technique, WorkloadSpec};
+use cmpleak_bench::CORE_COUNT_RULE;
+use cmpleak_core::sweep::{run_sweep_with_telemetry, SweepConfig};
+use cmpleak_core::{ExperimentConfig, ExperimentScratch, Scenario, Technique, WorkloadSpec};
 use cmpleak_store::ResultStore;
 use cmpleak_system::MAX_CORES;
 use cmpleak_workloads::ScenarioSpec;
@@ -53,8 +57,8 @@ fn parse_serve_opts(args: &[String]) -> ServeOpts {
             "--seed" => opts.seed = value(a, &mut it),
             "--n-cores" => {
                 opts.n_cores = value(a, &mut it);
-                if !(1..=MAX_CORES).contains(&opts.n_cores) {
-                    eprintln!("--n-cores takes a core count in 1..={MAX_CORES}");
+                if !(1..=MAX_CORES).contains(&opts.n_cores) || !opts.n_cores.is_power_of_two() {
+                    eprintln!("--n-cores takes a core count in 1..={MAX_CORES}: {CORE_COUNT_RULE}");
                     usage()
                 }
             }
@@ -126,6 +130,9 @@ struct ServeReport {
     skipped: usize,
     hits: usize,
     misses: usize,
+    /// Missed requests the store still could not answer after their
+    /// batch ran (the batch could not publish them).
+    unanswered: usize,
     /// Grid cells the miss batches simulated beyond the missed
     /// requests themselves — published to the store as prefetch.
     prefetched: usize,
@@ -263,6 +270,7 @@ fn serve(args: &[String]) {
     // attached, so every simulated cell (requested or grid prefetch)
     // is published for future requests.
     let mut prefetched = 0usize;
+    let mut publish_errors = 0usize;
     let t0 = Instant::now();
     for ((label, instr), g) in &groups {
         let cfg = SweepConfig {
@@ -275,7 +283,8 @@ fn serve(args: &[String]) {
             threads: opts.threads,
             store: Some(Arc::clone(&store)),
         };
-        let res = run_sweep(&cfg);
+        let (res, telemetry) = run_sweep_with_telemetry(&cfg, &mut ExperimentScratch::default());
+        publish_errors += telemetry.publish_errors;
         let extra = res.cells.len().saturating_sub(g.missed.len());
         prefetched += extra;
         println!(
@@ -286,15 +295,26 @@ fn serve(args: &[String]) {
     }
     let batch_s = t0.elapsed().as_secs_f64();
 
-    // Second probe: every miss is now on disk.
+    // Second probe: every miss is now on disk, unless its batch could
+    // not publish it. Such a line is reported and the rest still served.
     let mut rows = Vec::with_capacity(requests.len());
+    let mut unanswered = 0usize;
     for (req, ans) in requests.iter().zip(answers) {
-        let (hit, load_us, cell) = ans.unwrap_or_else(|| {
+        let answer = ans.or_else(|| {
             let key = req.cfg.store_key();
             let t0 = Instant::now();
-            let cell = store.load(&key).expect("batched grid published every missed cell");
-            (false, t0.elapsed().as_secs_f64() * 1e6, cell)
+            let cell = store.load(&key)?;
+            Some((false, t0.elapsed().as_secs_f64() * 1e6, cell))
         });
+        let Some((hit, load_us, cell)) = answer else {
+            unanswered += 1;
+            eprintln!(
+                "line {}: unanswered — the batch simulated the cell but it is not in the store \
+                 ({publish_errors} publish(es) to {} failed)",
+                req.line_no, opts.store
+            );
+            continue;
+        };
         let row = ServeRow {
             line: req.line_no,
             scenario: req.cfg.scenario.label(),
@@ -320,7 +340,7 @@ fn serve(args: &[String]) {
     }
 
     println!(
-        "{} request(s): {hits} hit / {misses} miss ({skipped} skipped), {prefetched} prefetched, batch {batch_s:.2}s, store now {} records",
+        "{} request(s): {hits} hit / {misses} miss ({skipped} skipped, {unanswered} unanswered), {prefetched} prefetched, batch {batch_s:.2}s, store now {} records",
         requests.len(),
         store.record_count()
     );
@@ -330,6 +350,7 @@ fn serve(args: &[String]) {
         skipped,
         hits,
         misses,
+        unanswered,
         prefetched,
         batch_s,
         rows,
@@ -339,6 +360,10 @@ fn serve(args: &[String]) {
         json.push('\n');
         std::fs::write(path, json).unwrap_or_else(|e| fail(&format!("cannot write {path}"), e));
         println!("wrote {path}");
+    }
+    if unanswered > 0 {
+        eprintln!("{unanswered} request(s) unanswered");
+        std::process::exit(1);
     }
 }
 

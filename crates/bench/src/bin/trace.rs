@@ -9,15 +9,19 @@
 //! * `record` generates the named scenario's live streams (benchmark
 //!   names like `FMM` or curated mixes like `mix_bursty_idle`) and saves
 //!   them as a trace file covering `--instr` instructions per core.
+//!   `--cores` must be a power of two (each core's L2 is the total split
+//!   evenly); any other count is a usage error (exit 2).
 //! * `replay` simulates the trace under `--technique` (default
-//!   baseline); `--verify` also runs live generation with the recorded
+//!   baseline), refusing a trace of more than 64 cores (exit 1) or of a
+//!   core count that is not a power of two (exit 2); `--verify` also
+//!   runs live generation with the recorded
 //!   scenario/seed and asserts the statistics and energy report are
 //!   **bit-identical** — the differential oracle, exit code 1 on any
 //!   mismatch.
 //! * `inspect` prints the header, per-core stream summaries and the
 //!   first `--ops` decoded ops of core 0.
 
-use cmpleak_bench::paper_size_or_exit;
+use cmpleak_bench::{paper_size_or_exit, CORE_COUNT_RULE};
 use cmpleak_core::experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 use cmpleak_core::{Scenario, Technique};
 use cmpleak_cpu::TraceOp;
@@ -70,7 +74,13 @@ fn parse_opts() -> Opts {
             "--technique" => opts.technique = Some(val()),
             // An empty trace or a zero-core one cannot be replayed.
             "--instr" => opts.instr = val().parse().map_or_else(|_| usage(), NonZeroU64::get),
-            "--cores" => opts.cores = val().parse().map_or_else(|_| usage(), NonZeroUsize::get),
+            "--cores" => {
+                opts.cores = val().parse().map_or_else(|_| usage(), NonZeroUsize::get);
+                if !opts.cores.is_power_of_two() {
+                    eprintln!("--cores: {CORE_COUNT_RULE}");
+                    usage()
+                }
+            }
             "--seed" => opts.seed = val().parse().unwrap_or_else(|_| usage()),
             // Refused here, not as a panic in the simulator's config.
             "--size" => opts.size_mb = paper_size_or_exit(it.next()),
@@ -177,6 +187,10 @@ fn cmd_replay(opts: &Opts) {
             trace.n_cores()
         );
         exit(1);
+    }
+    if !trace.n_cores().is_power_of_two() {
+        eprintln!("cannot replay {path} on {} cores: {CORE_COUNT_RULE}", trace.n_cores());
+        exit(2);
     }
     let technique = parse_technique(opts.technique.as_deref().unwrap_or("baseline"));
     let (label, n_cores, seed) = (trace.label().to_string(), trace.n_cores(), trace.seed());

@@ -16,6 +16,11 @@ pub fn paper_size_or_exit(value: Option<String>) -> usize {
     })
 }
 
+/// Why a core count must be a power of two, for the CLIs' refusals: the
+/// simulator panics on any other count.
+pub const CORE_COUNT_RULE: &str = "the core count must be a power of two, since each core's L2 \
+     is the total size split evenly and a cache size must be a power of two";
+
 /// A reduced grid for smoke tests.
 pub fn smoke_sweep(instructions_per_core: u64) -> SweepResults {
     run_sweep(&SweepConfig::smoke(instructions_per_core))

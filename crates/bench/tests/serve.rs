@@ -53,10 +53,11 @@ fn sweep_without_serve_prints_usage_and_fails() {
 
 /// The cycle engine's core masks are one `u64`: a core count outside
 /// `1..=64` must be refused at parse time, before the store is opened or
-/// any cell simulated.
+/// any cell simulated. So must a count that is not a power of two, which
+/// cannot split the L2 into power-of-two caches.
 #[test]
 fn serve_rejects_core_counts_outside_1_to_64() {
-    for n_cores in ["0", "65"] {
+    for n_cores in ["0", "65", "3"] {
         let dir = std::env::temp_dir()
             .join(format!("cmpleak-serve-cores-{n_cores}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -74,10 +75,65 @@ fn serve_rejects_core_counts_outside_1_to_64() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "--n-cores {n_cores}:\n{stderr}");
         assert!(stderr.contains("1..=64"), "the message names the limit: {stderr}");
+        assert!(stderr.contains("power of two"), "the message names the rule: {stderr}");
         assert!(stderr.contains("usage: sweep serve"), "usage is printed: {stderr}");
         assert!(!store.exists(), "--n-cores {n_cores} must fail before the store opens");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A batch that cannot publish its cells (plain files stand where the
+/// store's fan-out directories go) leaves its lines unanswered: each is
+/// reported with the reason, the other lines are still answered, and
+/// `serve` exits 1 after writing its report — never a panic.
+#[test]
+fn serve_reports_lines_a_blocked_store_cannot_answer_and_answers_the_rest() {
+    let dir = std::env::temp_dir().join(format!("cmpleak-serve-blocked-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let store = dir.join("store");
+    let serve = |queue: &str| {
+        let requests = dir.join("queue.txt");
+        std::fs::write(&requests, queue).expect("queue written");
+        Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .arg("serve")
+            .arg("--store")
+            .arg(&store)
+            .arg("--requests")
+            .arg(&requests)
+            .arg("--out")
+            .arg(dir.join("report.json"))
+            .output()
+            .expect("sweep runs")
+    };
+    let warm = serve("WATER-NS protocol 1 2000\n");
+    assert!(warm.status.success(), "{}", String::from_utf8_lossy(&warm.stderr));
+    // Every fan-out name the stored cells do not use becomes a file.
+    for i in 0..=255u8 {
+        let fan_out = store.join(format!("{i:02x}"));
+        if !fan_out.exists() {
+            std::fs::write(&fan_out, "").expect("blocking file written");
+        }
+    }
+    // Three cells the store cannot hold (each lands in a stored cell's
+    // directory with probability 2/256), behind the stored one.
+    let out = serve(
+        "FMM protocol 1 2000\nWATER-NS protocol 1 2000\nVOLREND decay64K 1 2000\n\
+         mpeg2dec sel_decay64K 1 2000\n",
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("unanswered"), "the lines are reported: {stderr}");
+    assert!(stderr.contains("failed"), "with the reason: {stderr}");
+    let json = std::fs::read_to_string(dir.join("report.json")).expect("report written");
+    assert!(json.contains("\"requests\": 4"), "{json}");
+    assert!(json.contains("\"hits\": 1"), "the stored line is answered: {json}");
+    assert!(json.contains("\"technique\": \"protocol\""), "its row is reported: {json}");
+    let unanswered = stderr.matches("unanswered —").count();
+    assert!(unanswered >= 1, "{stderr}");
+    assert!(json.contains(&format!("\"unanswered\": {unanswered}")), "{json}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Bad or missing flags, including a zero `--instr`, are usage errors

@@ -14,7 +14,7 @@ fn replay_refuses_traces_with_more_than_64_cores() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace = dir.join("wide.cmpt");
     let record = Command::new(env!("CARGO_BIN_EXE_trace"))
-        .args(["record", "--scenario", "WATER-NS", "--instr", "200", "--cores", "65", "--out"])
+        .args(["record", "--scenario", "WATER-NS", "--instr", "200", "--cores", "128", "--out"])
         .arg(&trace)
         .output()
         .expect("trace runs");
@@ -26,7 +26,45 @@ fn replay_refuses_traces_with_more_than_64_cores() {
         .expect("trace runs");
     let stderr = String::from_utf8_lossy(&replay.stderr);
     assert_eq!(replay.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("65 cores exceed the simulator's limit of 64"), "{stderr}");
+    assert!(stderr.contains("128 cores exceed the simulator's limit of 64"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each core's L2 is the total split evenly, and a cache size must be a
+/// power of two: `record` refuses any other core count (exit 2, naming
+/// the rule, before writing anything), and `replay` refuses a trace of
+/// such a count from elsewhere (exit 2), not a panic in the simulator's
+/// cache geometry.
+#[test]
+fn core_counts_that_are_not_a_power_of_two_are_refused() {
+    let dir = std::env::temp_dir().join(format!("cmpleak-trace-pow2-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("three.cmpt");
+    let record = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["record", "--scenario", "WATER-NS", "--instr", "2000", "--cores", "3", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("trace runs");
+    let stderr = String::from_utf8_lossy(&record.stderr);
+    assert_eq!(record.status.code(), Some(2), "record --cores 3:\n{stderr}");
+    assert!(stderr.contains("power of two"), "record names the rule: {stderr}");
+    assert!(!trace.exists(), "record --cores 3 must not write a trace");
+
+    cmpleak_core::Scenario::by_name("WATER-NS")
+        .expect("known scenario")
+        .record(3, 42, 2_000)
+        .save(&trace)
+        .expect("three-core trace written");
+    let replay = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["replay", "--size", "1", "--in"])
+        .arg(&trace)
+        .output()
+        .expect("trace runs");
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(2), "replay of 3 cores:\n{stderr}");
+    assert!(stderr.contains("power of two"), "replay names the rule: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

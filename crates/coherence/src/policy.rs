@@ -17,6 +17,7 @@
 //!    never pay the write-back + upper-invalidate turn-off cost).
 
 use crate::mesi::MesiState;
+use std::fmt;
 
 /// A leakage-management technique for the private L2 caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,22 +135,10 @@ impl Technique {
 
     /// Canonical short name used in figures and the CLI, mirroring the
     /// paper's labels (`protocol`, `decay512K`, `sel_decay64K`, ...).
+    /// The [`Display`](fmt::Display) form, which writes it without
+    /// allocating.
     pub fn name(&self) -> String {
-        fn kcycles(c: u64) -> String {
-            if c.is_multiple_of(1024) {
-                format!("{}K", c / 1024)
-            } else {
-                c.to_string()
-            }
-        }
-        match self {
-            Technique::Baseline => "baseline".into(),
-            Technique::Protocol => "protocol".into(),
-            Technique::Decay { decay_cycles } => format!("decay{}", kcycles(*decay_cycles)),
-            Technique::SelectiveDecay { decay_cycles } => {
-                format!("sel_decay{}", kcycles(*decay_cycles))
-            }
-        }
+        self.to_string()
     }
 
     /// The seven configurations evaluated in every figure of the paper:
@@ -164,6 +153,22 @@ impl Technique {
             v.push(Technique::SelectiveDecay { decay_cycles: d * 1024 });
         }
         v
+    }
+}
+
+impl fmt::Display for Technique {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (family, cycles) = match *self {
+            Technique::Baseline => return f.write_str("baseline"),
+            Technique::Protocol => return f.write_str("protocol"),
+            Technique::Decay { decay_cycles } => ("decay", decay_cycles),
+            Technique::SelectiveDecay { decay_cycles } => ("sel_decay", decay_cycles),
+        };
+        if cycles.is_multiple_of(1024) {
+            write!(f, "{family}{}K", cycles / 1024)
+        } else {
+            write!(f, "{family}{cycles}")
+        }
     }
 }
 
@@ -220,6 +225,8 @@ mod tests {
         assert_eq!(Technique::Protocol.name(), "protocol");
         assert_eq!(Technique::Decay { decay_cycles: 512 * 1024 }.name(), "decay512K");
         assert_eq!(Technique::SelectiveDecay { decay_cycles: 64 * 1024 }.name(), "sel_decay64K");
+        assert_eq!(Technique::Decay { decay_cycles: 1000 }.name(), "decay1000");
+        assert_eq!(Technique::Baseline.name(), "baseline");
     }
 
     #[test]

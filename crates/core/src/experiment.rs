@@ -8,6 +8,7 @@ use cmpleak_system::{
     run_feeds_with_scratch, CmpConfig, CycleEngine, SimKernel, SimStats, MAX_CORES,
 };
 use cmpleak_workloads::WorkloadSpec;
+use std::fmt::Write as _;
 
 /// Configuration of a single experiment.
 #[derive(Debug, Clone)]
@@ -60,36 +61,43 @@ impl ExperimentConfig {
 
     /// The content address of this experiment cell in a persistent
     /// result store: a hash over the canonical encoding of everything
-    /// that determines the result — the scenario bytes
-    /// ([`Scenario::canonical_bytes`]), technique, cache size,
-    /// instruction budget, seed, core count, kernel/engine choice and
-    /// every power parameter — on top of the store's schema version and
-    /// code fingerprint (seeded by [`KeyHasher::new`]).
+    /// that determines the result — the scenario (its specs, or every
+    /// stream byte of a replay), technique, cache size, instruction
+    /// budget, seed, core count, kernel/engine choice and every power
+    /// parameter — on top of the store's schema version and code
+    /// fingerprint (seeded by [`KeyHasher::new`]).
     pub fn store_key(&self) -> CellKey {
-        let mut bytes = Vec::new();
-        self.scenario.canonical_bytes(&mut bytes);
-        self.store_key_with_scenario_bytes(&bytes)
+        self.store_key_from(self.scenario.key_hasher())
     }
 
-    /// [`store_key`](Self::store_key) with the scenario's canonical
-    /// bytes precomputed — a sweep encodes each scenario once and keys
-    /// every cell of its groups from the same buffer.
-    pub fn store_key_with_scenario_bytes(&self, scenario_bytes: &[u8]) -> CellKey {
-        let mut h = KeyHasher::new();
-        h.write_bytes(scenario_bytes);
-        h.write_str(&self.technique.name());
-        h.write_u64(self.total_l2_mb as u64);
-        h.write_u64(self.instructions_per_core);
-        h.write_u64(self.seed);
-        h.write_u64(self.n_cores as u64);
-        h.write_u64(match self.kernel {
-            SimKernel::QuiescenceSkip => 0,
-            SimKernel::PerCycle => 1,
-        });
-        h.write_u64(match self.engine {
-            CycleEngine::Worklist => 0,
-            CycleEngine::FullScan => 1,
-        });
+    /// [`store_key`](Self::store_key) from a hasher that has absorbed
+    /// this cell's scenario — a sweep hashes each scenario once and keys
+    /// every cell of its groups from a copy.
+    pub(crate) fn store_key_from(&self, mut h: KeyHasher) -> CellKey {
+        let (technique, decay_cycles) = match self.technique {
+            Technique::Baseline => (0, 0),
+            Technique::Protocol => (1, 0),
+            Technique::Decay { decay_cycles } => (2, decay_cycles),
+            Technique::SelectiveDecay { decay_cycles } => (3, decay_cycles),
+        };
+        for v in [
+            technique,
+            decay_cycles,
+            self.total_l2_mb as u64,
+            self.instructions_per_core,
+            self.seed,
+            self.n_cores as u64,
+            match self.kernel {
+                SimKernel::QuiescenceSkip => 0,
+                SimKernel::PerCycle => 1,
+            },
+            match self.engine {
+                CycleEngine::Worklist => 0,
+                CycleEngine::FullScan => 1,
+            },
+        ] {
+            h.write_u64(v);
+        }
         for v in [
             self.power.clock_ghz,
             self.power.core_epi_pj,
@@ -111,15 +119,24 @@ impl ExperimentConfig {
         ] {
             h.write_f64(v);
         }
-        h.finish(format!(
-            "{}/{}@{}MB i{} s{} c{}",
-            self.scenario.label(),
-            self.technique.name(),
-            self.total_l2_mb,
-            self.instructions_per_core,
-            self.seed,
-            self.n_cores
-        ))
+        // `label/technique@sizeMB iINSTR sSEED cCORES`, with room for the
+        // label and the widest technique name and numbers.
+        let label = self.scenario.label_str();
+        let mut meta = String::with_capacity(label.len() + 128);
+        meta.push_str(label);
+        meta.push('/');
+        // Writing to a `String` cannot fail.
+        write!(meta, "{}", self.technique).ok();
+        for (tag, v) in [
+            ("@", self.total_l2_mb as u64),
+            ("MB i", self.instructions_per_core),
+            (" s", self.seed),
+            (" c", self.n_cores as u64),
+        ] {
+            meta.push_str(tag);
+            push_decimal(&mut meta, v);
+        }
+        h.finish(meta)
     }
 
     /// Derive the simulator configuration. Panics unless `n_cores` is in
@@ -138,6 +155,22 @@ impl ExperimentConfig {
         cfg.engine = self.engine;
         cfg
     }
+}
+
+/// Append `v` in decimal, without the formatting machinery of `write!`
+/// (a store key builds its descriptor on every request).
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 /// Everything measured for one experiment.
@@ -273,6 +306,16 @@ mod tests {
         let prot = run_experiment(&quick(Technique::Protocol));
         assert!((base.stats.occupation_rate() - 1.0).abs() < 1e-12);
         assert!(prot.stats.occupation_rate() < 1.0);
+    }
+
+    #[test]
+    fn store_key_descriptor_names_the_cell() {
+        let mut cfg = quick(Technique::SelectiveDecay { decay_cycles: 64 * 1024 });
+        cfg.seed = 0;
+        assert_eq!(cfg.store_key().meta, "mpeg2dec/sel_decay64K@1MB i60000 s0 c4");
+        cfg.seed = u64::MAX;
+        cfg.technique = Technique::Decay { decay_cycles: 1000 };
+        assert_eq!(cfg.store_key().meta, "mpeg2dec/decay1000@1MB i60000 s18446744073709551615 c4");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! [`Workload`]s, for recording and differential tooling.
 
 use cmpleak_cpu::Workload;
+use cmpleak_store::KeyHasher;
 use cmpleak_system::CoreSource;
 use cmpleak_trace::MemTrace;
 use cmpleak_workloads::{ScenarioSpec, WorkloadSpec};
@@ -77,10 +78,15 @@ impl Scenario {
 
     /// The label used for sweep cells, figures and trace headers.
     pub fn label(&self) -> String {
+        self.label_str().to_string()
+    }
+
+    /// [`label`](Self::label), borrowed.
+    pub(crate) fn label_str(&self) -> &str {
         match self {
-            Scenario::Homogeneous(spec) => spec.name.to_string(),
-            Scenario::Mix(mix) => mix.name.clone(),
-            Scenario::SharedStream { trace } => trace.label().to_string(),
+            Scenario::Homogeneous(spec) => spec.name,
+            Scenario::Mix(mix) => &mix.name,
+            Scenario::SharedStream { trace } => trace.label(),
         }
     }
 
@@ -137,71 +143,72 @@ impl Scenario {
         trace
     }
 
-    /// Canonical byte encoding of everything about this scenario that
-    /// determines simulation results — the scenario half of a result
-    /// store content address ([`crate::store_key`]). Every field is
-    /// length- or width-delimited, so distinct scenarios cannot alias.
+    /// A store key hasher that has absorbed the canonical encoding of
+    /// everything about this scenario that determines simulation results
+    /// — the scenario half of a result store content address
+    /// ([`ExperimentConfig::store_key`](crate::ExperimentConfig::store_key)).
+    /// Every field is length- or width-delimited, so distinct scenarios
+    /// cannot alias, and the encoding is prefix-free, so the cell's own
+    /// fields can follow it. A sweep hashes each scenario once and
+    /// finishes every cell's key from a copy.
     ///
     /// A [`Scenario::SharedStream`] encodes its label, seed, per-core
     /// metadata and every encoded stream byte.
-    pub fn canonical_bytes(&self, out: &mut Vec<u8>) {
-        fn put_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
+    pub(crate) fn key_hasher(&self) -> KeyHasher {
+        fn put_spec(h: &mut KeyHasher, spec: &WorkloadSpec) {
+            h.write_str(spec.name);
+            for v in [
+                match spec.class {
+                    cmpleak_workloads::BenchClass::Scientific => 0,
+                    cmpleak_workloads::BenchClass::Multimedia => 1,
+                },
+                spec.pool_regions as u64,
+                spec.region_bytes as u64,
+                spec.hot_regions as u64,
+                u64::from(spec.generation_bursts),
+                u64::from(spec.burst_lines),
+                u64::from(spec.accesses_per_line),
+                u64::from(spec.exec_gap.0),
+                u64::from(spec.exec_gap.1),
+                spec.store_lines.to_bits(),
+                spec.write_fraction.to_bits(),
+                spec.shared_fraction.to_bits(),
+                spec.shared_regions as u64,
+                spec.share_epoch_ops,
+                u64::from(spec.revisit),
+            ] {
+                h.write_u64(v);
+            }
         }
-        fn put_str(out: &mut Vec<u8>, s: &str) {
-            put_u64(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        fn put_spec(out: &mut Vec<u8>, spec: &WorkloadSpec) {
-            put_str(out, spec.name);
-            out.push(match spec.class {
-                cmpleak_workloads::BenchClass::Scientific => 0,
-                cmpleak_workloads::BenchClass::Multimedia => 1,
-            });
-            put_u64(out, spec.pool_regions as u64);
-            put_u64(out, spec.region_bytes as u64);
-            put_u64(out, spec.hot_regions as u64);
-            put_u64(out, u64::from(spec.generation_bursts));
-            put_u64(out, u64::from(spec.burst_lines));
-            put_u64(out, u64::from(spec.accesses_per_line));
-            put_u64(out, u64::from(spec.exec_gap.0));
-            put_u64(out, u64::from(spec.exec_gap.1));
-            put_u64(out, spec.store_lines.to_bits());
-            put_u64(out, spec.write_fraction.to_bits());
-            put_u64(out, spec.shared_fraction.to_bits());
-            put_u64(out, spec.shared_regions as u64);
-            put_u64(out, spec.share_epoch_ops);
-            out.push(u8::from(spec.revisit));
-        }
+        let mut h = KeyHasher::new();
         match self {
             Scenario::Homogeneous(spec) => {
-                out.push(1);
-                put_spec(out, spec);
+                h.write_u64(1);
+                put_spec(&mut h, spec);
             }
             Scenario::Mix(mix) => {
-                out.push(2);
-                put_str(out, &mix.name);
-                put_u64(out, mix.assignments.len() as u64);
+                h.write_u64(2);
+                h.write_str(&mix.name);
+                h.write_u64(mix.assignments.len() as u64);
                 for spec in &mix.assignments {
-                    put_spec(out, spec);
+                    put_spec(&mut h, spec);
                 }
             }
             Scenario::SharedStream { trace } => {
-                out.push(4);
-                put_str(out, trace.label());
-                put_u64(out, trace.seed());
-                put_u64(out, trace.n_cores() as u64);
+                h.write_u64(4);
+                h.write_str(trace.label());
+                h.write_u64(trace.seed());
+                h.write_u64(trace.n_cores() as u64);
                 for core in 0..trace.n_cores() {
                     let info = trace.core_info(core);
-                    put_str(out, &info.name);
-                    put_u64(out, info.ops);
-                    put_u64(out, info.instructions);
-                    let stream = trace.stream(core);
-                    put_u64(out, stream.len() as u64);
-                    out.extend_from_slice(stream);
+                    h.write_str(&info.name);
+                    h.write_u64(info.ops);
+                    h.write_u64(info.instructions);
+                    h.write_bytes(trace.stream(core));
                 }
             }
         }
+        h
     }
 
     /// Build the per-core op streams as boxed [`Workload`]s: live

@@ -53,7 +53,7 @@ use crate::scenario::Scenario;
 use cmpleak_coherence::Technique;
 use cmpleak_mem::BankArena;
 use cmpleak_power::PowerParams;
-use cmpleak_store::{CellKey, ResultStore};
+use cmpleak_store::{CellKey, KeyHasher, ResultStore};
 use cmpleak_trace::MemTrace;
 use cmpleak_workloads::{ScenarioSpec, WorkloadSpec};
 use serde::Serialize;
@@ -282,6 +282,9 @@ pub struct SweepTelemetry {
     pub store_hits: usize,
     /// Cells simulated and published to the store.
     pub store_misses: usize,
+    /// Publishes the store refused (the sweep's results are unaffected;
+    /// those cells are simply not stored).
+    pub publish_errors: usize,
 }
 
 /// One grid cell's work order: the experiment configuration (carrying
@@ -368,24 +371,18 @@ fn run_sweep_inner(
     }
 
     // Content addresses, one per job, computed up front so workers
-    // never re-encode a scenario: each scenario's canonical bytes are
-    // produced once and every cell of its groups keys off that buffer.
-    // Keys are derived from the *original* scenarios, so a warm store
-    // hits across processes (a shared recording would encode
-    // identically anyway, but the original needs no recording first).
+    // never re-hash a scenario: each scenario's canonical encoding is
+    // hashed once and every cell of its groups finishes its key from a
+    // copy of that hasher. Keys are derived from the *original*
+    // scenarios, so a warm store hits across processes (a shared
+    // recording would encode identically anyway, but the original needs
+    // no recording first).
     let store = if reference { None } else { cfg.store.clone() };
     let keys: Vec<Option<CellKey>> = if store.is_some() {
-        let scenario_bytes: Vec<Vec<u8>> = cfg
-            .scenarios
-            .iter()
-            .map(|s| {
-                let mut b = Vec::new();
-                s.canonical_bytes(&mut b);
-                b
-            })
-            .collect();
+        let scenario_keys: Vec<KeyHasher> =
+            cfg.scenarios.iter().map(Scenario::key_hasher).collect();
         jobs.iter()
-            .map(|j| Some(j.cfg.store_key_with_scenario_bytes(&scenario_bytes[j.scenario_idx])))
+            .map(|j| Some(j.cfg.store_key_from(scenario_keys[j.scenario_idx].clone())))
             .collect()
     } else {
         jobs.iter().map(|_| None).collect()
@@ -406,6 +403,7 @@ fn run_sweep_inner(
     let recorded = AtomicUsize::new(0);
     let store_hits = AtomicUsize::new(0);
     let store_misses = AtomicUsize::new(0);
+    let publish_errors = AtomicUsize::new(0);
 
     // The pool's work unit is one cell, so even a single (scenario,
     // size) group — a serve-mode miss — spreads over every thread.
@@ -478,7 +476,9 @@ fn run_sweep_inner(
                 );
                 if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
                     store_misses.fetch_add(1, Ordering::Relaxed);
-                    st.publish(key, &r.stats, &r.power).ok();
+                    if st.publish(key, &r.stats, &r.power).is_err() {
+                        publish_errors.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 r
             };
@@ -526,7 +526,9 @@ fn run_sweep_inner(
             let donor = results[base_idx + offset].as_ref().expect("donor simulated");
             let cell = derive_baseline_cell(&jobs[base_idx].cfg, donor);
             if let (Some(st), Some(key)) = (store.as_deref(), &keys[base_idx]) {
-                st.publish_if_absent(key, &cell.stats, &cell.power).ok();
+                if st.publish_if_absent(key, &cell.stats, &cell.power).is_err() {
+                    publish_errors.fetch_add(1, Ordering::Relaxed);
+                }
             }
             results[base_idx] = Some(cell);
             derived += 1;
@@ -550,6 +552,7 @@ fn run_sweep_inner(
         recorded: recorded.load(Ordering::Relaxed),
         store_hits: store_hits.load(Ordering::Relaxed),
         store_misses: store_misses.load(Ordering::Relaxed),
+        publish_errors: publish_errors.load(Ordering::Relaxed),
     };
     (SweepResults { cells }, telemetry)
 }

@@ -6,7 +6,9 @@
 //! `ExperimentConfig` encoding (scenario bytes, technique, L2 size,
 //! budget, seed, core count, kernel/engine, power parameters), the
 //! record schema version, and a build-time fingerprint of all
-//! workspace simulation sources.
+//! workspace simulation sources. One word-at-a-time hashing kernel
+//! ([`hash`]) computes both the address and each record's payload
+//! checksum ([`record`]).
 //!
 //! ## Contract
 //!

@@ -1,18 +1,25 @@
 //! The versioned on-disk record: `SimStats` + `PowerReport` in a fixed
 //! little-endian binary layout, wrapped in a checked header.
 //!
-//! Layout (all integers little-endian):
+//! Layout (schema 2, all integers little-endian):
 //!
 //! ```text
 //! offset 0   magic          b"CMPS"
 //!        4   schema         u32   (STORE_SCHEMA_VERSION)
-//!        8   key hash       2×u64 (the CellKey's 128-bit address)
-//!        24  meta           u64 len + bytes (CellKey descriptor)
-//!        …   fingerprint    u64 len + bytes (code fingerprint)
-//!        …   payload_len    u64
-//!        …   checksum       u64   (FNV-1a over the payload bytes)
+//!        8   payload_len    u64
+//!        16  checksum       u64   (the hash kernel's checksum lane over
+//!                                  the payload bytes, see crate::hash)
+//!        24  key hash       2×u64 (the CellKey's 128-bit address)
+//!        40  fingerprint    u64 len + bytes (code fingerprint)
+//!        …   meta           u64 len + bytes (CellKey descriptor)
 //!        …   payload        encoded SimStats + PowerReport
 //! ```
+//!
+//! The first 16 bytes give the record's whole length (every later
+//! header field is fixed by the requesting key), so a load reads the
+//! file into one buffer sized once. Schema 1 had the same fields with
+//! the payload length and checksum last and an FNV-1a checksum; its
+//! records fail the schema check and load as misses.
 //!
 //! Decoding is *fully defensive*: every read is bounds-checked, every
 //! header field is verified against the requesting key and the current
@@ -22,7 +29,7 @@
 //! key — returns `None`, which callers treat as a cache miss. A record
 //! can therefore change *latency*, never *results*.
 
-use crate::hash::{code_fingerprint, CellKey, STORE_SCHEMA_VERSION};
+use crate::hash::{checksum, code_fingerprint, CellKey, STORE_SCHEMA_VERSION};
 use cmpleak_power::{EnergyBreakdown, PowerReport};
 use cmpleak_system::{CoreStats, IntervalActivity, L1Stats, L2Stats, SimStats};
 
@@ -38,13 +45,24 @@ pub struct StoredCell {
 
 const MAGIC: &[u8; 4] = b"CMPS";
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Bytes of the magic, schema and payload length that open a record.
+pub(crate) const PREFIX_LEN: usize = 16;
+
+/// The whole length of `key`'s record whose first bytes are `prefix`,
+/// or `None` if the magic or schema is wrong. The payload length is not
+/// yet verified: a damaged one yields a length the read cannot fill.
+pub(crate) fn record_len(prefix: &[u8; PREFIX_LEN], key: &CellKey) -> Option<usize> {
+    let mut r = Reader::new(prefix);
+    if r.take(4)? != MAGIC || r.u32()? != STORE_SCHEMA_VERSION {
+        return None;
     }
-    h
+    header_len(key).checked_add(usize::try_from(r.u64()?).ok()?)
+}
+
+/// The header length of `key`'s record: the prefix, the checksum, the
+/// key hash, and the fingerprint and meta with their lengths.
+fn header_len(key: &CellKey) -> usize {
+    PREFIX_LEN + 8 + 16 + 8 + code_fingerprint().len() + 8 + key.meta.len()
 }
 
 // ---- encoding ---------------------------------------------------------
@@ -193,15 +211,15 @@ pub fn encode_payload(stats: &SimStats, power: &PowerReport) -> Vec<u8> {
 /// Encode a complete record for `key`.
 pub fn encode_record(key: &CellKey, stats: &SimStats, power: &PowerReport) -> Vec<u8> {
     let payload = encode_payload(stats, power);
-    let mut out = Vec::with_capacity(64 + key.meta.len() + payload.len());
+    let mut out = Vec::with_capacity(header_len(key) + payload.len());
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, STORE_SCHEMA_VERSION);
+    put_u64(&mut out, payload.len() as u64);
+    put_u64(&mut out, checksum(&payload));
     put_u64(&mut out, key.hash[0]);
     put_u64(&mut out, key.hash[1]);
-    put_str(&mut out, &key.meta);
     put_str(&mut out, code_fingerprint());
-    put_u64(&mut out, payload.len() as u64);
-    put_u64(&mut out, fnv1a(&payload));
+    put_str(&mut out, &key.meta);
     out.extend_from_slice(&payload);
     out
 }
@@ -236,20 +254,30 @@ impl<'a> Reader<'a> {
     }
 
     fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        self.words().map(|[v]| v)
     }
 
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
+    /// `K` consecutive `u64`s, behind one bounds check.
+    fn words<const K: usize>(&mut self) -> Option<[u64; K]> {
+        let bytes = self.take(8 * K)?;
+        let mut out = [0; K];
+        for (v, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *v = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        }
+        Some(out)
     }
 
-    fn string(&mut self) -> Option<String> {
+    /// A length-prefixed byte run, borrowed from the input.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.u64()?;
         if len > self.remaining() as u64 {
             return None;
         }
-        let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        self.take(len as usize)
+    }
+
+    fn string(&mut self) -> Option<String> {
+        String::from_utf8(self.bytes()?.to_vec()).ok()
     }
 
     /// A length-prefixed vector whose elements occupy at least
@@ -274,59 +302,74 @@ impl<'a> Reader<'a> {
 }
 
 fn get_core(r: &mut Reader<'_>) -> Option<CoreStats> {
+    let [instructions, active_cycles, window_stall_cycles, reject_stall_cycles, loads, stores] =
+        r.words()?;
     Some(CoreStats {
-        instructions: r.u64()?,
-        active_cycles: r.u64()?,
-        window_stall_cycles: r.u64()?,
-        reject_stall_cycles: r.u64()?,
-        loads: r.u64()?,
-        stores: r.u64()?,
+        instructions,
+        active_cycles,
+        window_stall_cycles,
+        reject_stall_cycles,
+        loads,
+        stores,
     })
 }
 
 fn get_l1(r: &mut Reader<'_>) -> Option<L1Stats> {
+    let [loads, load_hits, stores, store_hits, back_invalidations, technique_back_invalidations] =
+        r.words()?;
     Some(L1Stats {
-        loads: r.u64()?,
-        load_hits: r.u64()?,
-        stores: r.u64()?,
-        store_hits: r.u64()?,
-        back_invalidations: r.u64()?,
-        technique_back_invalidations: r.u64()?,
+        loads,
+        load_hits,
+        stores,
+        store_hits,
+        back_invalidations,
+        technique_back_invalidations,
     })
 }
 
 fn get_l2(r: &mut Reader<'_>) -> Option<L2Stats> {
+    #[rustfmt::skip]
+    let [
+        reads, writes, read_hits, write_hits, misses, induced_misses, snoop_invalidations,
+        turnoffs_decay, turnoffs_protocol, dirty_decay_turnoffs, writebacks, evictions, fills,
+        retries,
+    ] = r.words()?;
     Some(L2Stats {
-        reads: r.u64()?,
-        writes: r.u64()?,
-        read_hits: r.u64()?,
-        write_hits: r.u64()?,
-        misses: r.u64()?,
-        induced_misses: r.u64()?,
-        snoop_invalidations: r.u64()?,
-        turnoffs_decay: r.u64()?,
-        turnoffs_protocol: r.u64()?,
-        dirty_decay_turnoffs: r.u64()?,
-        writebacks: r.u64()?,
-        evictions: r.u64()?,
-        fills: r.u64()?,
-        retries: r.u64()?,
+        reads,
+        writes,
+        read_hits,
+        write_hits,
+        misses,
+        induced_misses,
+        snoop_invalidations,
+        turnoffs_decay,
+        turnoffs_protocol,
+        dirty_decay_turnoffs,
+        writebacks,
+        evictions,
+        fills,
+        retries,
     })
 }
 
 fn get_interval(r: &mut Reader<'_>) -> Option<IntervalActivity> {
+    #[rustfmt::skip]
+    let [
+        cycles, instructions, l1_accesses, l2_reads, l2_writes, bus_transactions, bus_bytes,
+        mem_bytes, l2_powered_line_cycles, l2_total_line_cycles, decay_counter_events,
+    ] = r.words()?;
     Some(IntervalActivity {
-        cycles: r.u64()?,
-        instructions: r.u64()?,
-        l1_accesses: r.u64()?,
-        l2_reads: r.u64()?,
-        l2_writes: r.u64()?,
-        bus_transactions: r.u64()?,
-        bus_bytes: r.u64()?,
-        mem_bytes: r.u64()?,
-        l2_powered_line_cycles: r.u64()?,
-        l2_total_line_cycles: r.u64()?,
-        decay_counter_events: r.u64()?,
+        cycles,
+        instructions,
+        l1_accesses,
+        l2_reads,
+        l2_writes,
+        bus_transactions,
+        bus_bytes,
+        mem_bytes,
+        l2_powered_line_cycles,
+        l2_total_line_cycles,
+        decay_counter_events,
     })
 }
 
@@ -334,40 +377,35 @@ fn get_interval(r: &mut Reader<'_>) -> Option<IntervalActivity> {
 /// an error: a valid record is consumed exactly.
 pub fn decode_payload(bytes: &[u8]) -> Option<StoredCell> {
     let mut r = Reader::new(bytes);
-    let cycles = r.u64()?;
-    let instructions = r.u64()?;
+    let [cycles, instructions] = r.words()?;
     let cores = r.vec_of(48, get_core)?;
     let core_workloads = r.vec_of(8, |r| r.string())?;
     let l1 = r.vec_of(48, get_l1)?;
     let l2 = r.vec_of(112, get_l2)?;
-    let l2_on_line_cycles = r.u64()?;
-    let l2_line_cycle_capacity = r.u64()?;
-    let loads_completed = r.u64()?;
-    let load_latency_sum = r.u64()?;
-    let bus_transactions = r.u64()?;
-    let bus_busy_cycles = r.u64()?;
-    let mem_fills = r.u64()?;
-    let mem_writebacks = r.u64()?;
-    let mem_bytes = r.u64()?;
-    let c2c_transfers = r.u64()?;
-    let upper_invalidations = r.u64()?;
+    #[rustfmt::skip]
+    let [
+        l2_on_line_cycles, l2_line_cycle_capacity, loads_completed, load_latency_sum,
+        bus_transactions, bus_busy_cycles, mem_fills, mem_writebacks, mem_bytes, c2c_transfers,
+        upper_invalidations,
+    ] = r.words()?;
     let trace = r.vec_of(88, get_interval)?;
+    #[rustfmt::skip]
+    let [
+        core_dynamic_pj, l1_dynamic_pj, l2_dynamic_pj, bus_dynamic_pj, l2_leakage_pj,
+        other_leakage_pj, decay_dynamic_pj, decay_leakage_pj, avg_l2_temp_c, peak_temp_c,
+        avg_power_w,
+    ] = r.words()?.map(f64::from_bits);
     let energy = EnergyBreakdown {
-        core_dynamic_pj: r.f64()?,
-        l1_dynamic_pj: r.f64()?,
-        l2_dynamic_pj: r.f64()?,
-        bus_dynamic_pj: r.f64()?,
-        l2_leakage_pj: r.f64()?,
-        other_leakage_pj: r.f64()?,
-        decay_dynamic_pj: r.f64()?,
-        decay_leakage_pj: r.f64()?,
+        core_dynamic_pj,
+        l1_dynamic_pj,
+        l2_dynamic_pj,
+        bus_dynamic_pj,
+        l2_leakage_pj,
+        other_leakage_pj,
+        decay_dynamic_pj,
+        decay_leakage_pj,
     };
-    let power = PowerReport {
-        energy,
-        avg_l2_temp_c: r.f64()?,
-        peak_temp_c: r.f64()?,
-        avg_power_w: r.f64()?,
-    };
+    let power = PowerReport { energy, avg_l2_temp_c, peak_temp_c, avg_power_w };
     if r.remaining() != 0 {
         return None;
     }
@@ -400,28 +438,19 @@ pub fn decode_payload(bytes: &[u8]) -> Option<StoredCell> {
 /// requesting `key` and the current build. Any mismatch is `None`.
 pub fn decode_record(bytes: &[u8], key: &CellKey) -> Option<StoredCell> {
     let mut r = Reader::new(bytes);
-    if r.take(4)? != MAGIC {
+    if r.take(4)? != MAGIC || r.u32()? != STORE_SCHEMA_VERSION {
         return None;
     }
-    if r.u32()? != STORE_SCHEMA_VERSION {
+    let (payload_len, sum) = (r.u64()?, r.u64()?);
+    if [r.u64()?, r.u64()?] != key.hash
+        || r.bytes()? != code_fingerprint().as_bytes()
+        || r.bytes()? != key.meta.as_bytes()
+        || payload_len != r.remaining() as u64
+    {
         return None;
     }
-    if [r.u64()?, r.u64()?] != key.hash {
-        return None;
-    }
-    if r.string()? != key.meta {
-        return None;
-    }
-    if r.string()? != code_fingerprint() {
-        return None;
-    }
-    let payload_len = r.u64()?;
-    let checksum = r.u64()?;
-    if payload_len != r.remaining() as u64 {
-        return None;
-    }
-    let payload = r.take(payload_len as usize)?;
-    if fnv1a(payload) != checksum {
+    let payload = r.take(r.remaining())?;
+    if checksum(payload) != sum {
         return None;
     }
     decode_payload(payload)

@@ -4,12 +4,19 @@
 //! record.
 
 use crate::hash::CellKey;
-use crate::record::{decode_record, encode_record, StoredCell};
+use crate::record::{decode_record, encode_record, record_len, StoredCell, PREFIX_LEN};
 use cmpleak_power::PowerReport;
 use cmpleak_system::SimStats;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::ffi::OsString;
+use std::fmt::Write as _;
+use std::fs::{self, File};
+use std::io::Read;
+use std::path::{Path, PathBuf, MAIN_SEPARATOR};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The most a load reserves before reading: a damaged payload length
+/// cannot make it allocate more, and a larger record grows as it reads.
+const MAX_RESERVE: usize = 1 << 24;
 
 /// A content-addressed result store rooted at a directory.
 ///
@@ -40,8 +47,19 @@ impl ResultStore {
     /// The file a cell lives at: two-hex-digit fan-out directory, then
     /// the remaining 30 digits of the content address.
     pub fn path_of(&self, key: &CellKey) -> PathBuf {
-        let hex = key.hex();
-        self.root.join(&hex[..2]).join(format!("{}.cmps", &hex[2..]))
+        let root = self.root.as_os_str();
+        let [hi, lo] = key.hash;
+        let mut path = OsString::with_capacity(root.len() + 40);
+        path.push(root);
+        // Writing to an `OsString` cannot fail.
+        write!(
+            path,
+            "{MAIN_SEPARATOR}{:02x}{MAIN_SEPARATOR}{:014x}{lo:016x}.cmps",
+            hi >> 56,
+            hi & ((1 << 56) - 1)
+        )
+        .ok();
+        PathBuf::from(path)
     }
 
     /// Whether a record file exists for `key` (without validating it).
@@ -52,7 +70,17 @@ impl ResultStore {
     /// Load and fully validate the cell for `key`. Any anomaly is a
     /// silent miss.
     pub fn load(&self, key: &CellKey) -> Option<StoredCell> {
-        let bytes = fs::read(self.path_of(key)).ok()?;
+        let mut file = File::open(self.path_of(key)).ok()?;
+        // The prefix gives the record's length, so the file is read into
+        // one buffer sized once, and without a `stat`. One byte more is
+        // asked for than a sound record holds: trailing bytes then reach
+        // `decode_record`, which refuses them.
+        let mut prefix = [0; PREFIX_LEN];
+        file.read_exact(&mut prefix).ok()?;
+        let len = record_len(&prefix, key)?;
+        let mut bytes = Vec::with_capacity(len.min(MAX_RESERVE) + 1);
+        bytes.extend_from_slice(&prefix);
+        file.take((len - PREFIX_LEN) as u64 + 1).read_to_end(&mut bytes).ok()?;
         decode_record(&bytes, key)
     }
 
@@ -65,11 +93,9 @@ impl ResultStore {
         stats: &SimStats,
         power: &PowerReport,
     ) -> std::io::Result<()> {
-        let hex = key.hex();
-        let dir = self.root.join(&hex[..2]);
-        let dest = dir.join(format!("{}.cmps", &hex[2..]));
-        fs::create_dir_all(&dir)?;
-        let tmp = dir.join(format!(
+        let dest = self.path_of(key);
+        fs::create_dir_all(dest.parent().unwrap_or(&self.root))?;
+        let tmp = dest.with_file_name(format!(
             "tmp-{}-{}",
             std::process::id(),
             self.seq.fetch_add(1, Ordering::Relaxed)
@@ -176,6 +202,35 @@ mod tests {
         fs::remove_dir_all(store.root()).ok();
     }
 
+    /// `load` sizes its read from the record's own prefix: a damaged
+    /// length, any other flipped byte, a cut or an extra byte must still
+    /// be a miss.
+    #[test]
+    fn every_damaged_record_file_is_a_miss_at_load() {
+        let store = ResultStore::open(tmp_root("damage")).unwrap();
+        let (stats, power) = cell();
+        let k = key("d");
+        store.publish(&k, &stats, &power).unwrap();
+        let path = store.path_of(&k);
+        let good = fs::read(&path).unwrap();
+        let mut damaged: Vec<Vec<u8>> = (0..good.len())
+            .map(|i| {
+                let mut bad = good.clone();
+                bad[i] ^= 0x40;
+                bad
+            })
+            .collect();
+        damaged.extend((0..good.len()).map(|len| good[..len].to_vec()));
+        damaged.push([&good[..], &[0]].concat());
+        for bad in damaged {
+            fs::write(&path, &bad).unwrap();
+            assert!(store.load(&k).is_none(), "a damaged record of {} bytes loaded", bad.len());
+        }
+        fs::write(&path, &good).unwrap();
+        assert_eq!(store.load(&k).expect("the sound record loads").stats, stats);
+        fs::remove_dir_all(store.root()).ok();
+    }
+
     #[test]
     fn publish_if_absent_does_not_rewrite() {
         let store = ResultStore::open(tmp_root("absent")).unwrap();
@@ -187,6 +242,16 @@ mod tests {
         store.publish_if_absent(&k, &other, &power).unwrap();
         let after = fs::metadata(store.path_of(&k)).unwrap().modified().unwrap();
         assert_eq!(before, after, "existing record must be left untouched");
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn a_record_lives_at_its_hex_address_under_a_two_digit_fan_out() {
+        let store = ResultStore::open(tmp_root("layout")).unwrap();
+        let k = key("layout");
+        let hex = k.hex();
+        let want = store.root().join(&hex[..2]).join(format!("{}.cmps", &hex[2..]));
+        assert_eq!(store.path_of(&k), want);
         fs::remove_dir_all(store.root()).ok();
     }
 
