@@ -288,9 +288,11 @@ fn serve(args: &[String]) {
         let extra = res.cells.len().saturating_sub(g.missed.len());
         prefetched += extra;
         println!(
-            "batched {label} @ {instr} instr: {} grid cells for {} missed requests ({extra} prefetched)",
+            "batched {label} @ {instr} instr: {} grid cells for {} missed requests \
+             ({extra} prefetched, {} derived from a smaller size)",
             res.cells.len(),
-            g.missed.len()
+            g.missed.len(),
+            telemetry.derived_larger
         );
     }
     let batch_s = t0.elapsed().as_secs_f64();

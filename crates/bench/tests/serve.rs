@@ -44,6 +44,38 @@ fn serve_skips_sizes_outside_the_paper_axis() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Serve batches a scenario's missed sizes into one sweep, so a small
+/// budget's larger size is derived from the smaller one's run, and the
+/// batch line says how many cells were.
+#[test]
+fn serve_batch_line_counts_cells_derived_from_a_smaller_size() {
+    let dir = std::env::temp_dir().join(format!("cmpleak-serve-ladder-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let requests = dir.join("queue.txt");
+    std::fs::write(&requests, "FMM decay64K 1 3000\nFMM decay64K 8 3000\n").expect("queue written");
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .arg("serve")
+        .arg("--store")
+        .arg(dir.join("store"))
+        .arg("--requests")
+        .arg(&requests)
+        .output()
+        .expect("sweep runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "serve failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    let line = stdout.lines().find(|l| l.starts_with("batched FMM")).expect("a batch line");
+    let derived: usize = line
+        .split_once("prefetched, ")
+        .and_then(|(_, rest)| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no derived count in `{line}`"));
+    assert!(line.ends_with("derived from a smaller size)"), "{line}");
+    // Baseline and decay64K at 8 MB, both from their 1 MB runs.
+    assert_eq!(derived, 2, "{line}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn sweep_without_serve_prints_usage_and_fails() {
     let out = Command::new(env!("CARGO_BIN_EXE_sweep")).output().expect("sweep runs");

@@ -5,7 +5,7 @@ use cmpleak_coherence::Technique;
 use cmpleak_power::{evaluate_energy, PowerParams, PowerReport};
 use cmpleak_store::{CellKey, KeyHasher, StoredCell};
 use cmpleak_system::{
-    run_feeds_with_scratch, CmpConfig, CycleEngine, SimKernel, SimStats, MAX_CORES,
+    run_feeds_with_larger, CmpConfig, CycleEngine, LargerSizes, SimKernel, SimStats, MAX_CORES,
 };
 use cmpleak_workloads::WorkloadSpec;
 use std::fmt::Write as _;
@@ -206,18 +206,37 @@ pub fn run_experiment_with_scratch(
     cfg: &ExperimentConfig,
     scratch: &mut ExperimentScratch,
 ) -> ExperimentResult {
+    run_experiment_with_larger(cfg, &[], scratch).0
+}
+
+/// [`run_experiment_with_scratch`] with each L2 also shadowing the
+/// total sizes `larger_mb` (each above `cfg.total_l2_mb`): returns the
+/// cell — identical to a run without the shadows — and what the run
+/// learned about each larger size. If it never filled a full set
+/// ([`LargerSizes::derivable`]), [`derive_larger_cell`] gives each
+/// larger cell exactly.
+pub fn run_experiment_with_larger(
+    cfg: &ExperimentConfig,
+    larger_mb: &[usize],
+    scratch: &mut ExperimentScratch,
+) -> (ExperimentResult, LargerSizes) {
     let cmp = cfg.cmp_config();
+    let larger_bytes: Vec<usize> = larger_mb
+        .iter()
+        .map(|&mb| ExperimentConfig { total_l2_mb: mb, ..cfg.clone() }.cmp_config().l2.size_bytes)
+        .collect();
     let feeds = cfg.scenario.build_feeds(cfg.n_cores, cfg.seed, cfg.instructions_per_core);
     let bank_bytes = cmp.l2.size_bytes;
-    let stats = run_feeds_with_scratch(cmp, feeds, scratch);
+    let (stats, larger) = run_feeds_with_larger(cmp, feeds, &larger_bytes, scratch);
     let power = evaluate_energy(cfg.power, cfg.technique, cfg.n_cores, bank_bytes, &stats);
-    ExperimentResult {
+    let result = ExperimentResult {
         benchmark: cfg.scenario.label(),
         technique: cfg.technique.name(),
         total_l2_mb: cfg.total_l2_mb,
         stats,
         power,
-    }
+    };
+    (result, larger)
 }
 
 /// Rehydrate a store-loaded cell into the [`ExperimentResult`] a fresh
@@ -274,6 +293,50 @@ pub fn derive_baseline_cell(cfg: &ExperimentConfig, donor: &ExperimentResult) ->
         benchmark: donor.benchmark.clone(),
         technique: Technique::Baseline.name(),
         total_l2_mb: donor.total_l2_mb,
+        stats,
+        power,
+    }
+}
+
+/// Derive the cell of `cfg` from a run of the same scenario and
+/// technique at a smaller total L2 that never filled a full set, whose
+/// shadow of `cfg`'s size counted `induced_misses` per core
+/// ([`run_experiment_with_larger`]) — re-running only the power
+/// bookkeeping instead of the simulation.
+///
+/// Each set of the larger cache holds a subset of the lines of one
+/// smaller set, so no fill there finds its set full either, and the
+/// two runs agree line by line: residency, MESI states, decay counters,
+/// power states, MSHRs and race flags, hence every timing-borne
+/// statistic. What changes is pure capacity bookkeeping
+/// ([`SimStats::at_larger_size`]): the line-cycle capacity and every
+/// interval's, the powered-line integrals of a technique that powers
+/// every line (the baseline), and the induced misses, which compare
+/// against a baseline of the larger size. The energy/thermal report is
+/// then evaluated at the larger bank size, exactly as a full run would.
+///
+/// The derived cell's equality with a simulated one is pinned by the
+/// system-level tests of `cmpleak-system`, by `tests/size_ladders.rs`
+/// (whole sweeps against the reference arm) and by the golden snapshot.
+pub fn derive_larger_cell(
+    cfg: &ExperimentConfig,
+    smaller: &ExperimentResult,
+    induced_misses: &[u64],
+) -> ExperimentResult {
+    assert_eq!(smaller.benchmark, cfg.scenario.label(), "same scenario");
+    assert_eq!(smaller.technique, cfg.technique.name(), "same technique");
+    assert!(cfg.total_l2_mb > smaller.total_l2_mb, "derivation targets a larger size");
+    let l2 = cfg.cmp_config().l2;
+    let stats = smaller.stats.at_larger_size(
+        l2.geometry().lines() as u64,
+        induced_misses,
+        !cfg.technique.gates_cold_lines(),
+    );
+    let power = evaluate_energy(cfg.power, cfg.technique, cfg.n_cores, l2.size_bytes, &stats);
+    ExperimentResult {
+        benchmark: smaller.benchmark.clone(),
+        technique: smaller.technique.clone(),
+        total_l2_mb: cfg.total_l2_mb,
         stats,
         power,
     }
@@ -351,6 +414,37 @@ mod tests {
     }
 
     #[test]
+    fn derived_larger_cells_are_bit_identical_to_simulated_ones() {
+        // At 3 K instructions per core no paper-sized cache fills a set.
+        let cell = |technique, total_l2_mb| {
+            let mut cfg = ExperimentConfig::paper(WorkloadSpec::water_ns(), technique, total_l2_mb);
+            cfg.instructions_per_core = 3_000;
+            cfg
+        };
+        for technique in [
+            Technique::Baseline,
+            Technique::Protocol,
+            Technique::SelectiveDecay { decay_cycles: 64 * 1024 },
+        ] {
+            let (small, larger) = run_experiment_with_larger(
+                &cell(technique, 1),
+                &[2, 8],
+                &mut ExperimentScratch::default(),
+            );
+            assert!(larger.derivable(), "{technique}: {} full-set fills", larger.full_set_fills);
+            assert_eq!(small.stats, run_experiment(&cell(technique, 1)).stats);
+            for (i, mb) in [2, 8].into_iter().enumerate() {
+                let derived =
+                    derive_larger_cell(&cell(technique, mb), &small, &larger.induced_misses[i]);
+                let simulated = run_experiment(&cell(technique, mb));
+                assert_eq!(derived.stats, simulated.stats, "{technique} at {mb} MB");
+                assert_eq!(derived.power, simulated.power, "{technique} at {mb} MB");
+                assert_eq!(derived.total_l2_mb, mb);
+            }
+        }
+    }
+
+    #[test]
     fn lane_group_experiments_match_solo_runs() {
         // One (scenario, size) group's technique lanes, run the way a
         // sweep worker runs them: one recording of the group's stream,
@@ -412,9 +506,9 @@ mod tests {
 
     #[test]
     fn smaller_cells_after_an_8mb_cell_allocate_nothing() {
-        // The sweep runs its largest cells first because of this: once
-        // an 8 MB cell has sized the arena, every smaller cell's columns
-        // are best-fit pool hits, whatever its technique.
+        // Once an 8 MB cell has sized a worker's arena (or a 1 MB run
+        // with an 8 MB shadow has), every smaller cell's columns are
+        // best-fit pool hits, whatever its technique.
         let cell = |technique, total_l2_mb| {
             let mut cfg = ExperimentConfig::paper(WorkloadSpec::water_ns(), technique, total_l2_mb);
             cfg.instructions_per_core = 3_000;

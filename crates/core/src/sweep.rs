@@ -14,39 +14,46 @@
 //! Two entry points run the production path — [`run_sweep`] and
 //! [`run_sweep_with_telemetry`], which also returns the planner's work
 //! counters — and [`run_sweep_reference`] is the one differential arm.
-//! The production path applies three bit-identity-preserving
+//! The production path applies four bit-identity-preserving
 //! optimizations: the baseline of each (scenario, size) group is
 //! *derived* from its timing-identical Protocol twin instead of
-//! simulated; each (scenario, seed, budget) group's op stream is
-//! *recorded once* into a shared in-memory trace that every cell of the
-//! group replays instead of regenerating live (the grid runs 1 + sizes
-//! × techniques cells per scenario off one recording, made by the first
-//! worker to need it behind one slot per scenario); and cells found
-//! in the persistent result store ([`SweepConfig::store`]) are *loaded*
-//! instead of simulated. The reference arm applies none of them.
+//! simulated; each (scenario, technique) pair runs as a *size ladder*,
+//! whose smallest open size is simulated with shadow directories of the
+//! larger sizes beside it, and whose larger sizes are *derived* from
+//! that run when no L2 in it ever filled a set (a cache that never has
+//! to replace a line runs cycle for cycle the same at every larger size
+//! of the same line size and associativity); each (scenario, seed,
+//! budget) group's op stream is *recorded once* into a shared in-memory
+//! trace that every cell of the group replays instead of regenerating
+//! live (made by the first worker to need it behind one slot per
+//! scenario); and cells found in the persistent result store
+//! ([`SweepConfig::store`]) are *loaded* instead of simulated. The
+//! reference arm applies none of them.
 //!
-//! The worker pool's unit of work is one cell, so even a single
-//! (scenario, size) group spreads over every thread. Workers take cells
-//! **scenario-major**, largest L2 size first within a scenario, so a
-//! scenario's cells run back to back and a recording is live only while
-//! its scenario's cells run: the worker that completes a scenario's last
-//! cell (a store hit counts; a derived baseline does not) empties its
-//! slot and hands the recording's stream buffers to the next recording.
-//! At most the scenarios a pool's workers are in at once hold a
-//! recording, one or two on the paper grid; at the paper's 6 M
-//! instructions per core each recording is 16–19 MiB. A worker's
-//! per-line columns stay at one largest cell's worth whatever order its
-//! cells arrive in, because the arena grows its largest pooled buffer
-//! when none fits instead of allocating beside it; largest-first within
-//! a scenario keeps that growth to a worker's first few cells.
-//! `tests/sweep_memoization.rs`, `tests/stream_sharing.rs` and
-//! `tests/store_differential.rs` pin the three optimizations against
-//! the reference arm and against each other; timing them is
-//! `perfbench/`'s job.
+//! The worker pool's unit of work is one ladder, so a (scenario, size)
+//! group — a serve-mode miss — still spreads its techniques over every
+//! thread; a host with more threads than ladders (42 on the paper grid)
+//! leaves the extra threads idle, since a ladder's rungs depend on each
+//! other. Workers take ladders **scenario-major**, each ladder climbing
+//! its sizes in ascending order, so a scenario's ladders run back to
+//! back and a recording is live only while they run: the worker that
+//! completes a scenario's last ladder empties its slot and hands the
+//! recording's stream buffers to the next recording. At most the
+//! scenarios a pool's workers are in at once hold a recording, one or
+//! two on the paper grid; at the paper's 6 M instructions per core each
+//! recording is 16–19 MiB. A worker's per-line columns stay at about
+//! one largest cell's worth: a 1 MB run with 2, 4 and 8 MB shadows
+//! checks out about as much as a plain 8 MB cell, and the arena grows
+//! its largest pooled buffer when none fits instead of allocating
+//! beside it.
+//! `tests/sweep_memoization.rs`, `tests/size_ladders.rs`,
+//! `tests/stream_sharing.rs` and `tests/store_differential.rs` pin the
+//! four optimizations against the reference arm and against each other;
+//! timing them is `perfbench/`'s job.
 
 use crate::experiment::{
-    derive_baseline_cell, result_from_stored, run_experiment_with_scratch, ExperimentConfig,
-    ExperimentResult, ExperimentScratch,
+    derive_baseline_cell, derive_larger_cell, result_from_stored, run_experiment_with_larger,
+    ExperimentConfig, ExperimentResult, ExperimentScratch,
 };
 use crate::metrics::TechniqueMetrics;
 use crate::scenario::Scenario;
@@ -201,9 +208,10 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
     }
 }
 
-/// Run the sweep with all three sweep-level optimizations on: baseline
-/// memoization against the timing-identical technique twin, shared op
-/// streams, and the persistent store (when configured).
+/// Run the sweep with all four sweep-level optimizations on: baseline
+/// memoization against the timing-identical technique twin, size
+/// ladders, shared op streams, and the persistent store (when
+/// configured).
 ///
 /// **Memoization** — within every (scenario, size) group, the baseline
 /// and a [`Technique::timing_identical_to_baseline`] technique
@@ -212,6 +220,18 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// twin, the baseline cell is **derived** from the twin's result
 /// ([`derive_baseline_cell`] re-runs only the power accounting) instead
 /// of being simulated — one full simulation saved per group.
+///
+/// **Size ladders** — each (scenario, technique) pair's cells, sizes
+/// ascending, are one unit of work. The smallest size the store does not
+/// answer is simulated with a baseline-equivalent shadow directory for
+/// each larger size the store does not answer. If no L2 in that run
+/// ever filled a set that had no invalid way, every larger size runs
+/// cycle for cycle the same — each of its sets holds a subset of one
+/// smaller set's lines — so each is **derived**
+/// ([`derive_larger_cell`]: capacity bookkeeping, the shadow's induced
+/// misses, power at the larger bank size); otherwise the ladder moves
+/// on to the next size. No ladder derives from a cell loaded from the
+/// store, whose record keeps no shadow counts.
 ///
 /// **Shared streams** — every cell of a (scenario, seed, instruction
 /// budget) group consumes the *same* op stream: the live generators
@@ -224,11 +244,11 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// [`Mutex`] slot per scenario — the first worker to touch a group
 /// records it while other workers proceed to other groups and block
 /// only on that group — so grid latency scales with cores even on
-/// recording-heavy sweeps. Workers take cells scenario-major, and the
-/// worker that completes a scenario's last cell empties its slot and
+/// recording-heavy sweeps. Workers take ladders scenario-major, and the
+/// worker that completes a scenario's last ladder empties its slot and
 /// pools the recording's stream buffers for the next recording, so a
-/// recording lives only while its scenario's cells run. If a recording
-/// panics, a waiting worker records again and
+/// recording lives only while its scenario's ladders run. If a
+/// recording panics, a waiting worker records again and
 /// the sweep panics — with the recording's own message when the calling
 /// thread's recording panicked, else with the thread scope's — so
 /// nothing hangs.
@@ -236,20 +256,22 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// **Persistent store** — when [`SweepConfig::store`] is set, each
 /// cell's content address ([`ExperimentConfig::store_key`]) is probed
 /// first: hits are loaded (bit-identical to fresh simulation, pinned by
-/// `tests/store_differential.rs`), misses are simulated as usual and
-/// published back. A fully warm grid simulates — and records — nothing.
+/// `tests/store_differential.rs`), misses are simulated (or derived) as
+/// usual and published back. A fully warm grid simulates — and records
+/// — nothing.
 ///
 /// The output is byte-identical to [`run_sweep_reference`] (pinned
 /// cell-for-cell by `tests/sweep_memoization.rs`,
-/// `tests/stream_sharing.rs` and `tests/store_differential.rs`, and by
-/// the golden snapshot, which passes unchanged with all three
-/// optimizations on).
+/// `tests/size_ladders.rs`, `tests/stream_sharing.rs` and
+/// `tests/store_differential.rs`, and by the golden snapshot, which
+/// passes unchanged with all four optimizations on).
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
     run_sweep_with_telemetry(cfg, &mut ExperimentScratch::default()).0
 }
 
 /// [`run_sweep`] returning the planner's work counters alongside the
-/// results — how many cells were derived, how many stream groups were
+/// results — how many cells were derived (and how many of them from a
+/// smaller size), how many stream groups were
 /// recorded in-pool, and how the persistent store split the grid into
 /// hits and misses. The calling thread is the first worker and runs on
 /// `scratch` (its arena and queues are reused across the cells it takes);
@@ -262,8 +284,9 @@ pub fn run_sweep_with_telemetry(
 }
 
 /// [`run_sweep`] with every optimization disabled: every cell, baseline
-/// included, is fully simulated from live generators, with no store
-/// involvement. The differential reference for the production path.
+/// and larger sizes included, is fully simulated from live generators,
+/// with no store involvement. The differential reference for the
+/// production path.
 pub fn run_sweep_reference(cfg: &SweepConfig) -> SweepResults {
     run_sweep_inner(cfg, true, &mut ExperimentScratch::default()).0
 }
@@ -273,9 +296,13 @@ pub fn run_sweep_reference(cfg: &SweepConfig) -> SweepResults {
 /// can only shrink when store hits make whole groups skip simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepTelemetry {
-    /// Baseline cells derived from a timing-identical donor instead of
-    /// simulated.
+    /// Cells derived instead of simulated: baselines from their
+    /// timing-identical donor, and larger sizes from a smaller size's
+    /// run (`derived_larger` of them).
     pub derived: usize,
+    /// Cells derived from a smaller size's run whose caches never filled
+    /// a set (a part of `derived`).
+    pub derived_larger: usize,
     /// Shared-stream groups recorded (by the pool's first toucher).
     pub recorded: usize,
     /// Cells answered from the persistent store.
@@ -289,7 +316,7 @@ pub struct SweepTelemetry {
 
 /// One grid cell's work order: the experiment configuration (carrying
 /// the **original** scenario — content addresses and recordings both
-/// key off it), whether it is simulated at all (derived baselines are
+/// key off it), whether a ladder runs it at all (derived baselines are
 /// not), and which scenario's shared stream it consumes.
 #[derive(Debug)]
 struct Job {
@@ -298,21 +325,45 @@ struct Job {
     scenario_idx: usize,
 }
 
-/// The order the pool runs `jobs` in: scenario-major, and within a
-/// scenario a stable sort by descending L2 size. Scenario-major lets a
-/// scenario's recording die as soon as its cells are done instead of at
-/// the end of the sweep. Largest-first within a scenario makes a
-/// worker's first cell one of its largest, so its arena's columns are
-/// sized once and later, smaller cells are best-fit pool hits; it is
-/// also longest-first scheduling, which shortens each scenario's tail.
-fn pool_order(jobs: &[Job]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&u| (jobs[u].scenario_idx, std::cmp::Reverse(jobs[u].cfg.total_l2_mb)));
-    order
+/// One (scenario, technique) size ladder, the pool's unit of work: the
+/// indices of its jobs, L2 size ascending.
+#[derive(Debug, PartialEq, Eq)]
+struct Ladder {
+    scenario_idx: usize,
+    jobs: Vec<usize>,
+}
+
+/// The ladders the pool runs, in the order it runs them: one per
+/// (scenario, technique) over the jobs a ladder runs, scenario-major and
+/// in first-listed order within a scenario, each ladder's jobs sorted by
+/// ascending L2 size (stable within a size). Scenario-major lets a
+/// scenario's recording die as soon as its ladders are done instead of
+/// at the end of the sweep; ascending sizes let a ladder derive every
+/// larger size from a smaller run that never filled a set. The
+/// reference arm climbs no ladder: each of its jobs is a ladder alone.
+fn plan_ladders(jobs: &[Job], reference: bool) -> Vec<Ladder> {
+    let mut ladders: Vec<Ladder> = Vec::new();
+    for (u, job) in jobs.iter().enumerate().filter(|(_, j)| j.simulate) {
+        let rung_of = |l: &&mut Ladder| {
+            !reference
+                && l.scenario_idx == job.scenario_idx
+                && jobs[l.jobs[0]].cfg.technique == job.cfg.technique
+        };
+        match ladders.iter_mut().find(rung_of) {
+            Some(ladder) => ladder.jobs.push(u),
+            None => ladders.push(Ladder { scenario_idx: job.scenario_idx, jobs: vec![u] }),
+        }
+    }
+    for ladder in &mut ladders {
+        ladder.jobs.sort_by_key(|&u| jobs[u].cfg.total_l2_mb);
+    }
+    ladders.sort_by_key(|l| l.scenario_idx);
+    ladders
 }
 
 /// Returns the results plus the sweep's work telemetry. `reference`
-/// turns off baseline memoization, stream sharing and the store.
+/// turns off baseline memoization, size ladders, stream sharing and the
+/// store.
 fn run_sweep_inner(
     cfg: &SweepConfig,
     reference: bool,
@@ -332,14 +383,14 @@ fn run_sweep_inner(
     // sweep-wide — is recorded once into a shared in-memory trace;
     // every cell of the group replays a cursor over it. Replay-backed
     // scenarios already share one buffer and pass through unchanged.
-    // Recording pays off only when a group simulates ≥ 2 cells (the
+    // Recording pays off only when a group may simulate ≥ 2 cells (the
     // recording costs one generator pass); a degenerate single-cell
     // group stays on the live path. The recording itself happens
     // *inside* the worker pool, by the first worker to need a group's
     // stream, so a fully-warm store run records nothing at all.
-    let simulated_per_group = cfg.sizes_mb.len() * (1 + cfg.techniques.len())
+    let cells_per_group = cfg.sizes_mb.len() * (1 + cfg.techniques.len())
         - if donor_offset.is_some() { cfg.sizes_mb.len() } else { 0 };
-    let share_streams = !reference && simulated_per_group > 1;
+    let share_streams = !reference && cells_per_group > 1;
 
     // Job list: for each (scenario, size): baseline + each technique,
     // each carrying the original scenario. `simulate` is false for
@@ -369,6 +420,7 @@ fn run_sweep_inner(
             }
         }
     }
+    let ladders = plan_ladders(&jobs, reference);
 
     // Content addresses, one per job, computed up front so workers
     // never re-hash a scenario: each scenario's canonical encoding is
@@ -390,37 +442,39 @@ fn run_sweep_inner(
 
     // One shared-stream slot per scenario, filled by its first toucher
     // and emptied by the worker that completes the scenario's last
-    // simulated-or-loaded cell (`remaining` counts them down).
+    // ladder (`remaining` counts them down).
     let streams: Vec<Mutex<Option<Scenario>>> =
         cfg.scenarios.iter().map(|_| Mutex::new(None)).collect();
-    let remaining: Vec<AtomicUsize> =
-        cfg.scenarios.iter().map(|_| AtomicUsize::new(simulated_per_group)).collect();
+    let remaining: Vec<AtomicUsize> = (0..cfg.scenarios.len())
+        .map(|i| AtomicUsize::new(ladders.iter().filter(|l| l.scenario_idx == i).count()))
+        .collect();
     // Stream buffers of finished scenarios' recordings, taken by later
     // recordings: however the workers' recordings interleave, the
     // buffers of at most as many recordings as are live at once stay
     // allocated, and none is left behind in a worker's malloc arena.
     let stream_buffers = Mutex::new(BankArena::default());
     let recorded = AtomicUsize::new(0);
+    let derived_larger = AtomicUsize::new(0);
     let store_hits = AtomicUsize::new(0);
     let store_misses = AtomicUsize::new(0);
     let publish_errors = AtomicUsize::new(0);
 
-    // The pool's work unit is one cell, so even a single (scenario,
-    // size) group — a serve-mode miss — spreads over every thread.
+    // The pool's work unit is one ladder, so even a single (scenario,
+    // size) group — a serve-mode miss — spreads its techniques over
+    // every thread.
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
     } else {
         cfg.threads
     }
-    .min(jobs.len().max(1));
+    .min(ladders.len().max(1));
 
-    let order = pool_order(&jobs);
     // Share-nothing worker pool on std primitives: an atomic cursor walks
-    // `order` handing out job indices, an mpsc channel collects results,
-    // and reassembly by index keeps the output identical for any thread
+    // `ladders`, an mpsc channel collects results by job index, and
+    // reassembly by index keeps the output identical for any thread
     // count and execution order. Each worker owns a scratch, so queue and
     // per-line-bank allocations are recycled across its jobs.
-    let next_job = AtomicUsize::new(0);
+    let next_ladder = AtomicUsize::new(0);
     let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, ExperimentResult)>();
     // Record a scenario into stream buffers that finished scenarios
     // released, and count the recording.
@@ -446,49 +500,90 @@ fn run_sweep_inner(
             }
         }
     };
-    let work = |scratch: &mut ExperimentScratch, res_tx: Sender<(usize, ExperimentResult)>| {
-        while let Some(&u) = order.get(next_job.fetch_add(1, Ordering::Relaxed)) {
-            let job = &jobs[u];
-            if !job.simulate {
-                continue; // derived after the pool finishes
-            }
+    // Publish a cell to the store (if any): simulated cells overwrite,
+    // derived ones only fill a gap, so warm sweeps stay write-free.
+    let publish = |u: usize, r: &ExperimentResult, derived: bool| {
+        let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) else {
+            return;
+        };
+        let published = if derived {
+            st.publish_if_absent(key, &r.stats, &r.power)
+        } else {
+            store_misses.fetch_add(1, Ordering::Relaxed);
+            st.publish(key, &r.stats, &r.power)
+        };
+        if published.is_err() {
+            publish_errors.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    // Climb one ladder. Cells the store answers are loaded (no ladder
+    // derives from a loaded cell: its record keeps no shadow counts).
+    // Then, until every cell is answered: simulate the smallest open
+    // size with a shadow directory for each larger open size; if no L2
+    // of that run ever filled a full set, derive every larger open size
+    // from it, else move on to the next size.
+    let climb = |ladder: &Ladder,
+                 scratch: &mut ExperimentScratch,
+                 res_tx: &Sender<(usize, ExperimentResult)>| {
+        let mut open = Vec::with_capacity(ladder.jobs.len());
+        for &u in &ladder.jobs {
             let stored = match (store.as_deref(), &keys[u]) {
                 (Some(st), Some(key)) => st.load(key),
                 _ => None,
             };
-            let r = if let Some(cell) = stored {
-                store_hits.fetch_add(1, Ordering::Relaxed);
-                result_from_stored(&job.cfg, cell)
-            } else {
-                let original = &job.cfg.scenario;
-                let scenario = if share_streams && original.generates_live() {
-                    // A slot left poisoned by a panicking recording is
-                    // still empty, so the next worker records again.
-                    let mut slot =
-                        streams[job.scenario_idx].lock().unwrap_or_else(PoisonError::into_inner);
-                    slot.get_or_insert_with(|| record(original)).clone()
-                } else {
-                    original.clone()
-                };
-                let r = run_experiment_with_scratch(
-                    &ExperimentConfig { scenario, ..job.cfg.clone() },
-                    scratch,
-                );
-                if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
-                    store_misses.fetch_add(1, Ordering::Relaxed);
-                    if st.publish(key, &r.stats, &r.power).is_err() {
-                        publish_errors.fetch_add(1, Ordering::Relaxed);
-                    }
+            match stored {
+                Some(cell) => {
+                    store_hits.fetch_add(1, Ordering::Relaxed);
+                    // The receiver outlives the pool, so a send cannot fail.
+                    res_tx.send((u, result_from_stored(&jobs[u].cfg, cell))).ok();
                 }
-                r
+                None => open.push(u),
+            }
+        }
+        let mut rest = &open[..];
+        while let Some((&u, above)) = rest.split_first() {
+            let job = &jobs[u];
+            let original = &job.cfg.scenario;
+            let scenario = if share_streams && original.generates_live() {
+                // A slot left poisoned by a panicking recording is
+                // still empty, so the next worker records again.
+                let mut slot =
+                    streams[job.scenario_idx].lock().unwrap_or_else(PoisonError::into_inner);
+                slot.get_or_insert_with(|| record(original)).clone()
+            } else {
+                original.clone()
             };
-            // The receiver outlives the pool, so a send cannot fail.
+            // A repeated size is no larger: it stays open for its own run.
+            let split = above.partition_point(|&v| jobs[v].cfg.total_l2_mb <= job.cfg.total_l2_mb);
+            let larger = &above[split..];
+            let larger_mb: Vec<usize> = larger.iter().map(|&v| jobs[v].cfg.total_l2_mb).collect();
+            let (r, sizes) = run_experiment_with_larger(
+                &ExperimentConfig { scenario, ..job.cfg.clone() },
+                &larger_mb,
+                scratch,
+            );
+            publish(u, &r, false);
+            rest = above;
+            if sizes.derivable() {
+                for (&v, induced) in larger.iter().zip(&sizes.induced_misses) {
+                    let cell = derive_larger_cell(&jobs[v].cfg, &r, induced);
+                    publish(v, &cell, true);
+                    derived_larger.fetch_add(1, Ordering::Relaxed);
+                    res_tx.send((v, cell)).ok();
+                }
+                rest = &above[..split];
+            }
             res_tx.send((u, r)).ok();
-            // Every simulated cell is counted once and decremented once,
-            // after it finished, so the worker that takes the count to
-            // zero runs after the scenario's every other cell is done.
-            if remaining[job.scenario_idx].fetch_sub(1, Ordering::AcqRel) == 1 {
-                release(job.scenario_idx);
+        }
+    };
+    let work = |scratch: &mut ExperimentScratch, res_tx: Sender<(usize, ExperimentResult)>| {
+        while let Some(ladder) = ladders.get(next_ladder.fetch_add(1, Ordering::Relaxed)) {
+            climb(ladder, scratch, &res_tx);
+            // Every ladder is counted once and decremented once, after
+            // it finished, so the worker that takes the count to zero
+            // runs after the scenario's every other ladder is done.
+            if remaining[ladder.scenario_idx].fetch_sub(1, Ordering::AcqRel) == 1 {
+                release(ladder.scenario_idx);
             }
         }
     };
@@ -514,22 +609,19 @@ fn run_sweep_inner(
     }
 
     // Derive the skipped baseline cells from their donors (a pure
-    // bookkeeping pass, deterministic for any thread count). Derived
-    // cells are published too — if-absent, so warm sweeps stay
-    // write-free — letting later serve-mode batches answer baseline
-    // requests straight from the store.
+    // bookkeeping pass, deterministic for any thread count), whether the
+    // donor was simulated, derived or loaded. Derived cells are
+    // published too — if-absent, so warm sweeps stay write-free —
+    // letting later serve-mode batches answer baseline requests
+    // straight from the store.
     let group_len = 1 + cfg.techniques.len();
-    let mut derived = 0usize;
+    let mut derived = derived_larger.load(Ordering::Relaxed);
     if let Some(offset) = donor_offset {
         for base_idx in (0..jobs.len()).step_by(group_len) {
             // audit:allow(unwrap-in-lib, the worker pool joined above; every job slot was filled before the barrier released)
             let donor = results[base_idx + offset].as_ref().expect("donor simulated");
             let cell = derive_baseline_cell(&jobs[base_idx].cfg, donor);
-            if let (Some(st), Some(key)) = (store.as_deref(), &keys[base_idx]) {
-                if st.publish_if_absent(key, &cell.stats, &cell.power).is_err() {
-                    publish_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            publish(base_idx, &cell, true);
             results[base_idx] = Some(cell);
             derived += 1;
         }
@@ -549,6 +641,7 @@ fn run_sweep_inner(
     }
     let telemetry = SweepTelemetry {
         derived,
+        derived_larger: derived_larger.load(Ordering::Relaxed),
         recorded: recorded.load(Ordering::Relaxed),
         store_hits: store_hits.load(Ordering::Relaxed),
         store_misses: store_misses.load(Ordering::Relaxed),
@@ -649,28 +742,57 @@ mod tests {
     }
 
     #[test]
-    fn workers_take_cells_largest_l2_first_stable_within_a_size() {
-        let jobs: Vec<Job> = [1, 8, 2, 8, 4, 1, 2]
-            .into_iter()
-            .map(|mb| Job {
-                cfg: ExperimentConfig::paper(WorkloadSpec::mpeg2dec(), Technique::Protocol, mb),
-                simulate: true,
-                scenario_idx: 0,
-            })
-            .collect();
-        assert_eq!(pool_order(&jobs), vec![1, 3, 4, 2, 6, 0, 5]);
+    fn workers_take_ladders_scenario_major_sizes_ascending_within_a_ladder() {
+        let (p, d) = (Technique::Protocol, Technique::Decay { decay_cycles: 64 * 1024 });
+        let job = |scenario_idx, technique, mb| Job {
+            cfg: ExperimentConfig::paper(WorkloadSpec::mpeg2dec(), technique, mb),
+            simulate: true,
+            scenario_idx,
+        };
+        let mut jobs = vec![
+            job(1, p, 8),
+            job(0, d, 2),
+            job(1, p, 1),
+            job(0, p, 8),
+            job(2, d, 1),
+            job(0, d, 1),
+            job(1, d, 4),
+            job(0, p, 2),
+            job(0, d, 2),
+            job(0, Technique::Baseline, 1),
+        ];
+        jobs[9].simulate = false; // a derived baseline: no ladder runs it
+        let ladder = |scenario_idx, jobs: &[usize]| Ladder { scenario_idx, jobs: jobs.to_vec() };
+        // One ladder per (scenario, technique): scenario-major, in
+        // first-listed order within a scenario, sizes ascending and
+        // stable within a size.
+        assert_eq!(
+            plan_ladders(&jobs, false),
+            vec![
+                ladder(0, &[5, 1, 8]),
+                ladder(0, &[7, 3]),
+                ladder(1, &[2, 0]),
+                ladder(1, &[6]),
+                ladder(2, &[4]),
+            ]
+        );
+        // The reference arm runs each job alone, scenario-major.
+        let alone: Vec<Vec<usize>> =
+            plan_ladders(&jobs, true).into_iter().map(|l| l.jobs).collect();
+        assert_eq!(alone, [1, 3, 5, 7, 8, 0, 2, 6, 4].map(|u| vec![u]));
+    }
 
-        // Several scenarios: scenario-major, then largest-first and stable
-        // within each scenario, whatever order the jobs were listed in.
-        let jobs: Vec<Job> = [(1, 1), (0, 2), (1, 8), (0, 8), (2, 1), (0, 2), (1, 8), (0, 1)]
-            .into_iter()
-            .map(|(scenario_idx, mb)| Job {
-                cfg: ExperimentConfig::paper(WorkloadSpec::mpeg2dec(), Technique::Protocol, mb),
-                simulate: true,
-                scenario_idx,
-            })
-            .collect();
-        assert_eq!(pool_order(&jobs), vec![3, 1, 5, 7, 2, 6, 0, 4]);
+    #[test]
+    fn a_ladder_whose_caches_never_fill_a_set_simulates_only_its_smallest_size() {
+        let mut cfg = tiny();
+        cfg.sizes_mb = vec![4, 1, 2];
+        cfg.instructions_per_core = 5_000;
+        let (res, t) = run_sweep_with_telemetry(&cfg, &mut ExperimentScratch::default());
+        // 2 scenarios × 2 technique ladders, each deriving 2 and 4 MB
+        // from 1 MB, plus 2 × 3 baselines derived from Protocol.
+        assert_eq!((t.derived_larger, t.derived), (8, 14));
+        // Debug prints every float exactly (shortest round-trip form).
+        assert_eq!(format!("{res:?}"), format!("{:?}", run_sweep_reference(&cfg)));
     }
 
     #[test]

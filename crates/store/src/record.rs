@@ -84,34 +84,63 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Words of one per-core row, one L1 row, one L2 row and one interval
+/// row; the payload's run of totals after the rows, and of power
+/// figures at its end. The encoders' arrays are typed by them, so
+/// [`payload_len`] cannot drift from what is written.
+const CORE_WORDS: usize = 6;
+const L1_WORDS: usize = 6;
+const L2_WORDS: usize = 14;
+const INTERVAL_WORDS: usize = 11;
+const TOTAL_WORDS: usize = 11;
+const POWER_WORDS: usize = 11;
+
+/// The exact encoded length of `stats`' payload: cycles and
+/// instructions, five row counts, the rows, the core names with their
+/// lengths, the totals and the power figures.
+fn payload_len(stats: &SimStats) -> usize {
+    let names: usize = stats.core_workloads.iter().map(|w| 8 + w.len()).sum();
+    let words = 2
+        + 5
+        + stats.cores.len() * CORE_WORDS
+        + stats.l1.len() * L1_WORDS
+        + stats.l2.len() * L2_WORDS
+        + stats.trace.len() * INTERVAL_WORDS
+        + TOTAL_WORDS
+        + POWER_WORDS;
+    8 * words + names
+}
+
 fn put_core(out: &mut Vec<u8>, c: &CoreStats) {
-    for v in [
+    let words: [u64; CORE_WORDS] = [
         c.instructions,
         c.active_cycles,
         c.window_stall_cycles,
         c.reject_stall_cycles,
         c.loads,
         c.stores,
-    ] {
+    ];
+    for v in words {
         put_u64(out, v);
     }
 }
 
 fn put_l1(out: &mut Vec<u8>, s: &L1Stats) {
-    for v in [
+    let words: [u64; L1_WORDS] = [
         s.loads,
         s.load_hits,
         s.stores,
         s.store_hits,
         s.back_invalidations,
         s.technique_back_invalidations,
-    ] {
+    ];
+    for v in words {
         put_u64(out, v);
     }
 }
 
 fn put_l2(out: &mut Vec<u8>, s: &L2Stats) {
-    for v in [
+    let words: [u64; L2_WORDS] = [
         s.reads,
         s.writes,
         s.read_hits,
@@ -126,13 +155,14 @@ fn put_l2(out: &mut Vec<u8>, s: &L2Stats) {
         s.evictions,
         s.fills,
         s.retries,
-    ] {
+    ];
+    for v in words {
         put_u64(out, v);
     }
 }
 
 fn put_interval(out: &mut Vec<u8>, iv: &IntervalActivity) {
-    for v in [
+    let words: [u64; INTERVAL_WORDS] = [
         iv.cycles,
         iv.instructions,
         iv.l1_accesses,
@@ -144,7 +174,8 @@ fn put_interval(out: &mut Vec<u8>, iv: &IntervalActivity) {
         iv.l2_powered_line_cycles,
         iv.l2_total_line_cycles,
         iv.decay_counter_events,
-    ] {
+    ];
+    for v in words {
         put_u64(out, v);
     }
 }
@@ -152,7 +183,8 @@ fn put_interval(out: &mut Vec<u8>, iv: &IntervalActivity) {
 /// Encode the payload: `SimStats` then `PowerReport`, field by field in
 /// a fixed order.
 pub fn encode_payload(stats: &SimStats, power: &PowerReport) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256 + 64 * stats.trace.len());
+    let len = payload_len(stats);
+    let mut out = Vec::with_capacity(len);
     put_u64(&mut out, stats.cycles);
     put_u64(&mut out, stats.instructions);
     put_u64(&mut out, stats.cores.len() as u64);
@@ -171,7 +203,7 @@ pub fn encode_payload(stats: &SimStats, power: &PowerReport) -> Vec<u8> {
     for s in &stats.l2 {
         put_l2(&mut out, s);
     }
-    for v in [
+    let totals: [u64; TOTAL_WORDS] = [
         stats.l2_on_line_cycles,
         stats.l2_line_cycle_capacity,
         stats.loads_completed,
@@ -183,14 +215,15 @@ pub fn encode_payload(stats: &SimStats, power: &PowerReport) -> Vec<u8> {
         stats.mem_bytes,
         stats.c2c_transfers,
         stats.upper_invalidations,
-    ] {
+    ];
+    for v in totals {
         put_u64(&mut out, v);
     }
     put_u64(&mut out, stats.trace.len() as u64);
     for iv in &stats.trace {
         put_interval(&mut out, iv);
     }
-    for v in [
+    let figures: [f64; POWER_WORDS] = [
         power.energy.core_dynamic_pj,
         power.energy.l1_dynamic_pj,
         power.energy.l2_dynamic_pj,
@@ -202,9 +235,11 @@ pub fn encode_payload(stats: &SimStats, power: &PowerReport) -> Vec<u8> {
         power.avg_l2_temp_c,
         power.peak_temp_c,
         power.avg_power_w,
-    ] {
+    ];
+    for v in figures {
         put_f64(&mut out, v);
     }
+    debug_assert_eq!(out.len(), len, "payload_len disagrees with the encoder");
     out
 }
 
@@ -533,6 +568,23 @@ mod tests {
         let mut h = KeyHasher::new();
         h.write_str("FMM/decay64K@1MB");
         h.finish("FMM/decay64K@1MB i40000 s42 c2")
+    }
+
+    #[test]
+    fn a_payload_is_encoded_into_a_buffer_of_its_exact_length() {
+        // Four cores and fourteen intervals: a 1 MB cell of a 150 K-
+        // instruction run. The old estimate started such a buffer at
+        // 1,152 B and grew it twice, to 4,608 B.
+        let (mut stats, power) = sample();
+        stats.cores = vec![stats.cores[0]; 4];
+        stats.core_workloads = vec!["mpeg2enc".into(); 4];
+        stats.l1 = vec![stats.l1[0]; 4];
+        stats.l2 = vec![stats.l2[0]; 4];
+        stats.trace = vec![stats.trace[0]; 14];
+        let out = encode_payload(&stats, &power);
+        assert_eq!(out.len(), payload_len(&stats));
+        assert_eq!(out.capacity(), out.len(), "the buffer was grown or oversized");
+        assert_eq!(decode_payload(&out).map(|c| c.stats), Some(stats));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * the MSHR with in-flight race handling (a snooped `BusRd` demotes an
 //!   in-flight fill to Shared, a snooped `BusRdX` dooms it), and
 //! * the always-on shadow directory classifying technique-induced
-//!   misses.
+//!   misses, plus optional shadows of larger caches that let a sweep
+//!   derive larger L2 sizes from a run that never filled a set.
 //!
 //! The cache is passive: `cmpleak-system` drives it and routes the
 //! [`SideEffects`] each call emits (write-backs to the bus, upper-level
@@ -188,6 +189,14 @@ pub struct L2Cache {
     decay: Option<DecayBank>,
     /// Baseline-equivalent tag directory for induced-miss classification.
     shadow: ShadowTags,
+    /// Baseline-equivalent directories of larger caches (same line size
+    /// and associativity, 2^k times the sets), each with its own
+    /// induced-miss count. They get exactly the calls `shadow` gets,
+    /// until the first full-set fill makes their counts meaningless.
+    larger: Vec<(ShadowTags, u64)>,
+    /// Fills that found no invalid way in their set: evictions, and
+    /// fills refused because every way was transient.
+    full_set_fills: u64,
     /// Columnar per-line state: powered/armed/live bitsets, decay
     /// counters, on-time accounting — one arena-backed bank.
     state: LineStateBank,
@@ -224,10 +233,29 @@ impl L2Cache {
             flags: Vec::new(),
             decay,
             shadow: ShadowTags::new_in(geom, arena),
+            larger: Vec::new(),
+            full_set_fills: 0,
             state,
             deferred_turnoffs: Vec::new(),
             stats: L2Stats::default(),
             decay_scratch: Vec::new(),
+        }
+    }
+
+    /// Shadow each of `sizes_bytes` — larger caches of this one's line
+    /// size and associativity — with a baseline-equivalent directory of
+    /// its own, checked out of `arena`. While no fill has found its set
+    /// full, each counts the induced misses a run at its size would
+    /// count ([`L2Cache::larger_induced_misses`]).
+    ///
+    /// # Panics
+    /// Panics unless every size is a power of two above this cache's.
+    pub fn shadow_larger_sizes(&mut self, sizes_bytes: &[usize], arena: &mut BankArena) {
+        let geom = self.geometry();
+        for &size in sizes_bytes {
+            assert!(size > geom.size_bytes, "a larger shadow must be larger than its cache");
+            let larger = Geometry::new(size, geom.line_bytes, geom.assoc);
+            self.larger.push((ShadowTags::new_in(larger, arena), 0));
         }
     }
 
@@ -237,6 +265,28 @@ impl L2Cache {
         self.state.release_into(arena);
         self.tags.release_into(arena);
         self.shadow.release_into(arena);
+        for (shadow, _) in &mut self.larger {
+            shadow.release_into(arena);
+        }
+    }
+
+    /// Fills so far that found no invalid way in their set. While this
+    /// is 0, every larger cache holds each set's lines in invalid-free
+    /// ways too, so it runs cycle for cycle like this one.
+    pub fn full_set_fills(&self) -> u64 {
+        self.full_set_fills
+    }
+
+    /// How many larger sizes this cache shadows.
+    pub fn larger_shadows(&self) -> usize {
+        self.larger.len()
+    }
+
+    /// Induced misses counted against larger shadow `i`, in the order
+    /// of [`L2Cache::shadow_larger_sizes`]. Meaningful only while
+    /// [`L2Cache::full_set_fills`] is 0.
+    pub fn larger_induced_misses(&self, i: usize) -> u64 {
+        self.larger[i].1
     }
 
     /// Geometry of the tag array.
@@ -436,7 +486,7 @@ impl L2Cache {
                 if t.protocol_invalidation {
                     self.stats.snoop_invalidations += 1;
                     // Baseline would experience this invalidation too.
-                    self.shadow.invalidate(line);
+                    self.shadow_invalidate(line);
                     if self.technique.gates_on_protocol_invalidation() {
                         self.stats.turnoffs_protocol += 1;
                         self.power_off(slot, now);
@@ -465,7 +515,7 @@ impl L2Cache {
                 }
                 self.tags.touch(slot);
                 self.decay_access(slot);
-                self.shadow.access(line);
+                self.shadow_access(line);
                 self.stats.reads += 1;
                 self.stats.read_hits += 1;
                 L2ReadOutcome::Hit
@@ -478,7 +528,7 @@ impl L2Cache {
                 }
                 MshrAlloc::Secondary => {
                     self.stats.reads += 1;
-                    self.shadow.access(line);
+                    self.shadow_access(line);
                     L2ReadOutcome::MissSecondary
                 }
                 MshrAlloc::Full => {
@@ -502,7 +552,7 @@ impl L2Cache {
                     MesiState::Modified => {
                         self.tags.touch(slot);
                         self.decay_access(slot);
-                        self.shadow.access(line);
+                        self.shadow_access(line);
                         self.stats.writes += 1;
                         self.stats.write_hits += 1;
                         L2WriteOutcome::Done
@@ -513,7 +563,7 @@ impl L2Cache {
                         self.tags.update_meta(slot, |m| m.state = MesiState::Modified);
                         self.apply_arming(slot, MesiState::Modified);
                         self.decay_access(slot);
-                        self.shadow.access(line);
+                        self.shadow_access(line);
                         self.stats.writes += 1;
                         self.stats.write_hits += 1;
                         L2WriteOutcome::Done
@@ -522,14 +572,14 @@ impl L2Cache {
                         MshrAlloc::Primary => {
                             self.tags.touch(slot);
                             self.decay_access(slot);
-                            self.shadow.access(line);
+                            self.shadow_access(line);
                             self.stats.writes += 1;
                             self.stats.write_hits += 1;
                             L2WriteOutcome::UpgradeIssued
                         }
                         MshrAlloc::Secondary => {
                             self.stats.writes += 1;
-                            self.shadow.access(line);
+                            self.shadow_access(line);
                             L2WriteOutcome::MissSecondary
                         }
                         MshrAlloc::Full => {
@@ -549,7 +599,7 @@ impl L2Cache {
                 }
                 MshrAlloc::Secondary => {
                     self.stats.writes += 1;
-                    self.shadow.access(line);
+                    self.shadow_access(line);
                     L2WriteOutcome::MissSecondary
                 }
                 MshrAlloc::Full => {
@@ -560,14 +610,41 @@ impl L2Cache {
         }
     }
 
-    /// Account a primary miss, classifying it against the shadow
-    /// directory *before* updating it.
+    /// Account a primary miss, classifying it against each shadow
+    /// directory *before* updating it (an access reports whether the
+    /// shadow held the line).
     fn note_miss(&mut self, line: LineAddr) {
         self.stats.misses += 1;
-        if self.shadow.would_hit(line) {
+        if self.shadow.access(line) {
             self.stats.induced_misses += 1;
         }
+        if self.full_set_fills == 0 {
+            for (shadow, induced) in &mut self.larger {
+                if shadow.access(line) {
+                    *induced += 1;
+                }
+            }
+        }
+    }
+
+    /// Record an access in every shadow directory.
+    fn shadow_access(&mut self, line: LineAddr) {
         self.shadow.access(line);
+        if self.full_set_fills == 0 {
+            for (shadow, _) in &mut self.larger {
+                shadow.access(line);
+            }
+        }
+    }
+
+    /// Record a baseline invalidation in every shadow directory.
+    fn shadow_invalidate(&mut self, line: LineAddr) {
+        self.shadow.invalidate(line);
+        if self.full_set_fills == 0 {
+            for (shadow, _) in &mut self.larger {
+                shadow.invalidate(line);
+            }
+        }
     }
 
     // ---- bus-side ---------------------------------------------------------
@@ -707,6 +784,7 @@ impl L2Cache {
         let Some(victim) = self.pick_victim(line) else {
             // Every way is transient (pathological): treat like doomed —
             // forward data without caching. Writes re-acquire.
+            self.full_set_fills += 1;
             self.stats.retries += 1;
             return (reads, writes, false);
         };
@@ -751,6 +829,7 @@ impl L2Cache {
             let vline = victim.tag;
             let vmeta = victim.meta;
             self.stats.evictions += 1;
+            self.full_set_fills += 1;
             if vmeta.state.is_dirty() {
                 fx.writebacks.push(vline);
                 self.stats.writebacks += 1;
@@ -1099,6 +1178,60 @@ mod tests {
         assert_eq!(fx.upper_invals.len(), 1, "inclusion back-invalidation");
         assert!(!fx.upper_invals[0].1, "eviction is a baseline cost");
         assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn larger_shadows_count_their_own_induced_misses_until_a_set_fills() {
+        let mut c = l2(Technique::Decay { decay_cycles: 1024 });
+        c.shadow_larger_sizes(&[8192, 16384], &mut BankArena::default());
+        let sets = c.geometry().sets() as u64;
+        // Two lines 8 sets apart share a set here and differ in the
+        // larger caches; a third, 16 sets on, shares a set at 2x too.
+        for line in [L, LineAddr(L.0 + sets), LineAddr(L.0 + 2 * sets)] {
+            fill_line(&mut c, line, false, 0);
+        }
+        let fx = &mut SideEffects::default();
+        for slot in c.take_decayed(1024) {
+            c.turn_off(slot, 1024, false, fx);
+        }
+        assert_eq!(c.probe_read(L), L2ReadOutcome::MissPrimary);
+        assert_eq!(c.stats().induced_misses, 1);
+        assert_eq!((c.larger_induced_misses(0), c.larger_induced_misses(1)), (1, 1));
+        assert_eq!(c.full_set_fills(), 0, "every fill found an invalid way");
+    }
+
+    #[test]
+    fn a_fill_into_a_set_of_transient_ways_counts_as_a_full_set() {
+        let mut c = l2(Technique::Decay { decay_cycles: 1024 });
+        c.shadow_larger_sizes(&[8192], &mut BankArena::default());
+        let sets = c.geometry().sets() as u64;
+        // Fill all 8 ways of set 0; decay takes each line with an L1 copy
+        // into TC, where it waits for its upper-level invalidation.
+        for i in 0..8u64 {
+            fill_line(&mut c, LineAddr(i * sets), false, 0);
+            c.set_in_l1(LineAddr(i * sets), true);
+        }
+        let fx = &mut SideEffects::default();
+        for slot in c.take_decayed(1024) {
+            c.turn_off(slot, 1024, false, fx);
+        }
+        assert_eq!(fx.grants.len(), 8, "every way is transient");
+        let newline = LineAddr(8 * sets);
+        assert_eq!(c.probe_read(newline), L2ReadOutcome::MissPrimary);
+        let (_, _, installed) = c.fill(newline, false, 1030, fx);
+        assert!(!installed, "no way can take the line");
+        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.full_set_fills(), 1, "a refused fill found its set full");
+    }
+
+    #[test]
+    fn evictions_count_as_full_set_fills() {
+        let mut c = l2(Technique::Baseline);
+        let sets = c.geometry().sets() as u64;
+        for i in 0..9u64 {
+            fill_line(&mut c, LineAddr(i * sets), false, 0);
+        }
+        assert_eq!((c.stats().evictions, c.full_set_fills()), (1, 1));
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //! [`CoreSource`] feeds through a reusable [`SimScratch`], and the
 //! [`run_simulation`] convenience over live generators. Both produce
 //! [`SimStats`] plus a 10K-cycle activity trace for the power/thermal
-//! models.
+//! models. [`run_feeds_with_larger`] is the first with shadow
+//! directories of larger L2 sizes beside each cache: it also reports
+//! whether any fill found its set full, and if none did, the run's
+//! statistics at each larger size follow from
+//! [`SimStats::at_larger_size`].
 
 #![forbid(unsafe_code)]
 
@@ -37,9 +41,10 @@ pub use config::{
 };
 pub use l1::{L1Cache, L1LoadOutcome};
 pub use l2::{L2Cache, L2ReadOutcome, L2Target, L2WriteOutcome};
-pub use stats::{IntervalActivity, L1Stats, L2Stats, SimStats};
+pub use stats::{IntervalActivity, L1Stats, L2Stats, LargerSizes, SimStats};
 pub use system::{
-    run_feeds_with_scratch, run_simulation, CoreSource, CycleProfile, EventQueueStats, SimScratch,
+    run_feeds_with_larger, run_feeds_with_scratch, run_simulation, CoreSource, CycleProfile,
+    EventQueueStats, SimScratch,
 };
 
 // Re-exported so scratch-pool consumers can read arena counters without

@@ -163,7 +163,67 @@ pub struct SimStats {
     pub trace: Vec<IntervalActivity>,
 }
 
+/// What a run with larger shadow directories learned about the larger
+/// L2 sizes ([`crate::run_feeds_with_larger`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LargerSizes {
+    /// Fills, over every L2 of the run, that found no invalid way in
+    /// their set: evictions, and fills refused because every way was
+    /// transient. Only when this is 0 do the larger sizes run cycle for
+    /// cycle like the run itself.
+    pub full_set_fills: u64,
+    /// Per larger size, in the order asked for: each core's induced
+    /// misses, counted against that size's baseline-equivalent shadow.
+    pub induced_misses: Vec<Vec<u64>>,
+}
+
+impl LargerSizes {
+    /// Whether every larger size can be derived from the run.
+    pub fn derivable(&self) -> bool {
+        self.full_set_fills == 0
+    }
+}
+
 impl SimStats {
+    /// The statistics a run at a larger L2 — `lines_per_l2` lines in
+    /// each cache, same line size and associativity — would produce,
+    /// given that this run never filled a full set
+    /// ([`LargerSizes::derivable`]) and that the larger size's shadow
+    /// counted `induced_misses` per core.
+    ///
+    /// Each set of the larger cache holds a subset of the lines of one
+    /// set here, so every fill there finds an invalid way too, and the
+    /// two runs agree line by line: the same residency, states, decay
+    /// counters, power states and timing. Only the capacity differs: the
+    /// line-cycle capacity (and every interval's), the powered-line
+    /// integrals when every line is powered (`every_line_powered`, the
+    /// baseline), and the induced misses, which compare against a
+    /// baseline of the larger size.
+    pub fn at_larger_size(
+        &self,
+        lines_per_l2: u64,
+        induced_misses: &[u64],
+        every_line_powered: bool,
+    ) -> SimStats {
+        assert_eq!(induced_misses.len(), self.l2.len(), "one induced-miss count per L2");
+        let lines_total = lines_per_l2 * self.l2.len() as u64;
+        let mut stats = self.clone();
+        stats.l2_line_cycle_capacity = lines_total * stats.cycles;
+        for iv in &mut stats.trace {
+            iv.l2_total_line_cycles = lines_total * iv.cycles;
+        }
+        if every_line_powered {
+            stats.l2_on_line_cycles = stats.l2_line_cycle_capacity;
+            for iv in &mut stats.trace {
+                iv.l2_powered_line_cycles = iv.l2_total_line_cycles;
+            }
+        }
+        for (l2, &induced) in stats.l2.iter_mut().zip(induced_misses) {
+            l2.induced_misses = induced;
+        }
+        stats
+    }
+
     /// The paper's occupation-rate metric (§VI): the average fraction of
     /// time an L2 line was powered. 1.0 for the baseline by definition.
     pub fn occupation_rate(&self) -> f64 {

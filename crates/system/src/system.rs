@@ -92,7 +92,7 @@ use crate::bus::{BusReq, BusReqKind, SharedBus};
 use crate::config::{CmpConfig, CycleEngine, SimKernel};
 use crate::l1::{L1Cache, L1LoadOutcome, PendingLoad};
 use crate::l2::{L2Cache, L2ReadOutcome, L2WriteOutcome, SideEffects, UpgradeResult};
-use crate::stats::{IntervalActivity, SimStats};
+use crate::stats::{IntervalActivity, LargerSizes, SimStats};
 use cmpleak_coherence::bus::SnoopKind;
 use cmpleak_cpu::{CoreModel, CorePort, ProgressState, TraceOp, Workload};
 use cmpleak_mem::{ArenaStats, BankArena, Geometry, LineAddr, WriteBuffer};
@@ -501,8 +501,14 @@ impl CmpSystem {
     /// Build a system over per-core [`CoreSource`] feeds, adopting the
     /// reusable pools of `scratch` (emptied, allocations kept);
     /// [`CmpSystem::reclaim_scratch`] returns them when the run
-    /// finishes.
-    fn with_feeds(cfg: CmpConfig, sources: Vec<CoreSource>, scratch: &mut SimScratch) -> Self {
+    /// finishes. Each L2 also shadows the per-core sizes
+    /// `larger_l2_bytes` ([`L2Cache::shadow_larger_sizes`]).
+    fn with_feeds(
+        cfg: CmpConfig,
+        sources: Vec<CoreSource>,
+        larger_l2_bytes: &[usize],
+        scratch: &mut SimScratch,
+    ) -> Self {
         assert_eq!(sources.len(), cfg.n_cores, "one op source per core");
         cfg.validate();
         let cores =
@@ -510,8 +516,13 @@ impl CmpSystem {
         let mut arena = std::mem::take(&mut scratch.arena);
         let l1s = (0..cfg.n_cores).map(|_| L1Cache::new_in(&cfg.l1, &mut arena)).collect();
         let wbs = (0..cfg.n_cores).map(|_| WriteBuffer::new(cfg.l1.write_buffer)).collect();
-        let l2s: Vec<L2Cache> =
-            (0..cfg.n_cores).map(|_| L2Cache::new_in(&cfg.l2, cfg.technique, &mut arena)).collect();
+        let l2s: Vec<L2Cache> = (0..cfg.n_cores)
+            .map(|_| {
+                let mut l2 = L2Cache::new_in(&cfg.l2, cfg.technique, &mut arena);
+                l2.shadow_larger_sizes(larger_l2_bytes, &mut arena);
+                l2
+            })
+            .collect();
         let bus = SharedBus::new(cfg.bus, cfg.mem, cfg.l2.line_bytes);
         let worklist = cfg.engine == CycleEngine::Worklist;
         // `validate` bounds `n_cores` to `1..=MAX_CORES` (64): every core
@@ -1216,6 +1227,18 @@ impl CmpSystem {
 }
 
 impl CmpSystem {
+    /// What the run learned about the larger sizes its L2s shadowed.
+    /// Reads the caches' own counters, so it runs before the reclaim.
+    fn larger_sizes(&self) -> LargerSizes {
+        let sizes = self.l2s.first().map_or(0, L2Cache::larger_shadows);
+        LargerSizes {
+            full_set_fills: self.l2s.iter().map(L2Cache::full_set_fills).sum(),
+            induced_misses: (0..sizes)
+                .map(|i| self.l2s.iter().map(|l2| l2.larger_induced_misses(i)).collect())
+                .collect(),
+        }
+    }
+
     /// Hand the reusable pools back to `scratch`: the caches release
     /// their per-line columns into the arena, and the arena, event queue
     /// and port queues return for the next run. Must run after
@@ -1262,11 +1285,33 @@ pub fn run_feeds_with_scratch(
     feeds: Vec<CoreSource>,
     scratch: &mut SimScratch,
 ) -> SimStats {
-    let mut sys = CmpSystem::with_feeds(cfg, feeds, scratch);
+    run_feeds_with_larger(cfg, feeds, &[], scratch).0
+}
+
+/// [`run_feeds_with_scratch`] with every L2 also shadowing the larger
+/// per-core capacities `larger_l2_bytes` (powers of two above
+/// `cfg.l2.size_bytes`; same line size and associativity). Returns the
+/// run's statistics — identical to a run without the shadows — and
+/// what it learned about each larger size: if no L2 ever filled a set
+/// that had no invalid way ([`LargerSizes::full_set_fills`] is 0), a
+/// run at that size is this run cycle for cycle, and
+/// [`SimStats::at_larger_size`] gives its statistics exactly.
+///
+/// # Panics
+/// As [`run_feeds_with_scratch`], and if a larger size is not a power
+/// of two above `cfg.l2.size_bytes`.
+pub fn run_feeds_with_larger(
+    cfg: CmpConfig,
+    feeds: Vec<CoreSource>,
+    larger_l2_bytes: &[usize],
+    scratch: &mut SimScratch,
+) -> (SimStats, LargerSizes) {
+    let mut sys = CmpSystem::with_feeds(cfg, feeds, larger_l2_bytes, scratch);
     sys.run_loop();
     let stats = sys.finalize();
+    let larger = sys.larger_sizes();
     sys.reclaim_scratch(scratch);
-    stats
+    (stats, larger)
 }
 
 #[cfg(test)]
@@ -1950,5 +1995,127 @@ mod tests {
         let amat = stats.amat();
         assert!(amat >= 2.0, "amat {amat} must be at least the L1 hit latency");
         assert!(amat < 60.0, "private strided loads should mostly hit, amat {amat}");
+    }
+
+    /// Two cores over 16 KiB L2s (32 sets × 8 ways, 1 KiB L1s): each
+    /// core's 96 private lines, 32 lines both cores write and 32 lines
+    /// it only stores to, five lines per set, visited in passes that
+    /// store to every third line and end in an idle span longer than the
+    /// decay interval. Decaying lines turn off clean and dirty, through
+    /// TC/TD while the L1 holds a copy, and some turn-offs wait behind a
+    /// buffered store. `spill` adds nine lines of core 0 in one set,
+    /// which cannot all fit.
+    fn ladder_cfg(technique: Technique, l2_bytes: usize) -> CmpConfig {
+        let mut cfg = tiny_cfg(technique);
+        cfg.l2.size_bytes = l2_bytes;
+        cfg.instructions_per_core = 60_000;
+        cfg
+    }
+
+    fn ladder_streams(spill: bool) -> Vec<Box<dyn Workload>> {
+        (0..2u64)
+            .map(|c| {
+                let private = (c + 1) << 20;
+                let shared = 3 << 20;
+                let mut ops = Vec::new();
+                for pass in 0..4u64 {
+                    for i in 0..96u64 {
+                        let a = private + i * 64;
+                        ops.push(TraceOp::Load(a));
+                        ops.push(TraceOp::Exec(1 + ((i * 7 + pass * 13) % 5) as u32));
+                        if (i + pass) % 3 == 0 {
+                            ops.push(TraceOp::Store(a + 8));
+                        }
+                    }
+                    for i in 0..32u64 {
+                        let a = shared + i * 64;
+                        ops.push(if (i + c + pass) % 2 == 0 {
+                            TraceOp::Store(a)
+                        } else {
+                            TraceOp::Load(a)
+                        });
+                        ops.push(TraceOp::Exec(3));
+                    }
+                    if spill && c == 0 {
+                        ops.extend((0..9u64).map(|k| TraceOp::Load((5 << 20) + k * 32 * 64)));
+                    }
+                    // About a decay interval after the loads above: a
+                    // burst of store misses fills the MSHR, and the
+                    // stores to private lines queue behind it while
+                    // their lines decay.
+                    ops.push(TraceOp::Exec(2_400 + 400 * pass as u32));
+                    ops.extend((0..32u64).map(|i| TraceOp::Store(private + (4 << 16) + i * 64)));
+                    ops.extend((0..96u64).step_by(2).map(|i| TraceOp::Store(private + i * 64)));
+                    ops.push(TraceOp::Exec(4_000 * (pass as u32 + 1)));
+                }
+                Box::new(ReplayWorkload::cycle(ops)) as Box<dyn Workload>
+            })
+            .collect()
+    }
+
+    const LADDER_TECHNIQUES: [Technique; 6] = [
+        Technique::Baseline,
+        Technique::Protocol,
+        Technique::Decay { decay_cycles: 1024 },
+        Technique::Decay { decay_cycles: 4096 },
+        Technique::SelectiveDecay { decay_cycles: 1024 },
+        Technique::SelectiveDecay { decay_cycles: 4096 },
+    ];
+
+    #[test]
+    fn larger_sizes_derived_from_a_run_that_never_filled_a_set_equal_plain_runs() {
+        let small = 16 * 1024;
+        let larger = [2 * small, 4 * small];
+        let mut scratch = SimScratch::default();
+        for technique in LADDER_TECHNIQUES {
+            let (stats, sizes) = run_feeds_with_larger(
+                ladder_cfg(technique, small),
+                live(ladder_streams(false)),
+                &larger,
+                &mut scratch,
+            );
+            assert!(sizes.derivable(), "{technique}: {} full-set fills", sizes.full_set_fills);
+            let plain = run_simulation(ladder_cfg(technique, small), ladder_streams(false));
+            assert_eq!(stats, plain, "{technique}: the larger shadows changed the run");
+            if technique.has_decay_logic() {
+                let sum =
+                    |f: fn(&crate::stats::L2Stats) -> u64| stats.l2.iter().map(f).sum::<u64>();
+                assert!(sum(|l| l.turnoffs_decay) > 0, "{technique}: no decay turn-off");
+                // Selective Decay never decays a Modified line.
+                let dirty = sum(|l| l.dirty_decay_turnoffs);
+                assert_eq!(
+                    dirty > 0,
+                    matches!(technique, Technique::Decay { .. }),
+                    "{technique}: {dirty} dirty turn-offs"
+                );
+                let grants: u64 = stats.l1.iter().map(|l| l.technique_back_invalidations).sum();
+                assert!(grants > 0, "{technique}: no turn-off went through TC/TD");
+            }
+            for (i, &bytes) in larger.iter().enumerate() {
+                let lines = (bytes / 64) as u64;
+                let derived = stats.at_larger_size(
+                    lines,
+                    &sizes.induced_misses[i],
+                    !technique.gates_cold_lines(),
+                );
+                let plain = run_simulation(ladder_cfg(technique, bytes), ladder_streams(false));
+                assert_eq!(derived, plain, "{technique} at {bytes} B per core");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_that_fills_a_set_cannot_be_derived() {
+        for technique in LADDER_TECHNIQUES {
+            let (stats, sizes) = run_feeds_with_larger(
+                ladder_cfg(technique, 16 * 1024),
+                live(ladder_streams(true)),
+                &[32 * 1024],
+                &mut SimScratch::default(),
+            );
+            assert!(!sizes.derivable(), "{technique}: nine lines share an 8-way set");
+            let evictions: u64 = stats.l2.iter().map(|l| l.evictions).sum();
+            assert!(sizes.full_set_fills >= evictions && evictions > 0, "{technique}");
+        }
     }
 }
