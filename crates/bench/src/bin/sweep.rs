@@ -289,10 +289,12 @@ fn serve(args: &[String]) {
         prefetched += extra;
         println!(
             "batched {label} @ {instr} instr: {} grid cells for {} missed requests \
-             ({extra} prefetched, {} derived from a smaller size)",
+             ({extra} prefetched, {} derived from a smaller size, {} resumed from a smaller \
+             size)",
             res.cells.len(),
             g.missed.len(),
-            telemetry.derived_larger
+            telemetry.derived_larger,
+            telemetry.resumed
         );
     }
     let batch_s = t0.elapsed().as_secs_f64();

@@ -44,36 +44,57 @@ fn serve_skips_sizes_outside_the_paper_axis() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Serve batches a scenario's missed sizes into one sweep, so a small
-/// budget's larger size is derived from the smaller one's run, and the
-/// batch line says how many cells were.
-#[test]
-fn serve_batch_line_counts_cells_derived_from_a_smaller_size() {
-    let dir = std::env::temp_dir().join(format!("cmpleak-serve-ladder-{}", std::process::id()));
+/// The cells a `sweep serve` batch line says were derived from a
+/// smaller size and resumed from one, for a queue of `requests` served
+/// into a fresh store.
+fn batch_ladder_counts(tag: &str, requests: &str, label: &str) -> (usize, usize) {
+    let dir = std::env::temp_dir().join(format!("cmpleak-serve-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let requests = dir.join("queue.txt");
-    std::fs::write(&requests, "FMM decay64K 1 3000\nFMM decay64K 8 3000\n").expect("queue written");
+    let queue = dir.join("queue.txt");
+    std::fs::write(&queue, requests).expect("queue written");
     let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
         .arg("serve")
         .arg("--store")
         .arg(dir.join("store"))
         .arg("--requests")
-        .arg(&requests)
+        .arg(&queue)
         .output()
         .expect("sweep runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "serve failed:\n{}", String::from_utf8_lossy(&out.stderr));
-    let line = stdout.lines().find(|l| l.starts_with("batched FMM")).expect("a batch line");
-    let derived: usize = line
-        .split_once("prefetched, ")
-        .and_then(|(_, rest)| rest.split_whitespace().next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no derived count in `{line}`"));
-    assert!(line.ends_with("derived from a smaller size)"), "{line}");
-    // Baseline and decay64K at 8 MB, both from their 1 MB runs.
-    assert_eq!(derived, 2, "{line}");
+    let line =
+        stdout.lines().find(|l| l.starts_with(&format!("batched {label}"))).expect("a batch line");
+    let count = |after: &str| -> usize {
+        line.split_once(after)
+            .and_then(|(_, rest)| rest.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no count after `{after}` in `{line}`"))
+    };
+    let counts = (count("prefetched, "), count("derived from a smaller size, "));
+    assert!(line.ends_with("resumed from a smaller size)"), "{line}");
     std::fs::remove_dir_all(&dir).ok();
+    counts
+}
+
+/// Serve batches a scenario's missed sizes into one sweep, so a small
+/// budget's larger size is derived from the smaller one's run, and the
+/// batch line says how many cells were.
+#[test]
+fn serve_batch_line_counts_cells_derived_from_a_smaller_size() {
+    let requests = "FMM decay64K 1 3000\nFMM decay64K 8 3000\n";
+    // Baseline and decay64K at 8 MB, both from their 1 MB runs.
+    assert_eq!(batch_ladder_counts("ladder", requests, "FMM"), (2, 0));
+}
+
+/// A size whose smaller run filled a set is resumed from that run's fork,
+/// and the batch line counts it: at 100 K instructions the producer mix's
+/// 1 MB caches fill a set under decay64K and its baseline, so 2 MB
+/// resumes both.
+#[test]
+fn serve_batch_line_counts_cells_resumed_from_a_smaller_size() {
+    let requests = "mix_producer_share decay64K 1 100000\nmix_producer_share decay64K 2 100000\n";
+    assert_eq!(batch_ladder_counts("resumed", requests, "mix_producer_share"), (0, 2));
 }
 
 #[test]

@@ -5,7 +5,8 @@ use cmpleak_coherence::Technique;
 use cmpleak_power::{evaluate_energy, PowerParams, PowerReport};
 use cmpleak_store::{CellKey, KeyHasher, StoredCell};
 use cmpleak_system::{
-    run_feeds_with_larger, CmpConfig, CycleEngine, LargerSizes, SimKernel, SimStats, MAX_CORES,
+    resume_fork, run_feeds_with_larger, CmpConfig, CycleEngine, LargerFork, LargerSizes, SimKernel,
+    SimStats, MAX_CORES,
 };
 use cmpleak_workloads::WorkloadSpec;
 use std::fmt::Write as _;
@@ -210,16 +211,20 @@ pub fn run_experiment_with_scratch(
 }
 
 /// [`run_experiment_with_scratch`] with each L2 also shadowing the
-/// total sizes `larger_mb` (each above `cfg.total_l2_mb`): returns the
-/// cell — identical to a run without the shadows — and what the run
-/// learned about each larger size. If it never filled a full set
+/// total sizes `larger_mb` (each above `cfg.total_l2_mb`, ascending):
+/// returns the cell — identical to a run without the shadows — what the
+/// run learned about each larger size, and a fork at the first larger
+/// size. If the run never filled a full set
 /// ([`LargerSizes::derivable`]), [`derive_larger_cell`] gives each
-/// larger cell exactly.
+/// larger cell exactly; otherwise, if the scenario replays a recording,
+/// the run forked a run at `larger_mb[0]` just before its first
+/// full-set fill, which [`resume_experiment`] finishes
+/// ([`run_feeds_with_larger`]).
 pub fn run_experiment_with_larger(
     cfg: &ExperimentConfig,
     larger_mb: &[usize],
     scratch: &mut ExperimentScratch,
-) -> (ExperimentResult, LargerSizes) {
+) -> (ExperimentResult, LargerSizes, Option<LargerFork>) {
     let cmp = cfg.cmp_config();
     let larger_bytes: Vec<usize> = larger_mb
         .iter()
@@ -227,16 +232,43 @@ pub fn run_experiment_with_larger(
         .collect();
     let feeds = cfg.scenario.build_feeds(cfg.n_cores, cfg.seed, cfg.instructions_per_core);
     let bank_bytes = cmp.l2.size_bytes;
-    let (stats, larger) = run_feeds_with_larger(cmp, feeds, &larger_bytes, scratch);
+    let (stats, larger, fork) = run_feeds_with_larger(cmp, feeds, &larger_bytes, scratch);
+    (simulated_cell(cfg, stats, bank_bytes), larger, fork)
+}
+
+/// The resume twin of [`run_experiment_with_larger`]: finishes the cell
+/// of `cfg` from `fork`, a run at `cfg`'s size forked from a smaller run
+/// of the same scenario and technique, without simulating the cycles
+/// before the fork again. Returns what [`run_experiment_with_larger`]
+/// returns for `cfg` with the larger sizes the fork shadows (the sizes
+/// above it that its parent shadowed): the cell, identical to one
+/// simulated from cycle 0, what the run learned about each larger size,
+/// and a fork at the next of them.
+///
+/// # Panics
+/// Panics unless the fork runs `cfg`'s per-core L2 size.
+pub fn resume_experiment(
+    cfg: &ExperimentConfig,
+    fork: LargerFork,
+    scratch: &mut ExperimentScratch,
+) -> (ExperimentResult, LargerSizes, Option<LargerFork>) {
+    let bank_bytes = cfg.cmp_config().l2.size_bytes;
+    assert_eq!(fork.l2_bytes(), bank_bytes, "the fork runs another L2 size");
+    let (stats, larger, fork) = resume_fork(fork, scratch);
+    (simulated_cell(cfg, stats, bank_bytes), larger, fork)
+}
+
+/// The cell of `cfg` from a run's statistics, with its energy evaluated
+/// at the per-core L2 size `bank_bytes`.
+fn simulated_cell(cfg: &ExperimentConfig, stats: SimStats, bank_bytes: usize) -> ExperimentResult {
     let power = evaluate_energy(cfg.power, cfg.technique, cfg.n_cores, bank_bytes, &stats);
-    let result = ExperimentResult {
+    ExperimentResult {
         benchmark: cfg.scenario.label(),
         technique: cfg.technique.name(),
         total_l2_mb: cfg.total_l2_mb,
         stats,
         power,
-    };
-    (result, larger)
+    }
 }
 
 /// Rehydrate a store-loaded cell into the [`ExperimentResult`] a fresh
@@ -426,7 +458,7 @@ mod tests {
             Technique::Protocol,
             Technique::SelectiveDecay { decay_cycles: 64 * 1024 },
         ] {
-            let (small, larger) = run_experiment_with_larger(
+            let (small, larger, _) = run_experiment_with_larger(
                 &cell(technique, 1),
                 &[2, 8],
                 &mut ExperimentScratch::default(),

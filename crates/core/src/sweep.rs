@@ -22,7 +22,9 @@
 //! larger sizes beside it, and whose larger sizes are *derived* from
 //! that run when no L2 in it ever filled a set (a cache that never has
 //! to replace a line runs cycle for cycle the same at every larger size
-//! of the same line size and associativity); each (scenario, seed,
+//! of the same line size and associativity), or else whose next size is
+//! *resumed* from a fork of that run made just before its first
+//! full-set fill instead of simulated from cycle 0; each (scenario, seed,
 //! budget) group's op stream is *recorded once* into a shared in-memory
 //! trace that every cell of the group replays instead of regenerating
 //! live (made by the first worker to need it behind one slot per
@@ -45,15 +47,19 @@
 //! one largest cell's worth: a 1 MB run with 2, 4 and 8 MB shadows
 //! checks out about as much as a plain 8 MB cell, and the arena grows
 //! its largest pooled buffer when none fits instead of allocating
-//! beside it.
+//! beside it. A run that forked carries its fork to its end: the
+//! fork's regrown L2 tag and line-state columns (about 11.4 B per line
+//! of the larger size) and its L1 copies live beside the run's own, and
+//! the shadows it takes over move rather than being copied, so at most
+//! two systems are alive per worker.
 //! `tests/sweep_memoization.rs`, `tests/size_ladders.rs`,
 //! `tests/stream_sharing.rs` and `tests/store_differential.rs` pin the
 //! four optimizations against the reference arm and against each other;
 //! timing them is `perfbench/`'s job.
 
 use crate::experiment::{
-    derive_baseline_cell, derive_larger_cell, result_from_stored, run_experiment_with_larger,
-    ExperimentConfig, ExperimentResult, ExperimentScratch,
+    derive_baseline_cell, derive_larger_cell, result_from_stored, resume_experiment,
+    run_experiment_with_larger, ExperimentConfig, ExperimentResult, ExperimentScratch,
 };
 use crate::metrics::TechniqueMetrics;
 use crate::scenario::Scenario;
@@ -61,10 +67,11 @@ use cmpleak_coherence::Technique;
 use cmpleak_mem::BankArena;
 use cmpleak_power::PowerParams;
 use cmpleak_store::{CellKey, KeyHasher, ResultStore};
+use cmpleak_system::LargerFork;
 use cmpleak_trace::MemTrace;
 use cmpleak_workloads::{ScenarioSpec, WorkloadSpec};
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -229,9 +236,17 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// cycle for cycle the same — each of its sets holds a subset of one
 /// smaller set's lines — so each is **derived**
 /// ([`derive_larger_cell`]: capacity bookkeeping, the shadow's induced
-/// misses, power at the larger bank size); otherwise the ladder moves
-/// on to the next size. No ladder derives from a cell loaded from the
-/// store, whose record keeps no shadow counts.
+/// misses, power at the larger bank size). Otherwise the next size ran
+/// cycle for cycle alike up to that run's first full-set fill, and the
+/// run forked it there: every L2 regrown to the next size, with that
+/// size's shadow as its own and the shadows above it. The ladder
+/// **resumes** the fork ([`resume_experiment`]) instead of simulating
+/// the next size from cycle 0, and the resumed run in turn derives the
+/// sizes above it or forks again. A ladder with more than one size
+/// replays a recording, which a fork can copy; a run over live
+/// generators makes no fork. No ladder derives from a cell loaded from
+/// the store, or resumes one: its record keeps no shadow counts and no
+/// state, so the next open size is simulated from cycle 0.
 ///
 /// **Shared streams** — every cell of a (scenario, seed, instruction
 /// budget) group consumes the *same* op stream: the live generators
@@ -271,7 +286,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
 
 /// [`run_sweep`] returning the planner's work counters alongside the
 /// results — how many cells were derived (and how many of them from a
-/// smaller size), how many stream groups were
+/// smaller size), how many were resumed from a smaller size's fork and
+/// how many cycles that saved, how many stream groups were
 /// recorded in-pool, and how the persistent store split the grid into
 /// hits and misses. The calling thread is the first worker and runs on
 /// `scratch` (its arena and queues are reused across the cells it takes);
@@ -303,6 +319,12 @@ pub struct SweepTelemetry {
     /// Cells derived from a smaller size's run whose caches never filled
     /// a set (a part of `derived`).
     pub derived_larger: usize,
+    /// Cells simulated from a fork of a smaller size's run, made just
+    /// before that run's first full-set fill, instead of from cycle 0.
+    pub resumed: usize,
+    /// Σ over the `resumed` cells of the cycles before their fork: the
+    /// cycles the sweep did not simulate again.
+    pub resumed_from_cycle: u64,
     /// Shared-stream groups recorded (by the pool's first toucher).
     pub recorded: usize,
     /// Cells answered from the persistent store.
@@ -455,6 +477,8 @@ fn run_sweep_inner(
     let stream_buffers = Mutex::new(BankArena::default());
     let recorded = AtomicUsize::new(0);
     let derived_larger = AtomicUsize::new(0);
+    let resumed = AtomicUsize::new(0);
+    let resumed_from_cycle = AtomicU64::new(0);
     let store_hits = AtomicUsize::new(0);
     let store_misses = AtomicUsize::new(0);
     let publish_errors = AtomicUsize::new(0);
@@ -517,11 +541,12 @@ fn run_sweep_inner(
         }
     };
     // Climb one ladder. Cells the store answers are loaded (no ladder
-    // derives from a loaded cell: its record keeps no shadow counts).
-    // Then, until every cell is answered: simulate the smallest open
-    // size with a shadow directory for each larger open size; if no L2
-    // of that run ever filled a full set, derive every larger open size
-    // from it, else move on to the next size.
+    // derives from a loaded cell, or resumes a fork of one: its record
+    // keeps no shadow counts and no state). Then, until every cell is
+    // answered: simulate the smallest open size with a shadow directory
+    // for each larger open size; if no L2 of that run ever filled a full
+    // set, derive every larger open size from it, else run the next size
+    // on from the fork the run made just before its first full-set fill.
     let climb = |ladder: &Ladder,
                  scratch: &mut ExperimentScratch,
                  res_tx: &Sender<(usize, ExperimentResult)>| {
@@ -541,28 +566,48 @@ fn run_sweep_inner(
             }
         }
         let mut rest = &open[..];
+        // A fork of the last run at `rest[0]`'s size, and the jobs of
+        // the larger sizes it shadows.
+        let mut fork: Option<(LargerFork, &[usize])> = None;
         while let Some((&u, above)) = rest.split_first() {
             let job = &jobs[u];
-            let original = &job.cfg.scenario;
-            let scenario = if share_streams && original.generates_live() {
-                // A slot left poisoned by a panicking recording is
-                // still empty, so the next worker records again.
-                let mut slot =
-                    streams[job.scenario_idx].lock().unwrap_or_else(PoisonError::into_inner);
-                slot.get_or_insert_with(|| record(original)).clone()
-            } else {
-                original.clone()
+            let (r, sizes, next, larger) = match fork.take() {
+                Some((f, larger)) => {
+                    resumed.fetch_add(1, Ordering::Relaxed);
+                    resumed_from_cycle.fetch_add(f.cycle(), Ordering::Relaxed);
+                    let (r, sizes, next) = resume_experiment(&job.cfg, f, scratch);
+                    (r, sizes, next, larger)
+                }
+                None => {
+                    let original = &job.cfg.scenario;
+                    let scenario = if share_streams && original.generates_live() {
+                        // A slot left poisoned by a panicking recording
+                        // is still empty, so the next worker records
+                        // again.
+                        let mut slot = streams[job.scenario_idx]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner);
+                        slot.get_or_insert_with(|| record(original)).clone()
+                    } else {
+                        original.clone()
+                    };
+                    // A repeated size is no larger: it stays open for its
+                    // own run.
+                    let split =
+                        above.partition_point(|&v| jobs[v].cfg.total_l2_mb <= job.cfg.total_l2_mb);
+                    let larger = &above[split..];
+                    let larger_mb: Vec<usize> =
+                        larger.iter().map(|&v| jobs[v].cfg.total_l2_mb).collect();
+                    let (r, sizes, next) = run_experiment_with_larger(
+                        &ExperimentConfig { scenario, ..job.cfg.clone() },
+                        &larger_mb,
+                        scratch,
+                    );
+                    (r, sizes, next, larger)
+                }
             };
-            // A repeated size is no larger: it stays open for its own run.
-            let split = above.partition_point(|&v| jobs[v].cfg.total_l2_mb <= job.cfg.total_l2_mb);
-            let larger = &above[split..];
-            let larger_mb: Vec<usize> = larger.iter().map(|&v| jobs[v].cfg.total_l2_mb).collect();
-            let (r, sizes) = run_experiment_with_larger(
-                &ExperimentConfig { scenario, ..job.cfg.clone() },
-                &larger_mb,
-                scratch,
-            );
             publish(u, &r, false);
+            // `larger` is the tail of `above`.
             rest = above;
             if sizes.derivable() {
                 for (&v, induced) in larger.iter().zip(&sizes.induced_misses) {
@@ -571,7 +616,13 @@ fn run_sweep_inner(
                     derived_larger.fetch_add(1, Ordering::Relaxed);
                     res_tx.send((v, cell)).ok();
                 }
-                rest = &above[..split];
+                rest = &above[..above.len() - larger.len()];
+            } else if let (Some(f), Some((&v, shadowed))) = (next, larger.split_first()) {
+                // The fork runs `v`; it is the next rung unless `u`'s
+                // size repeats, and then the next rung starts afresh.
+                if above.first() == Some(&v) {
+                    fork = Some((f, shadowed));
+                }
             }
             res_tx.send((u, r)).ok();
         }
@@ -642,6 +693,8 @@ fn run_sweep_inner(
     let telemetry = SweepTelemetry {
         derived,
         derived_larger: derived_larger.load(Ordering::Relaxed),
+        resumed: resumed.load(Ordering::Relaxed),
+        resumed_from_cycle: resumed_from_cycle.load(Ordering::Relaxed),
         recorded: recorded.load(Ordering::Relaxed),
         store_hits: store_hits.load(Ordering::Relaxed),
         store_misses: store_misses.load(Ordering::Relaxed),

@@ -103,7 +103,7 @@ pub struct CoreStats {
 }
 
 /// One simulated core.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CoreModel {
     cfg: CoreConfig,
     stats: CoreStats,

@@ -141,6 +141,72 @@ impl<M: LineMeta> SetAssocArray<M> {
         }
     }
 
+    /// A copy of this array with its columns checked out of `arena`.
+    pub fn clone_in(&self, arena: &mut BankArena) -> Self {
+        let mut tags = arena.take_u64(self.tags.len(), INVALID_TAG);
+        tags.copy_from_slice(&self.tags);
+        let mut copy = |col: &[u8]| {
+            let mut v = arena.take_u8_empty(col.len());
+            v.extend_from_slice(col);
+            v
+        };
+        Self {
+            geom: self.geom,
+            way_bits: self.way_bits,
+            tags,
+            stamps: copy(&self.stamps),
+            clocks: copy(&self.clocks),
+            meta: copy(&self.meta),
+            _marker: PhantomData,
+        }
+    }
+
+    /// This array's lines in a larger array of geometry `geom` — same
+    /// line size and associativity, 2^k times the sets — with its
+    /// columns checked out of `arena`. Each valid line moves, with its
+    /// metadata and LRU stamp, to its set under `geom`, taking the first
+    /// invalid way there, and each set's clock is the clock of the set
+    /// here that its lines come from. A larger set holds a subset of one
+    /// set's lines here, so its LRU order is that set's order restricted
+    /// to its lines. `moved(old, new)` is called for every line moved.
+    ///
+    /// # Panics
+    /// Panics unless `geom` has this array's line size and associativity
+    /// and at least its number of sets.
+    pub fn regrow_in(
+        &self,
+        geom: Geometry,
+        arena: &mut BankArena,
+        mut moved: impl FnMut(usize, usize),
+    ) -> Self {
+        assert!(
+            geom.line_bytes == self.geom.line_bytes
+                && geom.assoc == self.geom.assoc
+                && geom.sets() >= self.geom.sets(),
+            "a regrown array keeps its line size and associativity and does not shrink"
+        );
+        let mut grown = Self::new_in(geom, arena);
+        let set_mask = self.geom.sets() - 1;
+        for (set, clock) in grown.clocks.iter_mut().enumerate() {
+            *clock = self.clocks[set & set_mask];
+        }
+        for old in 0..self.meta.len() {
+            if !M::from_byte(self.meta[old]).is_valid() {
+                continue;
+            }
+            let new = grown.victim(LineAddr(self.tags[old]));
+            debug_assert!(
+                !M::from_byte(grown.meta[new]).is_valid(),
+                "a larger set holds at most one set's lines"
+            );
+            grown.tags[new] = self.tags[old];
+            grown.stamps[new] = self.stamps[old];
+            grown.meta[new] = self.meta[old];
+            moved(old, new);
+        }
+        grown
+    }
+
     /// Return the arena-backed columns (the array becomes empty).
     pub fn release_into(&mut self, arena: &mut BankArena) {
         arena.give_u64(std::mem::take(&mut self.tags));
@@ -462,6 +528,35 @@ mod tests {
             })
             .collect();
         assert_eq!(evicted, [lines[3], lines[2], lines[0], lines[1]]);
+    }
+
+    #[test]
+    fn regrow_moves_each_line_to_its_larger_set_in_lru_order() {
+        // 2 sets × 4 ways, regrown to 8 sets: lines 0, 8 and 16 of set 0
+        // stay together, line 2 moves to a set of its own.
+        let geom = Geometry::new(512, 64, 4);
+        let mut a: SetAssocArray<V> = SetAssocArray::new(geom);
+        let line = |i: u64| geom.line_of(i * 64);
+        for i in [0, 8, 16, 2] {
+            let v = a.victim(line(i));
+            a.fill(v, line(i), V(true));
+        }
+        a.lookup(line(0));
+        let larger = Geometry::new(2048, 64, 4);
+        let mut moved = Vec::new();
+        let mut b =
+            a.regrow_in(larger, &mut BankArena::default(), |old, new| moved.push((old, new)));
+        assert_eq!((moved.len(), b.valid_count()), (4, 4));
+        for (old, new) in moved {
+            let tag = a.slot(old).tag;
+            assert_eq!((b.slot(new).tag, b.set_of_slot(new)), (tag, larger.set_index(tag)));
+        }
+        // Set 0 keeps 8 < 16 < 0 in LRU order: after a fill into its
+        // invalid way, the next fill evicts 8, then 16.
+        for (i, evicted) in [(24, None), (32, Some(8)), (40, Some(16))] {
+            let v = b.victim(line(i));
+            assert_eq!(b.fill(v, line(i), V(true)).map(|(l, _)| l), evicted.map(line));
+        }
     }
 
     #[test]

@@ -202,6 +202,46 @@ impl LineStateBank {
         bank
     }
 
+    /// A bank of `lines` slots, at least this bank's, that holds none of
+    /// this bank's lines yet, storage checked out of `arena`: every slot
+    /// neutral and unpowered — or powered since cycle 0 when
+    /// `cold_lines_powered` (the always-on baseline) — under this bank's
+    /// power books. A slot powered since cycle 0 adds nothing to the
+    /// power-on sum, so the books carry over as they are, with the new
+    /// slots' count added when they are powered.
+    /// [`LineStateBank::move_line`] then carries each line over.
+    pub fn regrow_in(&self, lines: usize, cold_lines_powered: bool, arena: &mut BankArena) -> Self {
+        assert!(lines >= self.lines, "a regrown bank does not shrink");
+        let mut grown = Self::new_in(lines, arena);
+        grown.on_stamps = self.on_stamps;
+        grown.off_stamps = self.off_stamps;
+        grown.powered_count = self.powered_count;
+        if cold_lines_powered {
+            grown.powered.set_all();
+            grown.powered_count += (lines - self.lines) as u64;
+        }
+        grown
+    }
+
+    /// Carry slot `src` of `from` — its powered, armed and live bits and
+    /// its decay counter — into slot `dst` of this bank, regrown from
+    /// `from` by [`LineStateBank::regrow_in`] (whose books already count
+    /// the line).
+    pub fn move_line(&mut self, from: &LineStateBank, src: usize, dst: usize) {
+        for (to, of) in [
+            (&mut self.powered, &from.powered),
+            (&mut self.armed, &from.armed),
+            (&mut self.live, &from.live),
+        ] {
+            if of.get(src) {
+                to.set(dst);
+            } else {
+                to.clear(dst);
+            }
+        }
+        self.counters[dst] = from.counters[src];
+    }
+
     /// Hand every column back to `arena` (the bank becomes empty).
     pub fn release_into(&mut self, arena: &mut BankArena) {
         self.powered.release_into(arena);
@@ -331,6 +371,13 @@ impl LineStateBank {
     /// Lines currently live (popcount; debug/test aid).
     pub fn live_count(&self) -> u64 {
         self.live.count_ones()
+    }
+
+    /// Popcount of the powered column, which
+    /// [`LineStateBank::powered_count`] keeps incrementally (debug/test
+    /// aid).
+    pub fn powered_popcount(&self) -> u64 {
+        self.powered.count_ones()
     }
 
     // ---- counter column --------------------------------------------------
@@ -525,6 +572,33 @@ mod tests {
         // Idempotent at the same instant: closing the books only reads
         // the running sums.
         assert_eq!(b.finish_on_cycles(1000), 200 + 950);
+    }
+
+    #[test]
+    fn a_regrown_bank_carries_moved_lines_and_the_power_books() {
+        let mut small = LineStateBank::new(64);
+        small.power_on(3, 10);
+        small.set_live(3);
+        small.set_counter(3, 2);
+        small.disarm(3);
+        small.power_on(5, 20);
+        small.power_off(5, 30);
+        let mut grown = small.regrow_in(256, false, &mut BankArena::default());
+        grown.move_line(&small, 3, 131);
+        assert!(grown.is_powered(131) && grown.is_live(131) && !grown.is_armed(131));
+        assert_eq!(grown.counter(131), 2);
+        assert_eq!((grown.powered_count(), grown.powered_popcount()), (1, 1));
+        assert_eq!(grown.finish_on_cycles(100), small.finish_on_cycles(100));
+        // Every other slot is neutral: unpowered, not live, armed.
+        assert!((0..256).filter(|&s| s != 131).all(|s| !grown.is_powered(s)
+            && !grown.is_live(s)
+            && grown.is_armed(s)
+            && grown.counter(s) == 0));
+        // A baseline's new lines are powered since cycle 0 too.
+        let mut baseline = LineStateBank::new(64);
+        baseline.power_all_on();
+        let grown = baseline.regrow_in(256, true, &mut BankArena::default());
+        assert_eq!((grown.powered_popcount(), grown.finish_on_cycles(7)), (256, 256 * 7));
     }
 
     #[test]

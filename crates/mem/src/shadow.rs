@@ -48,6 +48,11 @@ impl ShadowTags {
         Self { tags: SetAssocArray::new_in(geom, arena) }
     }
 
+    /// The geometry of the cache this directory mirrors.
+    pub fn geometry(&self) -> Geometry {
+        self.tags.geometry()
+    }
+
     /// Return the arena-backed columns.
     pub fn release_into(&mut self, arena: &mut BankArena) {
         self.tags.release_into(arena);

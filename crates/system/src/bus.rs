@@ -37,7 +37,7 @@ pub enum BusReqKind {
 }
 
 /// Shared bus + memory channel state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SharedBus {
     cfg: BusConfig,
     mem: MemConfig,

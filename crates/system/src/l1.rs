@@ -80,6 +80,11 @@ impl L1Cache {
         }
     }
 
+    /// A copy of this cache with its tag columns checked out of `arena`.
+    pub(crate) fn clone_in(&self, arena: &mut BankArena) -> Self {
+        Self { tags: self.tags.clone_in(arena), mshr: self.mshr.clone(), stats: self.stats }
+    }
+
     /// Hand the tag columns back to `arena`; the cache must not be used
     /// afterwards (statistics remain readable).
     pub fn release_storage(&mut self, arena: &mut BankArena) {

@@ -289,6 +289,124 @@ impl L2Cache {
         self.larger[i].1
     }
 
+    /// Whether the fill of `line` arriving now finds its set full — it
+    /// evicts a line, or is refused because every way is transient — as
+    /// [`L2Cache::full_set_fills`] counts it: an in-flight miss that is
+    /// not doomed, filling a set with no invalid way.
+    pub fn fill_finds_full_set(&self, line: LineAddr) -> bool {
+        self.mshr.pending(line)
+            && !self.flags.iter().any(|&(l, f)| l == line && f.doomed)
+            && self.tags.set_slots(line).all(|slot| self.tags.meta(slot).state.is_valid())
+    }
+
+    /// The cache a run at the first larger size this cache shadows holds
+    /// right now, given that no fill of the run has found its set full
+    /// yet, so that run has gone cycle for cycle like this one: every
+    /// resident line, transient ones included, in its set under the
+    /// larger geometry with its metadata, LRU order, power and decay
+    /// state ([`SetAssocArray::regrow_in`], [`LineStateBank::regrow_in`]);
+    /// that size's shadow, with its induced misses, as its own; the
+    /// shadows of the sizes above it, with theirs; deferred turn-offs at
+    /// their lines' new slots; and everything else as it is here. The
+    /// larger shadows move out, so this cache feeds none any more; the
+    /// larger columns are checked out of `arena`. `None` if this cache
+    /// shadows no larger size.
+    pub fn fork_larger(&mut self, arena: &mut BankArena) -> Option<L2Cache> {
+        let mut larger = std::mem::take(&mut self.larger).into_iter();
+        let (shadow, induced_misses) = larger.next()?;
+        let geom = shadow.geometry();
+        let mut state =
+            self.state.regrow_in(geom.lines(), !self.technique.gates_cold_lines(), arena);
+        let tags =
+            self.tags.regrow_in(geom, arena, |old, new| state.move_line(&self.state, old, new));
+        let mut fork = L2Cache {
+            cfg: L2Config { size_bytes: geom.size_bytes, ..self.cfg },
+            technique: self.technique,
+            tags,
+            mshr: self.mshr.clone(),
+            flags: self.flags.clone(),
+            decay: self.decay.clone(),
+            shadow,
+            larger: larger.collect(),
+            full_set_fills: 0,
+            state,
+            deferred_turnoffs: Vec::new(),
+            stats: L2Stats { induced_misses, ..self.stats },
+            decay_scratch: Vec::new(),
+        };
+        // A deferred slot whose line is gone would be dropped at its
+        // next retry in either run.
+        fork.deferred_turnoffs =
+            self.deferred_turnoffs.iter().filter_map(|&s| fork.slot_of(self.line_at(s)?)).collect();
+        if cfg!(debug_assertions) {
+            self.check_fork(&fork);
+        }
+        Some(fork)
+    }
+
+    /// The slot holding `line`, if it is resident.
+    pub(crate) fn slot_of(&self, line: LineAddr) -> Option<usize> {
+        match self.tags.probe(line) {
+            LookupOutcome::Hit(slot) => Some(slot),
+            LookupOutcome::Miss => None,
+        }
+    }
+
+    /// Debug builds: `fork` holds exactly this cache's resident lines,
+    /// each in its set under the larger geometry, with the same metadata,
+    /// power and decay state; each larger set's LRU order is its set's
+    /// order here restricted to its lines; the powered count is the
+    /// bank's popcount; and every deferred turn-off names its line.
+    fn check_fork(&self, fork: &L2Cache) {
+        let geom = fork.geometry();
+        assert_eq!(
+            fork.tags.valid_count(),
+            self.tags.valid_count(),
+            "the fork lost or gained lines"
+        );
+        let old_slot = |new: usize| self.slot_of(fork.tags.slot(new).tag);
+        let (a, b) = (&self.state, &fork.state);
+        for (new, line) in fork.tags.iter().filter(|(_, l)| l.meta.state.is_valid()) {
+            assert_eq!(fork.tags.set_of_slot(new), geom.set_index(line.tag), "{:?}", line.tag);
+            let old = old_slot(new);
+            assert!(
+                old.is_some_and(|old| {
+                    self.tags.meta(old).state == line.meta.state
+                        && self.tags.meta(old).in_l1 == line.meta.in_l1
+                        && a.is_powered(old) == b.is_powered(new)
+                        && a.is_armed(old) == b.is_armed(new)
+                        && a.is_live(old) == b.is_live(new)
+                        && a.counter(old) == b.counter(new)
+                }),
+                "{:?} moved without its state",
+                line.tag
+            );
+            let older_here = |other: Option<usize>| {
+                old.zip(other).map(|(x, y)| self.tags.slot(x).lru < self.tags.slot(y).lru)
+            };
+            for other in fork.tags.set_slots(line.tag).filter(|&s| s != new) {
+                if fork.tags.meta(other).state.is_valid() {
+                    assert_eq!(
+                        Some(line.lru < fork.tags.slot(other).lru),
+                        older_here(old_slot(other)),
+                        "{:?}: LRU order changed",
+                        line.tag
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            b.powered_count(),
+            b.powered_popcount(),
+            "the powered count disagrees with the bank"
+        );
+        let kept = self.deferred_turnoffs.iter().filter_map(|&s| self.line_at(s));
+        assert!(
+            kept.eq(fork.deferred_turnoffs.iter().filter_map(|&s| fork.line_at(s))),
+            "a deferred turn-off lost its line"
+        );
+    }
+
     /// Geometry of the tag array.
     pub fn geometry(&self) -> Geometry {
         self.tags.geometry()

@@ -24,7 +24,10 @@
 //! directories of larger L2 sizes beside each cache: it also reports
 //! whether any fill found its set full, and if none did, the run's
 //! statistics at each larger size follow from
-//! [`SimStats::at_larger_size`].
+//! [`SimStats::at_larger_size`]; if one did, a run over replayed traces
+//! forks a run at the next larger size just before that fill
+//! ([`LargerFork`]), which [`resume_fork`] finishes instead of
+//! simulating that size from cycle 0.
 
 #![forbid(unsafe_code)]
 
@@ -43,8 +46,8 @@ pub use l1::{L1Cache, L1LoadOutcome};
 pub use l2::{L2Cache, L2ReadOutcome, L2Target, L2WriteOutcome};
 pub use stats::{IntervalActivity, L1Stats, L2Stats, LargerSizes, SimStats};
 pub use system::{
-    run_feeds_with_larger, run_feeds_with_scratch, run_simulation, CoreSource, CycleProfile,
-    EventQueueStats, SimScratch,
+    resume_fork, run_feeds_with_larger, run_feeds_with_scratch, run_simulation, CoreSource,
+    CycleProfile, EventQueueStats, LargerFork, SimScratch,
 };
 
 // Re-exported so scratch-pool consumers can read arena counters without

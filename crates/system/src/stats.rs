@@ -115,6 +115,19 @@ pub struct IntervalActivity {
     pub decay_counter_events: u64,
 }
 
+impl IntervalActivity {
+    /// This interval as a run with `lines_total` lines over all L2s that
+    /// went cycle for cycle alike recorded it: the line-cycle capacity at
+    /// that line count, and so the powered-line integral when every line
+    /// is powered (the baseline).
+    pub(crate) fn rescale_to(&mut self, lines_total: u64, every_line_powered: bool) {
+        self.l2_total_line_cycles = lines_total * self.cycles;
+        if every_line_powered {
+            self.l2_powered_line_cycles = self.l2_total_line_cycles;
+        }
+    }
+}
+
 /// Full result of one simulation run.
 ///
 /// `PartialEq` compares every counter: two runs are equal only when they
@@ -174,6 +187,7 @@ pub struct LargerSizes {
     pub full_set_fills: u64,
     /// Per larger size, in the order asked for: each core's induced
     /// misses, counted against that size's baseline-equivalent shadow.
+    /// Empty when the run forked: its shadows moved to the fork.
     pub induced_misses: Vec<Vec<u64>>,
 }
 
@@ -209,14 +223,11 @@ impl SimStats {
         let lines_total = lines_per_l2 * self.l2.len() as u64;
         let mut stats = self.clone();
         stats.l2_line_cycle_capacity = lines_total * stats.cycles;
-        for iv in &mut stats.trace {
-            iv.l2_total_line_cycles = lines_total * iv.cycles;
-        }
         if every_line_powered {
             stats.l2_on_line_cycles = stats.l2_line_cycle_capacity;
-            for iv in &mut stats.trace {
-                iv.l2_powered_line_cycles = iv.l2_total_line_cycles;
-            }
+        }
+        for iv in &mut stats.trace {
+            iv.rescale_to(lines_total, every_line_powered);
         }
         for (l2, &induced) in stats.l2.iter_mut().zip(induced_misses) {
             l2.induced_misses = induced;

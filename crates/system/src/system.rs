@@ -143,6 +143,17 @@ pub enum CoreSource {
     Trace(MemTraceCursor),
 }
 
+impl CoreSource {
+    /// A copy positioned where this feed is, if it replays a trace: a
+    /// live generator cannot be copied.
+    fn try_clone(&self) -> Option<CoreSource> {
+        match self {
+            CoreSource::Trace(cursor) => Some(CoreSource::Trace(cursor.clone())),
+            CoreSource::Live(_) => None,
+        }
+    }
+}
+
 impl std::fmt::Debug for CoreSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -287,7 +298,7 @@ pub struct EventQueueStats {
 /// the later events (about 3 on average: far `DataReady` fills sit at
 /// the tail, so only ~15 % of pushes are plain appends) and inserts
 /// there; `next_at` and `pop_due` read the front.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct EventQueue {
     queue: VecDeque<(u64, EvKind)>,
     /// Events pushed since the last reset.
@@ -317,6 +328,16 @@ impl EventQueue {
         // `<`): ties stay FIFO.
         let i = self.queue.iter().rposition(|&(t, _)| t <= at).map_or(0, |i| i + 1);
         self.queue.insert(i, (at, kind));
+    }
+
+    /// Put `kind`, popped at cycle `at` and not yet handled, back at the
+    /// front: it pops first again, ahead of the rest of its cycle.
+    fn push_front(&mut self, at: u64, kind: EvKind) {
+        debug_assert!(
+            self.queue.front().is_none_or(|&(t, _)| t >= at),
+            "pushed back behind a later event"
+        );
+        self.queue.push_front((at, kind));
     }
 
     /// Earliest pending event cycle (the skip kernel's event wakeup).
@@ -495,6 +516,12 @@ struct CmpSystem {
     /// Cycle-cost attribution (no-op unless the `cycle-profile` feature
     /// is on).
     profile: CycleProfile,
+    /// Whether this run may still fork a run at its L2s' first larger
+    /// shadowed size ([`CmpSystem::fork_before`]): it shadows larger
+    /// sizes and has not yet made a fill that found its set full.
+    may_fork: bool,
+    /// The run forked at the first full-set fill, suspended there.
+    fork: Option<Box<CmpSystem>>,
 }
 
 impl CmpSystem {
@@ -564,6 +591,8 @@ impl CmpSystem {
             next_core_wake: u64::MAX,
             lines_total,
             profile: CycleProfile::default(),
+            may_fork: !larger_l2_bytes.is_empty(),
+            fork: None,
             arena,
             cfg,
         }
@@ -834,10 +863,23 @@ impl CmpSystem {
                 self.deliver_to_l1(core, line);
             }
             EvKind::DataReady { core, line, shared } => {
+                // Until this run's first fill to find its set full, a run
+                // at a larger size has gone cycle for cycle like it.
+                let full_set = (self.may_fork || cfg!(debug_assertions))
+                    && self.l2s[core].fill_finds_full_set(line);
+                if full_set && self.may_fork {
+                    self.fork_before(ev);
+                }
+                let full_sets_before = self.l2s[core].full_set_fills();
                 let mut fx = std::mem::take(&mut self.fx);
                 fx.clear();
                 let (reads, writes, _installed) =
                     self.l2s[core].fill(line, shared, self.now, &mut fx);
+                debug_assert_eq!(
+                    self.l2s[core].full_set_fills() - full_sets_before,
+                    u64::from(full_set),
+                    "the fork trigger mispredicted a full-set fill"
+                );
                 self.route_fx(core, &mut fx, WbRoute::Queued);
                 self.fx = fx;
                 if reads > 0 {
@@ -1227,6 +1269,108 @@ impl CmpSystem {
 }
 
 impl CmpSystem {
+    /// Fork a run at the first larger size the L2s shadow, just before
+    /// `ev` — the first fill of this run to find its set full — is
+    /// handled. Up to here that run has gone cycle for cycle like this
+    /// one, so it is this system with every L2 regrown to the larger size
+    /// ([`L2Cache::fork_larger`]: the larger shadows move to the fork),
+    /// `ev` back at the front of this cycle's events, every `Grant` event
+    /// at its line's new slot, and the line-cycle capacity of the closed
+    /// intervals — and, when every line is powered (the baseline), their
+    /// powered-line integrals and the open interval's — at the larger
+    /// line count. Everything else is copied as it is, but for the
+    /// diagnostic counters (cycle profile, event pushes), which count
+    /// only the work the fork does. The fork's L1 and larger L2 columns
+    /// come out of this run's arena. A run with a live feed makes no
+    /// fork: a generator cannot be copied.
+    #[cold]
+    fn fork_before(&mut self, ev: EvKind) {
+        self.may_fork = false;
+        let Some(sources) = self.sources.iter().map(CoreSource::try_clone).collect() else {
+            return;
+        };
+        let arena = &mut self.arena;
+        let Some(l2s) =
+            self.l2s.iter_mut().map(|l2| l2.fork_larger(arena)).collect::<Option<Vec<_>>>()
+        else {
+            return;
+        };
+        let l1s = self.l1s.iter().map(|l1| l1.clone_in(arena)).collect();
+        let mut events = self.events.clone();
+        events.pushes = 0;
+        events.push_front(self.now, ev);
+        for (_, kind) in &mut events.queue {
+            if let EvKind::Grant { core, slot, line } = kind {
+                // A pending Grant's line waits in TC/TD at its slot.
+                *slot = l2s[*core].slot_of(*line).unwrap_or(*slot);
+            }
+        }
+        let lines_total: u64 = l2s.iter().map(|l2| l2.geometry().lines() as u64).sum();
+        let every_line_powered = !self.cfg.technique.gates_cold_lines();
+        let mut trace = self.trace.clone();
+        for iv in &mut trace {
+            iv.rescale_to(lines_total, every_line_powered);
+        }
+        // Every line of a baseline is powered from cycle 0, so its
+        // powered-line books scale with the line count.
+        let scale = if every_line_powered { lines_total / self.lines_total } else { 1 };
+        let mut cfg = self.cfg;
+        cfg.l2.size_bytes = l2s[0].geometry().size_bytes;
+        let fork = CmpSystem {
+            cfg,
+            now: self.now,
+            cores: self.cores.clone(),
+            sources,
+            l1s,
+            wbs: self.wbs.clone(),
+            may_fork: l2s[0].larger_shadows() > 0,
+            l2s,
+            bus: self.bus.clone(),
+            l1_geom: self.l1_geom,
+            events,
+            read_queues: self.read_queues.clone(),
+            fx: SideEffects::default(),
+            arena: BankArena::default(),
+            loads_completed: self.loads_completed,
+            load_latency_sum: self.load_latency_sum,
+            c2c_transfers: self.c2c_transfers,
+            upper_invalidations: self.upper_invalidations,
+            trace,
+            last_snap: self.last_snap,
+            interval_powered: self.interval_powered * scale,
+            interval_on_at_start: self.interval_on_at_start * scale,
+            interval_start: self.interval_start,
+            worklist: self.worklist,
+            awake: self.awake,
+            all_mask: self.all_mask,
+            sleep: self.sleep.clone(),
+            next_core_wake: self.next_core_wake,
+            lines_total,
+            profile: CycleProfile::default(),
+            fork: None,
+        };
+        if cfg!(debug_assertions) {
+            fork.check_inclusion();
+            fork.check_grants();
+        }
+        self.fork = Some(Box::new(fork));
+    }
+
+    /// Every pending `Grant` event names the slot where its line waits
+    /// in TC/TD (debug builds check it in every fork).
+    fn check_grants(&self) {
+        for &(_, kind) in &self.events.queue {
+            if let EvKind::Grant { core, slot, line } = kind {
+                let l2 = &self.l2s[core];
+                assert!(
+                    l2.slot_of(line) == Some(slot)
+                        && l2.state_of(line).is_some_and(|s| !s.is_stationary()),
+                    "core {core}: a Grant names slot {slot}, where {line:?} is not in TC/TD"
+                );
+            }
+        }
+    }
+
     /// What the run learned about the larger sizes its L2s shadowed.
     /// Reads the caches' own counters, so it runs before the reclaim.
     fn larger_sizes(&self) -> LargerSizes {
@@ -1237,6 +1381,19 @@ impl CmpSystem {
                 .map(|i| self.l2s.iter().map(|l2| l2.larger_induced_misses(i)).collect())
                 .collect(),
         }
+    }
+
+    /// Run to the end, close the books and hand the pools back.
+    fn run_to_end(
+        mut self,
+        scratch: &mut SimScratch,
+    ) -> (SimStats, LargerSizes, Option<LargerFork>) {
+        self.run_loop();
+        let stats = self.finalize();
+        let larger = self.larger_sizes();
+        let fork = self.fork.take().map(|sys| LargerFork { sys });
+        self.reclaim_scratch(scratch);
+        (stats, larger, fork)
     }
 
     /// Hand the reusable pools back to `scratch`: the caches release
@@ -1288,14 +1445,51 @@ pub fn run_feeds_with_scratch(
     run_feeds_with_larger(cfg, feeds, &[], scratch).0
 }
 
+/// A run at a larger L2 size, forked from a smaller run just before that
+/// run's first fill to find its set full and suspended there
+/// ([`run_feeds_with_larger`]); [`resume_fork`] runs it to the end.
+pub struct LargerFork {
+    sys: Box<CmpSystem>,
+}
+
+impl LargerFork {
+    /// The cycle the fork was made at: the cycles its resumed run does
+    /// not simulate again.
+    pub fn cycle(&self) -> u64 {
+        self.sys.now
+    }
+
+    /// The per-core L2 capacity of the forked run, in bytes.
+    pub fn l2_bytes(&self) -> usize {
+        self.sys.cfg.l2.size_bytes
+    }
+}
+
+impl std::fmt::Debug for LargerFork {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LargerFork")
+            .field("cycle", &self.cycle())
+            .field("l2_bytes", &self.l2_bytes())
+            .finish_non_exhaustive()
+    }
+}
+
 /// [`run_feeds_with_scratch`] with every L2 also shadowing the larger
 /// per-core capacities `larger_l2_bytes` (powers of two above
-/// `cfg.l2.size_bytes`; same line size and associativity). Returns the
-/// run's statistics — identical to a run without the shadows — and
-/// what it learned about each larger size: if no L2 ever filled a set
-/// that had no invalid way ([`LargerSizes::full_set_fills`] is 0), a
-/// run at that size is this run cycle for cycle, and
-/// [`SimStats::at_larger_size`] gives its statistics exactly.
+/// `cfg.l2.size_bytes`, ascending; same line size and associativity).
+/// Returns the run's statistics — identical to a run without the
+/// shadows — what it learned about each larger size, and a fork at the
+/// first larger size:
+///
+/// * if no L2 ever filled a set that had no invalid way
+///   ([`LargerSizes::full_set_fills`] is 0), a run at any larger size is
+///   this run cycle for cycle, and [`SimStats::at_larger_size`] gives
+///   its statistics exactly;
+/// * otherwise, when every feed replays a trace, the run forked a run
+///   at the first larger size just before its first such fill, when the
+///   two had gone cycle for cycle alike: [`resume_fork`] finishes it,
+///   with the shadows of the sizes above it. A live feed cannot be
+///   copied, so a run over one makes no fork.
 ///
 /// # Panics
 /// As [`run_feeds_with_scratch`], and if a larger size is not a power
@@ -1305,13 +1499,21 @@ pub fn run_feeds_with_larger(
     feeds: Vec<CoreSource>,
     larger_l2_bytes: &[usize],
     scratch: &mut SimScratch,
-) -> (SimStats, LargerSizes) {
-    let mut sys = CmpSystem::with_feeds(cfg, feeds, larger_l2_bytes, scratch);
-    sys.run_loop();
-    let stats = sys.finalize();
-    let larger = sys.larger_sizes();
-    sys.reclaim_scratch(scratch);
-    (stats, larger)
+) -> (SimStats, LargerSizes, Option<LargerFork>) {
+    CmpSystem::with_feeds(cfg, feeds, larger_l2_bytes, scratch).run_to_end(scratch)
+}
+
+/// Run a fork to the end, on `scratch`'s allocation pools. It returns
+/// what [`run_feeds_with_larger`] returns for a run at the fork's size
+/// shadowing the sizes above it — the same statistics as a run from
+/// cycle 0 — and may fork again.
+pub fn resume_fork(
+    fork: LargerFork,
+    scratch: &mut SimScratch,
+) -> (SimStats, LargerSizes, Option<LargerFork>) {
+    let mut sys = *fork.sys;
+    sys.arena = std::mem::take(&mut scratch.arena);
+    sys.run_to_end(scratch)
 }
 
 #[cfg(test)]
@@ -1717,17 +1919,22 @@ mod tests {
         // boxed generators it was recorded from.
         let cfg = tiny_cfg(Technique::Decay { decay_cycles: 2048 });
         let boxed = run_simulation(cfg, sharing_streams());
-        let mut trace = cmpleak_trace::MemTrace::new("sharing", 0);
-        for mut wl in sharing_streams() {
-            trace.record_core_in(wl.as_mut(), cfg.instructions_per_core, Vec::new());
-        }
-        let trace = std::sync::Arc::new(trace);
         let feeds = run_feeds_with_scratch(
             cfg,
-            (0..cfg.n_cores).map(|c| CoreSource::Trace(trace.cursor(c))).collect(),
+            replayed(&cfg, sharing_streams()),
             &mut SimScratch::default(),
         );
         assert_eq!(boxed, feeds);
+    }
+
+    /// `streams` recorded into one trace, one replay cursor per core.
+    fn replayed(cfg: &CmpConfig, streams: Vec<Box<dyn Workload>>) -> Vec<CoreSource> {
+        let mut trace = cmpleak_trace::MemTrace::new("replayed", 0);
+        for mut wl in streams {
+            trace.record_core_in(wl.as_mut(), cfg.instructions_per_core, Vec::new());
+        }
+        let trace = std::sync::Arc::new(trace);
+        (0..cfg.n_cores).map(|c| CoreSource::Trace(trace.cursor(c))).collect()
     }
 
     #[test]
@@ -2068,13 +2275,14 @@ mod tests {
         let larger = [2 * small, 4 * small];
         let mut scratch = SimScratch::default();
         for technique in LADDER_TECHNIQUES {
-            let (stats, sizes) = run_feeds_with_larger(
+            let (stats, sizes, fork) = run_feeds_with_larger(
                 ladder_cfg(technique, small),
                 live(ladder_streams(false)),
                 &larger,
                 &mut scratch,
             );
             assert!(sizes.derivable(), "{technique}: {} full-set fills", sizes.full_set_fills);
+            assert!(fork.is_none(), "{technique}: a run that never filled a set forked");
             let plain = run_simulation(ladder_cfg(technique, small), ladder_streams(false));
             assert_eq!(stats, plain, "{technique}: the larger shadows changed the run");
             if technique.has_decay_logic() {
@@ -2107,15 +2315,199 @@ mod tests {
     #[test]
     fn a_run_that_fills_a_set_cannot_be_derived() {
         for technique in LADDER_TECHNIQUES {
-            let (stats, sizes) = run_feeds_with_larger(
+            let (stats, sizes, fork) = run_feeds_with_larger(
                 ladder_cfg(technique, 16 * 1024),
                 live(ladder_streams(true)),
                 &[32 * 1024],
                 &mut SimScratch::default(),
             );
             assert!(!sizes.derivable(), "{technique}: nine lines share an 8-way set");
+            assert!(fork.is_none(), "{technique}: a run over live feeds forked");
             let evictions: u64 = stats.l2.iter().map(|l| l.evictions).sum();
             assert!(sizes.full_set_fills >= evictions && evictions > 0, "{technique}");
+        }
+    }
+
+    /// Climb the per-core L2 sizes `sizes` (ascending) as a sweep ladder
+    /// does, over replayed traces of `streams`: run the smallest with
+    /// shadows of the rest; derive every larger size from a run that
+    /// never filled a set, and otherwise resume the run's fork at the
+    /// next size. Every size's statistics must equal a plain run's at
+    /// that size. Returns the cycle each resumed size was forked at.
+    fn climb(
+        cfg: impl Fn(usize) -> CmpConfig,
+        sizes: &[usize],
+        streams: impl Fn() -> Vec<Box<dyn Workload>>,
+    ) -> Vec<u64> {
+        let technique = cfg(sizes[0]).technique;
+        let plain = |bytes| run_simulation(cfg(bytes), streams());
+        let mut scratch = SimScratch::default();
+        let (mut stats, mut larger, mut fork) = run_feeds_with_larger(
+            cfg(sizes[0]),
+            replayed(&cfg(sizes[0]), streams()),
+            &sizes[1..],
+            &mut scratch,
+        );
+        let mut resumed = Vec::new();
+        for (i, &bytes) in sizes.iter().enumerate() {
+            assert_eq!(stats, plain(bytes), "{technique} at {bytes} B per core");
+            let above = &sizes[i + 1..];
+            if larger.derivable() || above.is_empty() {
+                assert!(fork.is_none(), "{technique} at {bytes} B: a fork without a full set");
+                for (&size, induced) in above.iter().zip(&larger.induced_misses) {
+                    let lines = (size / 64) as u64;
+                    let derived =
+                        stats.at_larger_size(lines, induced, !technique.gates_cold_lines());
+                    assert_eq!(derived, plain(size), "{technique} at {size} B, derived");
+                }
+                break;
+            }
+            let next = fork.take().expect("a replayed run that fills a set forks");
+            assert_eq!(next.l2_bytes(), above[0], "{technique}: the fork runs the next size");
+            resumed.push(next.cycle());
+            (stats, larger, fork) = resume_fork(next, &mut scratch);
+        }
+        resumed
+    }
+
+    #[test]
+    fn forks_resumed_at_2x_and_4x_equal_plain_runs() {
+        let small = 16 * 1024;
+        for technique in LADDER_TECHNIQUES {
+            let cfg = |bytes| ladder_cfg(technique, bytes);
+            // Nine spill lines share one set at 1×, and five of them one
+            // set at 2× beside four other lines. Under plain decay those
+            // four have decayed by then, so the 2× fork never fills a set
+            // and 4× is derived from it; every other technique forks
+            // again at 2×.
+            let resumed = climb(cfg, &[small, 2 * small, 4 * small], || ladder_streams(true));
+            let forks = if matches!(technique, Technique::Decay { .. }) { 1 } else { 2 };
+            assert_eq!(resumed.len(), forks, "{technique}: resumed at {resumed:?}");
+            // A 1× run shadowing only 4× forks straight at 4×.
+            let direct = climb(cfg, &[small, 4 * small], || ladder_streams(true));
+            assert_eq!(direct, &resumed[..1], "{technique}: forks at the first full-set fill");
+        }
+    }
+
+    /// The full scan sums powered lines every cycle and the per-cycle
+    /// kernel steps every cycle: a fork carries both books over exactly,
+    /// the baseline's scaled to its larger line count.
+    #[test]
+    fn forks_resume_exactly_under_every_kernel_and_engine() {
+        let small = 16 * 1024;
+        for technique in [Technique::Baseline, Technique::SelectiveDecay { decay_cycles: 1024 }] {
+            for kernel in [SimKernel::PerCycle, SimKernel::QuiescenceSkip] {
+                for engine in [CycleEngine::FullScan, CycleEngine::Worklist] {
+                    let cfg = |bytes| CmpConfig { kernel, engine, ..ladder_cfg(technique, bytes) };
+                    let resumed =
+                        climb(cfg, &[small, 2 * small, 4 * small], || ladder_streams(true));
+                    assert_eq!(resumed.len(), 2, "{technique}, {kernel:?} × {engine:?}");
+                }
+            }
+        }
+    }
+
+    /// Core 0 loads eight lines of one L2 set into its fully associative
+    /// L1, and a ninth line of that set once they have decayed: the
+    /// eight turn off together through TC, so while their L1 copies are
+    /// invalidated the ninth fill finds every way transient.
+    fn transient_set_streams() -> Vec<Box<dyn Workload>> {
+        let set = 5u64 << 20;
+        let mut ops = vec![TraceOp::Exec(200)];
+        ops.extend((0..8u64).map(|k| TraceOp::Load(set + k * 32 * 64)));
+        ops.push(TraceOp::Exec(2_528));
+        ops.push(TraceOp::Load(set + 8 * 32 * 64));
+        ops.push(TraceOp::Exec(1_000_000));
+        vec![
+            Box::new(ReplayWorkload::cycle(ops)),
+            Box::new(ReplayWorkload::cycle(vec![TraceOp::Exec(1_000_000)])),
+        ]
+    }
+
+    fn transient_set_cfg(technique: Technique, l2_bytes: usize) -> CmpConfig {
+        let mut cfg = ladder_cfg(technique, l2_bytes);
+        cfg.l1.assoc = 16;
+        cfg.instructions_per_core = 12_000;
+        cfg
+    }
+
+    #[test]
+    fn a_fill_refused_because_every_way_is_transient_forks_exactly() {
+        let technique = Technique::Decay { decay_cycles: 1024 };
+        let cfg = |bytes| transient_set_cfg(technique, bytes);
+        let small = 16 * 1024;
+        let (stats, sizes, fork) = run_feeds_with_larger(
+            cfg(small),
+            replayed(&cfg(small), transient_set_streams()),
+            &[2 * small],
+            &mut SimScratch::default(),
+        );
+        let evictions: u64 = stats.l2.iter().map(|l| l.evictions).sum();
+        assert_eq!((sizes.full_set_fills, evictions), (1, 0), "the one full-set fill is refused");
+        assert!(fork.is_some());
+        assert_eq!(climb(cfg, &[small, 2 * small], transient_set_streams).len(), 1);
+    }
+
+    /// Core 1 stores a line of core 0's set and then loops over lines of
+    /// its own; core 0 fills that set and reads the line, which core 1
+    /// supplies. The supplied fill evicts, and it lands on the cycle a
+    /// memory fill of core 1, granted earlier, arrives: it is the second
+    /// event of its cycle.
+    fn second_event_streams() -> Vec<Box<dyn Workload>> {
+        let set = 5u64 << 20;
+        let supplied = set + 8 * 32 * 64;
+        let mut ops = (0..8u64).map(|k| TraceOp::Load(set + k * 32 * 64)).collect::<Vec<_>>();
+        ops.push(TraceOp::Exec(312));
+        ops.push(TraceOp::Load(supplied));
+        ops.push(TraceOp::Exec(1_000_000));
+        let mut hits = vec![TraceOp::Store(supplied)];
+        for _ in 0..40 {
+            for i in 0..32u64 {
+                hits.push(TraceOp::Load((2 << 20) + i * 64));
+                hits.push(TraceOp::Exec(1));
+            }
+        }
+        hits.push(TraceOp::Exec(1_000_000));
+        vec![Box::new(ReplayWorkload::cycle(ops)), Box::new(ReplayWorkload::cycle(hits))]
+    }
+
+    #[test]
+    fn a_fork_at_the_second_event_of_its_cycle_resumes_exactly() {
+        let small = 16 * 1024;
+        for technique in [
+            Technique::Protocol,
+            Technique::Decay { decay_cycles: 4096 },
+            Technique::SelectiveDecay { decay_cycles: 4096 },
+        ] {
+            let cfg = |bytes| transient_set_cfg(technique, bytes);
+            let (_, _, fork) = run_feeds_with_larger(
+                cfg(small),
+                replayed(&cfg(small), second_event_streams()),
+                &[2 * small],
+                &mut SimScratch::default(),
+            );
+            let fork = fork.expect("the supplied fill fills a set");
+            let at = fork.cycle();
+            let pending = fork.sys.events.queue.front().copied();
+            assert!(
+                matches!(pending, Some((t, EvKind::DataReady { core: 0, .. })) if t == at),
+                "{technique}: the fork resumes with the fill at the front: {pending:?}"
+            );
+            // The same run stopped just before that cycle holds its events
+            // in the order they pop: the fill is the cycle's second.
+            let mut capped = cfg(small);
+            capped.max_cycles = at;
+            let mut sys = CmpSystem::with_feeds(
+                capped,
+                replayed(&capped, second_event_streams()),
+                &[2 * small],
+                &mut SimScratch::default(),
+            );
+            sys.run_loop();
+            let due: Vec<(u64, EvKind)> =
+                sys.events.queue.iter().copied().filter(|&(t, _)| t == at).collect();
+            assert_eq!(due.iter().position(|&e| Some(e) == pending), Some(1), "{technique}");
+            assert_eq!(climb(cfg, &[small, 2 * small], second_event_streams), [at]);
         }
     }
 }

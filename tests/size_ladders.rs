@@ -3,12 +3,15 @@
 //! `run_sweep` simulates each (scenario, technique) ladder at its
 //! smallest open size with shadow directories of the larger sizes
 //! beside it, and derives every larger size when no L2 of that run ever
-//! filled a set (otherwise it simulates the next size). This suite pins
+//! filled a set. Otherwise the run forked a run at the next size just
+//! before its first full-set fill, and the ladder resumes that fork
+//! instead of simulating the next size from cycle 0. This suite pins
 //! the claim that the result is **byte-identical** to the reference arm
 //! (`run_sweep_reference`, which simulates every cell), on a grid where
-//! every ladder derives, on the mixes where some ladders fall back, with
-//! a store that already holds a cell in the middle of a ladder, and on
-//! randomized one-ladder grids (case count via `PROPTEST_CASES`).
+//! every ladder derives, on the mixes where some ladders resume forks,
+//! on a ladder of baselines alone, with a store that already holds a
+//! cell of a ladder, and on randomized one-ladder grids (case count via
+//! `PROPTEST_CASES`).
 
 use cmp_leakage::core::sweep::{
     run_sweep_reference, run_sweep_with_telemetry, SweepConfig, SweepResults, SweepTelemetry,
@@ -82,6 +85,54 @@ fn mix_ladders_that_fill_a_set_fall_back_to_the_next_size() {
     assert!(t.derived_larger > 0, "some mix ladder derives");
     assert!(t.derived_larger < 12, "some mix ladder falls back: {t:?}");
     assert_eq!(t.derived, t.derived_larger + 9);
+    // Every larger rung a ladder does not derive resumes the fork its
+    // rung below made, from the cycle of that fork.
+    assert_eq!(t.resumed, 12 - t.derived_larger, "{t:?}");
+    assert!(t.resumed_from_cycle > 0, "{t:?}");
+}
+
+/// Without a Protocol donor each (scenario, size) baseline is simulated,
+/// and the baselines of a scenario climb a ladder of their own. A
+/// baseline powers every line from cycle 0, so its fork powers the new
+/// lines of each regrown cache from cycle 0 too.
+#[test]
+fn a_ladder_of_baselines_resumes_forks_with_every_line_powered() {
+    let cfg = SweepConfig {
+        scenarios: vec![Scenario::Mix(ScenarioSpec::producer_sharing())],
+        sizes_mb: vec![1, 2, 8],
+        techniques: Vec::new(),
+        instructions_per_core: 100_000,
+        ..paper_grid()
+    };
+    let t = assert_ladders_match_reference(&cfg, "baselines");
+    assert_eq!((t.resumed, t.derived_larger, t.derived), (1, 1, 1), "{t:?}");
+}
+
+/// Only a simulated run can fork: when the store answers a ladder's
+/// smallest size, its next size is simulated from cycle 0.
+#[test]
+fn a_store_holding_the_smaller_rung_makes_the_next_rung_simulate_from_cycle_0() {
+    let root = std::env::temp_dir().join(format!("cmpleak-size-rung-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let store = Arc::new(ResultStore::open(&root).expect("store root"));
+    let cfg = SweepConfig {
+        scenarios: vec![Scenario::Mix(ScenarioSpec::producer_sharing())],
+        sizes_mb: vec![1, 2],
+        techniques: vec![Technique::Protocol],
+        instructions_per_core: 100_000,
+        ..paper_grid()
+    };
+    let (_, cold) = run_sweep_with_telemetry(&cfg, &mut ExperimentScratch::default());
+    assert_eq!(cold.resumed, 1, "without a store, 2 MB resumes the 1 MB run's fork: {cold:?}");
+    let smaller = SweepConfig { sizes_mb: vec![1], store: Some(Arc::clone(&store)), ..cfg.clone() };
+    run_sweep_with_telemetry(&smaller, &mut ExperimentScratch::default());
+    let (res, t) = run_sweep_with_telemetry(
+        &SweepConfig { store: Some(Arc::clone(&store)), ..cfg.clone() },
+        &mut ExperimentScratch::default(),
+    );
+    assert_eq!(json(&res), json(&run_sweep_reference(&cfg)), "a loaded smaller rung");
+    assert_eq!((t.store_hits, t.store_misses, t.resumed), (1, 1, 0), "{t:?}");
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
@@ -116,6 +167,19 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
     ]
 }
 
+fn arb_mix() -> impl Strategy<Value = Scenario> {
+    (0..ScenarioSpec::paper_mixes().len())
+        .prop_map(|i| Scenario::Mix(ScenarioSpec::paper_mixes().swap_remove(i)))
+}
+
+/// A scenario, budget and core count: three times in four a short run
+/// of any scenario, else a mix long enough for its 1 MB caches to fill
+/// sets on four cores, so that most such ladders resume forks.
+fn arb_run() -> impl Strategy<Value = (Scenario, u64, usize)> {
+    let short = || (arb_scenario(), 2_000u64..10_000, prop_oneof![Just(1usize), Just(2), Just(4)]);
+    prop_oneof![short(), short(), short(), (arb_mix(), 80_000u64..120_000, Just(4usize))]
+}
+
 fn arb_technique() -> impl Strategy<Value = Technique> {
     prop_oneof![
         Just(Technique::Protocol),
@@ -127,16 +191,18 @@ fn arb_technique() -> impl Strategy<Value = Technique> {
 proptest! {
     /// One ladder (plus the baseline's) over a random subset of the
     /// paper sizes: whatever the scenario, technique, seed and budget,
-    /// and whether or not it derives, the sweep equals the reference.
+    /// and whether it derives or resumes its larger sizes, the sweep
+    /// equals the reference ([`arb_run`]). Every larger rung is either
+    /// derived or resumed: the ladder replays a recording, so no rung but
+    /// its first runs from cycle 0.
     #[test]
     fn ladders_agree_with_the_reference_on_randomized_grids(
-        scenario in arb_scenario(),
+        run in arb_run(),
         technique in arb_technique(),
         seed in 0u64..1000,
-        instr in 2_000u64..10_000,
         sizes in 1usize..16,
-        n_cores in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
+        let (scenario, instr, n_cores) = run;
         let cfg = SweepConfig {
             scenarios: vec![scenario],
             sizes_mb: [1, 2, 4, 8].into_iter().filter(|mb| sizes & mb != 0).collect(),
@@ -147,7 +213,9 @@ proptest! {
             threads: 2,
             store: None,
         };
-        let (res, _) = run_sweep_with_telemetry(&cfg, &mut ExperimentScratch::default());
+        let (res, t) = run_sweep_with_telemetry(&cfg, &mut ExperimentScratch::default());
         prop_assert_eq!(json(&res), json(&run_sweep_reference(&cfg)));
+        let ladders = if technique.timing_identical_to_baseline() { 1 } else { 2 };
+        prop_assert_eq!(t.resumed + t.derived_larger, ladders * (cfg.sizes_mb.len() - 1));
     }
 }

@@ -82,6 +82,36 @@ fn cold_and_warm_store_sweeps_match_uncached_byte_for_byte() {
     std::fs::remove_dir_all(root).ok();
 }
 
+/// A cold pass whose ladders resume forks publishes each resumed cell as
+/// a simulated one, and the warm pass loads it: warm == cold == uncached,
+/// with nothing simulated, resumed or derived from a size warm.
+#[test]
+fn warm_equals_cold_when_cold_resumes_forks() {
+    let cfg = |store| SweepConfig {
+        scenarios: vec![
+            Scenario::Mix(ScenarioSpec::producer_sharing()),
+            Scenario::Mix(ScenarioSpec::bursty_idle()),
+        ],
+        sizes_mb: vec![1, 2, 8],
+        techniques: vec![Technique::Protocol, Technique::Decay { decay_cycles: 64 * 1024 }],
+        instructions_per_core: 100_000,
+        seed: 42,
+        n_cores: 4,
+        threads: 2,
+        store,
+    };
+    let fresh = json(&run_sweep(&cfg(None)));
+    let (root, store) = temp_store("resumed");
+    let (cold, t_cold) = run(&cfg(Some(Arc::clone(&store))));
+    assert_eq!(cold, fresh, "cold store sweep with resumed rungs diverged from uncached");
+    assert!(t_cold.resumed > 0, "no ladder resumed a fork: {t_cold:?}");
+    let (warm, t_warm) = run(&cfg(Some(Arc::clone(&store))));
+    assert_eq!(warm, cold, "warm sweep diverged from a cold one that resumed rungs");
+    assert_eq!((t_warm.store_misses, t_warm.resumed, t_warm.derived_larger), (0, 0, 0));
+    assert_eq!(t_warm.store_hits, t_cold.store_misses + t_cold.derived_larger, "{t_cold:?}");
+    std::fs::remove_dir_all(root).ok();
+}
+
 /// The shape of one `sweep serve` miss: a single (scenario, size) group
 /// over the paper set. Its cells are separate pool jobs off one stream
 /// slot, so at two or more threads a second worker blocks on the slot
